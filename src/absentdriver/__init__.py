@@ -26,7 +26,6 @@ from .model import (
     SelectionProblem,
     Stationary,
     Strategy,
-    exit_probability,
     make_drive_problem,
 )
 from .optimize import (
@@ -39,7 +38,6 @@ from .quantum import (
     BasisTerm,
     StateVector,
     build_state,
-    first_zero_destinations,
     first_zero_distribution,
     product_state,
     quantum_expected_payoff,
@@ -63,7 +61,7 @@ from .selection import (
     two_round_average_polynomial,
     two_round_counting_total,
 )
-from .simulate import SimulationReport, estimate_payoff, simulate_drive
+from .simulate import SimulationReport, estimate_payoff
 
 __version__ = "0.1.0"
 
@@ -91,9 +89,7 @@ __all__ = [
     "counting_round_values",
     "destination_distribution",
     "estimate_payoff",
-    "exit_probability",
     "expected_payoff",
-    "first_zero_destinations",
     "first_zero_distribution",
     "make_drive_problem",
     "maximize_polynomial",
@@ -108,7 +104,6 @@ __all__ = [
     "round_breakdowns",
     "scenario_to_document",
     "selection_improvement",
-    "simulate_drive",
     "stationary_payoff_polynomial",
     "step_exit_probabilities",
     "two_round_average_polynomial",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .model import DriveProblem, Strategy, exit_probability
+from .model import Counting, DriveProblem, PerStep, Quantum, Stationary, Strategy
 
 # Entries this close to 0 or 1 are treated as rounding and clamped; anything
 # further out is a logic bug, not noise.
@@ -110,13 +110,25 @@ class PayoffPolynomial:
 def step_exit_probabilities(problem: DriveProblem, strategy: Strategy) -> np.ndarray:
     """Per-intersection exit probabilities induced by a classical strategy.
 
-    Raises the same errors as :func:`absentdriver.model.exit_probability`
-    for quantum or mismatched strategies.
+    Only classical strategies have a per-step marginal that is independent of
+    what happened earlier; quantum states are rejected.
     """
-    k = problem.num_destinations
-    if k == 1:
-        return np.zeros(0)
-    return np.array([exit_probability(strategy, i, k) for i in range(1, k)])
+    m = problem.num_intersections
+    if isinstance(strategy, Stationary):
+        return np.full(m, strategy.alpha)
+    if isinstance(strategy, Counting):
+        # 1 / (k - i + 1) at intersection i of k = m + 1 destinations
+        return 1.0 / np.arange(m + 1, 1, -1)
+    if isinstance(strategy, PerStep):
+        if len(strategy.exit_probs) != m:
+            raise ValueError(
+                "strategy/problem mismatch: "
+                f"{len(strategy.exit_probs)} step probabilities for {m} intersections"
+            )
+        return np.array(strategy.exit_probs, dtype=float)
+    if isinstance(strategy, Quantum):
+        raise ValueError("no stepwise marginal: quantum strategies condition on earlier outcomes")
+    raise TypeError(f"unknown strategy type: {type(strategy).__name__}")
 
 
 def destination_distribution(problem: DriveProblem, strategy: Strategy) -> DestinationDistribution:

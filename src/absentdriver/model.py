@@ -156,30 +156,3 @@ class Quantum:
 Strategy = Union[Stationary, Counting, PerStep, Quantum]
 ClassicalStrategy = Union[Stationary, Counting, PerStep]
 
-
-def exit_probability(strategy: Strategy, intersection: int, num_destinations: int) -> float:
-    """Probability of exiting at ``intersection`` (1-based) among ``num_destinations``.
-
-    Only classical strategies have a per-step marginal that is independent of
-    what happened earlier; quantum states are rejected.
-    """
-    k = num_destinations
-    i = intersection
-    if k < 2:
-        raise ValueError(f"bad index: need at least two destinations, got {k}")
-    if not 1 <= i <= k - 1:
-        raise ValueError(f"bad index: intersection {i} not in 1..{k - 1}")
-    if isinstance(strategy, Stationary):
-        return strategy.alpha
-    if isinstance(strategy, Counting):
-        return 1.0 / (k - i + 1)
-    if isinstance(strategy, PerStep):
-        if len(strategy.exit_probs) != k - 1:
-            raise ValueError(
-                "strategy/problem mismatch: "
-                f"{len(strategy.exit_probs)} step probabilities for {k - 1} intersections"
-            )
-        return strategy.exit_probs[i - 1]
-    if isinstance(strategy, Quantum):
-        raise ValueError("no stepwise marginal: quantum strategies condition on earlier outcomes")
-    raise TypeError(f"unknown strategy type: {type(strategy).__name__}")

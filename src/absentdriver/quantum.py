@@ -6,10 +6,15 @@ first intersection.  At intersection ``i`` the driver measures qubit ``i``
 and exits on outcome 0, otherwise keeps driving.
 
 The destination distribution does not require simulating measurement
-collapse: destination ``i`` simply collects ``|amplitude|**2`` over every
-basis string whose first 0 sits at position ``i``, and the all-ones string
-feeds the terminal.  This equals the sequential collapse computation because
-the measurements are all in the computational basis.
+collapse: destination ``i`` collects ``|amplitude|**2`` over every basis
+string whose first 0 sits at position ``i``, and the all-ones string feeds
+the terminal.  This equals the sequential collapse computation because the
+measurements are all in the computational basis.  With the first qubit as
+the most significant bit, the strings whose first 0 is at ``i`` are exactly
+the indices ``[2**m - 2**(m-i+1), 2**m - 2**(m-i))``: a leading run of
+``i - 1`` ones, then a 0, then anything.  The ``m + 1`` destinations are
+therefore ``m + 1`` contiguous index ranges, and the distribution is one
+``np.add.reduceat`` over their starts.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -109,20 +113,22 @@ def build_state(terms, normalize: bool = False) -> StateVector:
     if m > MAX_QUBITS:
         raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {m}")
     seen = set()
-    amps = np.zeros(2**m, dtype=complex)
     for t in parsed:
         if t.bits in seen:
             raise ValueError(f"duplicate term: {t.bits!r}")
         seen.add(t.bits)
-        amps[int(t.bits, 2)] = t.amplitude
-    norm = float(np.linalg.norm(amps))
+    values = np.array([t.amplitude for t in parsed], dtype=complex)
+    norm = float(np.linalg.norm(values))
     if normalize:
         if norm == 0.0:
             raise ValueError("not normalized: zero state cannot be rescaled")
     elif abs(norm - 1.0) > INPUT_NORM_TOL:
         raise ValueError(f"not normalized: state norm is {norm!r} (pass normalize to rescale)")
     if abs(norm - 1.0) > _RESCALE_SKIP:
-        amps = amps / norm
+        values = values / norm
+    # Scale the listed terms, not the dense vector: most of it is zeros.
+    amps = np.zeros(2**m, dtype=complex)
+    amps[[int(t.bits, 2) for t in parsed]] = values
     return StateVector(m, amps)
 
 
@@ -147,29 +153,14 @@ def product_state(alpha: float, num_qubits: int) -> StateVector:
     return StateVector(num_qubits, amps)
 
 
-@lru_cache(maxsize=None)
-def first_zero_destinations(num_qubits: int) -> np.ndarray:
-    """Destination (1-based) per basis index: position of the first 0 bit.
-
-    Basis strings with no 0 at all map to the terminal ``num_qubits + 1``.
-    """
-    m = num_qubits
-    index = np.arange(2**m)
-    bits = (index[:, None] >> np.arange(m - 1, -1, -1)) & 1
-    zeros = bits == 0
-    dest = np.where(zeros.any(axis=1), zeros.argmax(axis=1) + 1, m + 1)
-    dest.setflags(write=False)
-    return dest
-
-
 def first_zero_distribution(state: StateVector) -> DestinationDistribution:
     """Distribution over destinations induced by the first-zero exit rule."""
-    weights = state.probabilities
-    total = float(weights.sum())
+    m = state.num_qubits
+    starts = 2**m - (1 << np.arange(m, -1, -1))
+    probs = np.add.reduceat(state.probabilities, starts)
+    total = float(probs.sum())
     if abs(total - 1.0) > 2 * STATE_NORM_TOL:
         raise ValueError(f"not normalized: probabilities sum to {total!r}")
-    dest = first_zero_destinations(state.num_qubits)
-    probs = np.bincount(dest - 1, weights=weights, minlength=state.num_qubits + 1)
     return DestinationDistribution(probs / total)
 
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from .classical import DestinationDistribution, step_exit_probabilities
 from .model import DriveProblem, Quantum, Strategy
-from .quantum import first_zero_destinations
 
 BLOCK_SIZE = 1 << 16
 _MAX_SEED = 2**64
@@ -36,32 +35,16 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, block]))
 
 
-def _quantum_tables(problem: DriveProblem, strategy: Quantum) -> tuple[np.ndarray, np.ndarray]:
-    state = strategy.state
-    if state.num_qubits != problem.num_intersections:
-        raise ValueError(
-            "strategy/problem mismatch: "
-            f"{state.num_qubits} qubits for {problem.num_intersections} intersections"
-        )
-    return np.cumsum(state.probabilities), first_zero_destinations(state.num_qubits)
+def _first_zero_destination(index: np.ndarray, num_qubits: int) -> np.ndarray:
+    """Destination (1-based) of each basis index under the first-zero rule.
 
-
-def simulate_drive(problem: DriveProblem, strategy: Strategy, rng: np.random.Generator) -> int:
-    """One trip down the highway; returns the destination index (1-based).
-
-    Classical strategies walk the intersections drawing one uniform per step;
-    quantum strategies sample a basis string by inverse CDF over
-    ``|amplitude|**2`` and return its first-zero destination.
+    Flipping every bit (``2**m - 1 - index``) turns the leading run of ones
+    into leading zeros, so the first 0 sits at ``m + 1 - bit_length``; the
+    all-ones string has bit length 0 and maps to the terminal ``m + 1``.
+    ``frexp`` returns the bit length exactly for integers below ``2**53``.
     """
-    if isinstance(strategy, Quantum):
-        cum, dest = _quantum_tables(problem, strategy)
-        index = int(np.searchsorted(cum, rng.random(), side="right"))
-        return int(dest[min(index, dest.size - 1)])
-    steps = step_exit_probabilities(problem, strategy)
-    for i, p in enumerate(steps):
-        if rng.random() < p:
-            return i + 1
-    return problem.num_destinations
+    _, bit_length = np.frexp((2**num_qubits - 1 - index).astype(float))
+    return num_qubits + 1 - bit_length
 
 
 def estimate_payoff(
@@ -77,7 +60,12 @@ def estimate_payoff(
     m = problem.num_intersections
     quantum = isinstance(strategy, Quantum)
     if quantum:
-        cum, dest_table = _quantum_tables(problem, strategy)
+        state = strategy.state
+        if state.num_qubits != m:
+            raise ValueError(
+                f"strategy/problem mismatch: {state.num_qubits} qubits for {m} intersections"
+            )
+        cum = np.cumsum(state.probabilities)
     else:
         steps = step_exit_probabilities(problem, strategy)
 
@@ -87,7 +75,7 @@ def estimate_payoff(
         rng = _block_rng(seed, block)
         if quantum:
             index = np.searchsorted(cum, rng.random(n), side="right")
-            dest = dest_table[np.minimum(index, dest_table.size - 1)]
+            dest = _first_zero_destination(np.minimum(index, cum.size - 1), m)
         else:
             exited = rng.random((n, m)) < steps
             hit = exited.any(axis=1)

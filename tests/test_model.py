@@ -10,8 +10,8 @@ from absentdriver import (
     SelectionProblem,
     Stationary,
     build_state,
-    exit_probability,
     make_drive_problem,
+    step_exit_probabilities,
 )
 
 
@@ -71,45 +71,49 @@ class TestStrategyValidation:
             PerStep((0.5, 1.5))
 
 
+def steps(strategy, num_destinations: int) -> list[float]:
+    """Per-intersection exit probabilities on a problem with ``num_destinations``."""
+    problem = make_drive_problem([0.0] * (num_destinations - 1), 0.0)
+    return list(step_exit_probabilities(problem, strategy))
+
+
 class TestExitProbability:
     def test_counting_first_of_four(self):
-        assert exit_probability(Counting(), 1, 4) == pytest.approx(0.25)
+        assert steps(Counting(), 4)[0] == pytest.approx(0.25)
 
     def test_counting_last_branch_is_half(self):
-        assert exit_probability(Counting(), 3, 4) == pytest.approx(0.5)
+        assert steps(Counting(), 4)[2] == pytest.approx(0.5)
 
     def test_stationary_zero_never_exits(self):
-        for i in range(1, 5):
-            assert exit_probability(Stationary(0.0), i, 6) == 0.0
+        assert steps(Stationary(0.0), 6) == [0.0] * 5
 
     def test_stationary_constant_across_steps(self):
-        assert [exit_probability(Stationary(0.3), i, 5) for i in range(1, 5)] == [0.3] * 4
+        assert steps(Stationary(0.3), 5) == [0.3] * 4
 
     def test_per_step_indexing(self):
-        strategy = PerStep((0.1, 0.2, 0.3))
-        assert exit_probability(strategy, 2, 4) == 0.2
+        assert steps(PerStep((0.1, 0.2, 0.3)), 4) == [0.1, 0.2, 0.3]
 
     def test_per_step_length_mismatch(self):
         with pytest.raises(ValueError, match="strategy/problem mismatch"):
-            exit_probability(PerStep((0.1, 0.2)), 1, 4)
-
-    @pytest.mark.parametrize("i,k", [(0, 3), (3, 3), (-1, 4), (5, 4)])
-    def test_bad_index(self, i, k):
-        with pytest.raises(ValueError, match="bad index"):
-            exit_probability(Stationary(0.5), i, k)
+            steps(PerStep((0.1, 0.2)), 4)
 
     def test_quantum_has_no_marginal(self):
         strategy = Quantum(build_state([("01", 1), ("10", 1)], normalize=True))
         with pytest.raises(ValueError, match="no stepwise marginal"):
-            exit_probability(strategy, 1, 3)
+            steps(strategy, 3)
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 40])
+    def test_counting_values_are_reciprocals(self, k):
+        # the vectorised form gives the same floats as 1.0 / (k - i + 1)
+        assert steps(Counting(), k) == [1.0 / (k - i + 1) for i in range(1, k)]
 
     @given(k=st.integers(min_value=2, max_value=40), data=st.data())
     def test_counting_induces_uniform_destinations(self, k, data):
         # (1 - 1/k)(1 - 1/(k-1))...(1 - 1/(k-i+1)) * 1/(k-i) == 1/k for every i
         i = data.draw(st.integers(min_value=1, max_value=k - 1))
-        reach = math.prod(1.0 - exit_probability(Counting(), j, k) for j in range(1, i))
-        prob = reach * exit_probability(Counting(), i, k)
-        assert prob == pytest.approx(1.0 / k, abs=1e-12)
+        p = steps(Counting(), k)
+        reach = math.prod(1.0 - p[j - 1] for j in range(1, i))
+        assert reach * p[i - 1] == pytest.approx(1.0 / k, abs=1e-12)
 
     def test_deterministic(self):
-        assert exit_probability(Counting(), 2, 7) == exit_probability(Counting(), 2, 7)
+        assert steps(Counting(), 7) == steps(Counting(), 7)

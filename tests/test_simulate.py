@@ -13,9 +13,8 @@ from absentdriver import (
     first_zero_distribution,
     make_drive_problem,
     quantum_expected_payoff,
-    simulate_drive,
 )
-from absentdriver.simulate import BLOCK_SIZE
+from absentdriver.simulate import BLOCK_SIZE, _first_zero_destination
 
 EXAMPLE1 = make_drive_problem([0, 4], 1)
 EXAMPLE2 = make_drive_problem([0, 4, 1], 1)
@@ -26,31 +25,47 @@ BELL = build_state([("01", 1), ("10", 1)], normalize=True)
 SIGMAS = 4.0
 
 
+def landed(problem, strategy, trials, seed) -> set[int]:
+    """Destinations (1-based) that at least one of ``trials`` runs reached."""
+    probs = estimate_payoff(problem, strategy, trials, seed).empirical_distribution.probs
+    return {int(d) + 1 for d in np.flatnonzero(probs)}
+
+
 class TestSimulateDrive:
+    """Where single trips land, observed through the block simulator."""
+
     def test_always_exit_first(self):
-        rng = np.random.default_rng(0)
-        assert all(simulate_drive(EXAMPLE1, Stationary(1.0), rng) == 1 for _ in range(50))
+        assert landed(EXAMPLE1, Stationary(1.0), 50, 0) == {1}
 
     def test_never_exit_reaches_terminal(self):
-        rng = np.random.default_rng(0)
-        assert all(simulate_drive(EXAMPLE1, Stationary(0.0), rng) == 3 for _ in range(50))
+        assert landed(EXAMPLE1, Stationary(0.0), 50, 0) == {3}
 
     def test_bell_never_reaches_terminal(self):
-        rng = np.random.default_rng(1234)
-        outcomes = {simulate_drive(EXAMPLE1, Quantum(BELL), rng) for _ in range(400)}
-        assert outcomes == {1, 2}
+        assert landed(EXAMPLE1, Quantum(BELL), 400, 1234) == {1, 2}
 
     def test_counting_covers_every_destination(self):
-        rng = np.random.default_rng(99)
-        outcomes = {simulate_drive(EXAMPLE2, Counting(), rng) for _ in range(500)}
-        assert outcomes == {1, 2, 3, 4}
+        assert landed(EXAMPLE2, Counting(), 500, 99) == {1, 2, 3, 4}
 
     def test_dimension_mismatch(self):
-        rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="strategy/problem mismatch"):
-            simulate_drive(EXAMPLE2, Quantum(BELL), rng)
+            estimate_payoff(EXAMPLE2, Quantum(BELL), 10, 0)
         with pytest.raises(ValueError, match="strategy/problem mismatch"):
-            simulate_drive(EXAMPLE1, PerStep((0.5,)), rng)
+            estimate_payoff(EXAMPLE1, PerStep((0.5,)), 10, 0)
+
+    def test_quantum_sample_stream_pinned(self):
+        # A change to the sampling or to the index-to-destination map that
+        # moves a single sample changes these counts.
+        report = estimate_payoff(EXAMPLE1, Quantum(BELL), 20_000, 11)
+        counts = np.rint(report.empirical_distribution.probs * 20_000).astype(int)
+        assert counts.tolist() == [10135, 9865, 0]
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_first_zero_map_is_exhaustively_right(self, m):
+        expected = []
+        for index in range(2**m):
+            bits = format(index, f"0{m}b")
+            expected.append(bits.find("0") + 1 if "0" in bits else m + 1)
+        assert _first_zero_destination(np.arange(2**m), m).tolist() == expected
 
 
 class TestEstimatePayoff:
