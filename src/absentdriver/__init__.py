@@ -31,7 +31,6 @@ from .model import (
 from .optimize import (
     OptimizationResult,
     maximize_polynomial,
-    numeric_maximize,
     optimize_stationary,
 )
 from .quantum import (
@@ -93,7 +92,6 @@ __all__ = [
     "first_zero_distribution",
     "make_drive_problem",
     "maximize_polynomial",
-    "numeric_maximize",
     "optimize_stationary",
     "optimize_two_round",
     "parse_scenario",

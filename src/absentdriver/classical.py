@@ -6,8 +6,12 @@ Everything here is closed form.  With per-step exit probabilities
     P(exit i)   = (1 - p_1) ... (1 - p_{i-1}) * p_i
     P(terminal) = (1 - p_1) ... (1 - p_m)
 
-and for the stationary strategy (all ``p_j = alpha``) the expected payoff
-expands into a polynomial in ``alpha``, which is what the optimizer works on.
+For the stationary strategy (all ``p_j = alpha``) the expected payoff is a
+polynomial, stored in ``beta = 1 - alpha``: collecting powers of ``beta``
+turns its coefficients into payoff differences, with none of the
+cancelling binomials of an expansion in ``alpha``.  Evaluation and the
+optimizer work in ``beta``; the ``alpha`` coefficients are derived for
+display.
 """
 
 from __future__ import annotations
@@ -56,44 +60,52 @@ class DestinationDistribution:
 
 @dataclass(frozen=True)
 class PayoffPolynomial:
-    """Expected payoff of the stationary strategy, as coefficients ``c0..cm``.
+    """Expected payoff of the stationary strategy, as coefficients in ``beta``.
 
-    ``coeffs[j]`` multiplies ``alpha**j``.  Trailing zero coefficients are
-    kept as given (the degree-``m`` term of an ``m``-intersection problem can
-    cancel exactly).
+    ``beta_coeffs[j]`` multiplies ``(1 - alpha)**j``.  Trailing zero
+    coefficients are kept as given (the degree-``m`` term of an
+    ``m``-intersection problem can cancel exactly).
     """
 
-    coeffs: tuple[float, ...]
+    beta_coeffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(float(c) for c in self.coeffs)
+        coeffs = tuple(float(c) for c in self.beta_coeffs)
         if not coeffs:
             raise ValueError("polynomial needs at least one coefficient")
         if not np.isfinite(coeffs).all():
             raise ValueError("polynomial coefficients must be finite")
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "beta_coeffs", coeffs)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.beta_coeffs) - 1
+
+    @property
+    def coeffs(self) -> tuple[float, ...]:
+        """Coefficients in ``alpha``: ``coeffs[j]`` multiplies ``alpha**j``.
+
+        Derived by Horner's rule in ``1 - alpha``: one O(m) array pass per
+        ``beta`` coefficient, O(m^2) in all, so read it once per use.
+        """
+        acc = np.zeros(len(self.beta_coeffs))
+        for c in reversed(self.beta_coeffs):
+            acc[1:] -= acc[:-1]  # multiply by (1 - alpha)
+            acc[0] += c
+        return tuple(acc.tolist())
 
     def __call__(self, alpha):
         """Evaluate at a scalar or array of ``alpha`` values."""
-        return npoly.polyval(alpha, self.coeffs)
-
-    def derivative(self) -> "PayoffPolynomial":
-        if len(self.coeffs) == 1:
-            return PayoffPolynomial((0.0,))
-        return PayoffPolynomial(tuple(j * c for j, c in enumerate(self.coeffs) if j > 0))
+        return npoly.polyval(1.0 - np.asarray(alpha), self.beta_coeffs)
 
     def __add__(self, other: "PayoffPolynomial | float") -> "PayoffPolynomial":
         if isinstance(other, (int, float)):
-            return PayoffPolynomial((self.coeffs[0] + other, *self.coeffs[1:]))
+            return PayoffPolynomial((self.beta_coeffs[0] + other, *self.beta_coeffs[1:]))
         if isinstance(other, PayoffPolynomial):
-            n = max(len(self.coeffs), len(other.coeffs))
+            n = max(len(self.beta_coeffs), len(other.beta_coeffs))
             a = np.zeros(n)
-            a[: len(self.coeffs)] += self.coeffs
-            a[: len(other.coeffs)] += other.coeffs
+            a[: len(self.beta_coeffs)] += self.beta_coeffs
+            a[: len(other.beta_coeffs)] += other.beta_coeffs
             return PayoffPolynomial(tuple(a))
         return NotImplemented
 
@@ -102,7 +114,7 @@ class PayoffPolynomial:
     def __mul__(self, factor: float) -> "PayoffPolynomial":
         if not isinstance(factor, (int, float)):
             return NotImplemented
-        return PayoffPolynomial(tuple(c * factor for c in self.coeffs))
+        return PayoffPolynomial(tuple(c * factor for c in self.beta_coeffs))
 
     __rmul__ = __mul__
 
@@ -146,17 +158,10 @@ def expected_payoff(problem: DriveProblem, strategy: Strategy) -> float:
 
 
 def stationary_payoff_polynomial(problem: DriveProblem) -> PayoffPolynomial:
-    """Expand ``sum_i v_i (1-a)^(i-1) a + v_terminal (1-a)^m`` in powers of ``a``.
+    """``sum_i v_i a (1-a)^(i-1) + v_terminal (1-a)^m`` in powers of ``b = 1 - a``.
 
-    The expansion is an exact convolution of ``(1, -1)`` factors, so problems
-    with small integer payoffs get exact integer coefficients.
+    Substituting ``a = 1 - b`` telescopes the sum: the coefficient of
+    ``b^j`` is ``v_(j+1) - v_j`` (with ``v_0 = 0`` and ``v_(m+1)`` the
+    terminal payoff), so no expansion and no cancellation is involved.
     """
-    m = problem.num_intersections
-    coeffs = np.zeros(m + 1)
-    survive = np.array([1.0])  # coefficients of (1 - a)**(i-1)
-    for payoff in problem.exit_payoffs:
-        term = np.convolve(survive, [0.0, 1.0])  # multiply by a
-        coeffs[: term.size] += payoff * term
-        survive = np.convolve(survive, [1.0, -1.0])
-    coeffs[: survive.size] += problem.terminal_payoff * survive
-    return PayoffPolynomial(tuple(coeffs))
+    return PayoffPolynomial(tuple(np.diff(problem.destination_payoffs, prepend=0.0)))

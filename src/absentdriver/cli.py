@@ -155,20 +155,20 @@ def _run_eval(scenario: Scenario) -> CommandOutput:
 
 def _run_optimize(scenario: Scenario) -> CommandOutput:
     problem = scenario.problem
-    poly = stationary_payoff_polynomial(problem)
+    coeffs = stationary_payoff_polynomial(problem).coeffs
     result = optimize_stationary(problem)
     text = "\n".join(
         [
             _problem_line(problem),
-            f"stationary payoff polynomial: {fmt_poly(poly.coeffs)}",
-            f"coefficients: [{', '.join(fmt_num(c) for c in poly.coeffs)}]",
+            f"stationary payoff polynomial: {fmt_poly(coeffs)}",
+            f"coefficients: [{', '.join(fmt_num(c) for c in coeffs)}]",
             f"optimum: alpha* = {fmt_value(result.alpha_star)}, "
             f"payoff = {fmt_value(result.payoff_star)}, method = {result.method}",
         ]
     )
     rows = (
-        ("alpha_star", "payoff_star", "method", *(f"c{j}" for j in range(len(poly.coeffs)))),
-        (result.alpha_star, result.payoff_star, result.method, *poly.coeffs),
+        ("alpha_star", "payoff_star", "method", *(f"c{j}" for j in range(len(coeffs)))),
+        (result.alpha_star, result.payoff_star, result.method, *coeffs),
     )
     return CommandOutput(text, rows)
 
@@ -182,13 +182,14 @@ def _run_select(scenario: Scenario) -> CommandOutput:
     counting_total = two_round_counting_total(sel)
     improvement = selection_improvement(sel)
 
+    totals = [b.total_polynomial.coeffs for b in breakdowns]
     table_rows = []
-    for b, (first, second) in zip(breakdowns, counting_values):
+    for b, coeffs, (first, second) in zip(breakdowns, totals, counting_values):
         table_rows.append(
             (
                 b.first_choice,
                 fmt_num(b.first_payoff),
-                fmt_poly(b.total_polynomial.coeffs),
+                fmt_poly(coeffs),
                 f"{fmt_num(first)} + {fmt_value(second)}",
                 fmt_value(first + second),
             )
@@ -208,7 +209,7 @@ def _run_select(scenario: Scenario) -> CommandOutput:
             f"counting improvement over optimized stationary: {fmt_value(improvement)}",
         ]
     )
-    degree = max(len(b.total_polynomial.coeffs) for b in breakdowns)
+    degree = max(len(coeffs) for coeffs in totals)
     csv_rows = [
         (
             "first_choice",
@@ -218,9 +219,9 @@ def _run_select(scenario: Scenario) -> CommandOutput:
             *(f"total_c{j}" for j in range(degree)),
         )
     ]
-    for b, (first, second) in zip(breakdowns, counting_values):
-        coeffs = list(b.total_polynomial.coeffs) + [0.0] * (degree - len(b.total_polynomial.coeffs))
-        csv_rows.append((b.first_choice, first, second, first + second, *coeffs))
+    for b, coeffs, (first, second) in zip(breakdowns, totals, counting_values):
+        padded = list(coeffs) + [0.0] * (degree - len(coeffs))
+        csv_rows.append((b.first_choice, first, second, first + second, *padded))
     return CommandOutput(text, tuple(csv_rows))
 
 
@@ -275,7 +276,7 @@ def _run_curve(scenario: Scenario) -> CommandOutput:
         grid.append(alpha)
         i += 1
     grid.append(1.0)
-    rows = [("alpha", "payoff")] + [(a, float(poly(a))) for a in grid]
+    rows = [("alpha", "payoff")] + list(zip(grid, poly(grid).tolist()))
     return CommandOutput(emit_csv(rows).rstrip("\n"), tuple(rows))
 
 

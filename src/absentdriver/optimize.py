@@ -1,9 +1,11 @@
 """Maximizing expected payoff over the stationary exit probability.
 
-Candidates are always both endpoints of [0, 1] plus every real root of the
-payoff polynomial's derivative strictly inside the interval; an interior
-stationary point can just as well be a minimum.  Ties are broken toward the
-smallest maximizer so results are deterministic.
+The payoff polynomial is stored in ``beta = 1 - alpha``, so the work happens
+there.  Candidates are always both endpoints of [0, 1] plus every real root
+of the ``beta`` derivative strictly inside the interval, mapped back with
+``alpha = 1 - beta``; an interior stationary point can just as well be a
+minimum.  Ties are broken toward the smallest maximizing ``alpha`` so results
+are deterministic.
 """
 
 from __future__ import annotations
@@ -13,12 +15,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .classical import PayoffPolynomial, stationary_payoff_polynomial
 from .model import DriveProblem
 
-# Seeding grid for the derivative-free search and for root isolation.
-_GRID_SEGMENTS = 1000
+# Partition of [0, 1] scanned for sign changes before bisection.
 _ROOT_SEGMENTS = 1001
 _BISECT_WIDTH = 1e-15
 
@@ -56,15 +58,14 @@ def _closed_form_roots(deriv: tuple[float, ...]) -> tuple[float, ...]:
 def _bisection_roots(deriv: tuple[float, ...]) -> tuple[float, ...]:
     """Roots in [0, 1] via sign changes over a fixed partition, then bisection."""
     xs = np.linspace(0.0, 1.0, _ROOT_SEGMENTS + 1)
-    ys = np.polynomial.polynomial.polyval(xs, deriv)
-    roots = [float(x) for x, y in zip(xs, ys) if y == 0.0]
-    for x0, x1, y0, y1 in zip(xs[:-1], xs[1:], ys[:-1], ys[1:]):
-        if y0 == 0.0 or y1 == 0.0 or (y0 > 0.0) == (y1 > 0.0):
-            continue
-        lo, hi, ylo = float(x0), float(x1), float(y0)
+    ys = npoly.polyval(xs, deriv)
+    roots = xs[ys == 0.0].tolist()
+    signs = np.sign(ys)
+    for i in np.flatnonzero(signs[:-1] * signs[1:] < 0.0):
+        lo, hi, ylo = float(xs[i]), float(xs[i + 1]), float(ys[i])
         while hi - lo > _BISECT_WIDTH:
             mid = (lo + hi) / 2.0
-            ymid = float(np.polynomial.polynomial.polyval(mid, deriv))
+            ymid = float(npoly.polyval(mid, deriv))
             if ymid == 0.0:
                 lo = hi = mid
                 break
@@ -91,10 +92,11 @@ def _best_candidate(values: Callable[[float], float], candidates) -> tuple[float
 def maximize_polynomial(poly: PayoffPolynomial) -> OptimizationResult:
     """Global maximum of the polynomial over [0, 1].
 
-    Derivatives of degree <= 2 are solved in closed form; higher degrees fall
-    back to sign-change bisection over a fixed partition of the interval.
+    The derivative is taken in ``beta``.  Derivatives of degree <= 2 are
+    solved in closed form; higher degrees fall back to sign-change bisection
+    over a fixed partition of the interval.
     """
-    deriv = poly.derivative().coeffs
+    deriv = tuple(npoly.polyder(poly.beta_coeffs).tolist())
     while len(deriv) > 1 and deriv[-1] == 0.0:
         deriv = deriv[:-1]
     if len(deriv) <= 3:
@@ -104,7 +106,7 @@ def maximize_polynomial(poly: PayoffPolynomial) -> OptimizationResult:
         interior = _bisection_roots(deriv)
         method = "numeric"
     candidates = {0.0, 1.0}
-    candidates.update(r for r in interior if 0.0 < r < 1.0)
+    candidates.update(1.0 - r for r in interior if 0.0 < r < 1.0)
     alpha, payoff = _best_candidate(lambda x: float(poly(x)), candidates)
     return OptimizationResult(alpha, payoff, method)
 
@@ -112,51 +114,3 @@ def maximize_polynomial(poly: PayoffPolynomial) -> OptimizationResult:
 def optimize_stationary(problem: DriveProblem) -> OptimizationResult:
     """Best stationary exit probability for a drive problem."""
     return maximize_polynomial(stationary_payoff_polynomial(problem))
-
-
-def _checked(f: Callable[[float], float], x: float) -> float:
-    y = float(f(x))
-    if not math.isfinite(y):
-        raise ValueError(f"objective error: f({x!r}) = {y!r}")
-    return y
-
-
-def numeric_maximize(f: Callable[[float], float], tolerance: float = 1e-10) -> OptimizationResult:
-    """Derivative-free maximization of ``f`` over [0, 1].
-
-    A 1001-point grid pass picks the starting basin (so multimodal objectives
-    do not trap the search), then golden-section refinement shrinks the
-    bracket to ``tolerance``.
-    """
-    if not tolerance > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tolerance!r}")
-    xs = np.linspace(0.0, 1.0, _GRID_SEGMENTS + 1)
-    ys = [_checked(f, float(x)) for x in xs]
-    seed = int(np.argmax(ys))  # argmax takes the first, i.e. smallest alpha
-
-    lo = float(xs[max(seed - 1, 0)])
-    hi = float(xs[min(seed + 1, _GRID_SEGMENTS)])
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    yc = _checked(f, c)
-    yd = _checked(f, d)
-    evaluated = [(float(xs[seed]), ys[seed]), (c, yc), (d, yd)]
-    while hi - lo > tolerance:
-        if yc > yd:
-            hi, d, yd = d, c, yc
-            c = hi - invphi * (hi - lo)
-            yc = _checked(f, c)
-            evaluated.append((c, yc))
-        else:
-            lo, c, yc = c, d, yd
-            d = lo + invphi * (hi - lo)
-            yd = _checked(f, d)
-            evaluated.append((d, yd))
-
-    best_x = None
-    best_y = -math.inf
-    for x, y in sorted(evaluated):
-        if y > best_y:
-            best_x, best_y = x, y
-    return OptimizationResult(best_x, best_y, "numeric")

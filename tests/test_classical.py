@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -150,6 +152,33 @@ class TestStationaryPayoffPolynomial:
             direct = [expected_payoff(problem, Stationary(a)) for a in grid]
             assert np.abs(poly(grid) - direct).max() <= 1e-12
 
+    @pytest.mark.parametrize("m", [30, 60, 200, 1000])
+    def test_matches_product_form_at_large_sizes(self, m):
+        rng = np.random.default_rng(m)
+        payoffs = rng.uniform(0.0, 10.0, size=m + 1)
+        problem = make_drive_problem(payoffs[:-1], payoffs[-1])
+        grid = np.linspace(0.0, 1.0, 1001)
+        direct = [expected_payoff(problem, Stationary(a)) for a in grid]
+        poly = stationary_payoff_polynomial(problem)
+        assert np.abs(poly(grid) - direct).max() <= 1e-12 * (1.0 + payoffs.max())
+
+    @pytest.mark.parametrize("m", [256, 1024])
+    def test_alpha_coefficients_match_exact_expansion(self, m):
+        payoffs = np.random.default_rng(m).uniform(0.0, 10.0, size=m + 1)
+        coeffs = stationary_payoff_polynomial(make_drive_problem(payoffs[:-1], payoffs[-1])).coeffs
+        v = [Fraction(0)] + [Fraction(p) for p in payoffs]
+        beta = [v[j + 1] - v[j] for j in range(m + 1)]
+        scale = max(b.denominator for b in beta)  # a power of two: the payoffs are floats
+        want = [0] * (m + 1)
+        row = [1]  # (-1)^k C(j, k), the coefficients of (1 - a)^j, in exact integers
+        for b in beta:
+            numerator = int(b * scale)
+            for k, c in enumerate(row):
+                want[k] += c * numerator
+            row = [1] + [x - y for x, y in zip(row[1:], row)] + [-row[-1]]
+        for got, exact in zip(coeffs, want):
+            assert abs(Fraction(got) * scale - exact) <= Fraction(abs(exact), 10**12)
+
     def test_bounded_by_payoff_range(self):
         problem = make_drive_problem([2, 5, 3, 1], 0)
         poly = stationary_payoff_polynomial(problem)
@@ -158,17 +187,25 @@ class TestStationaryPayoffPolynomial:
 
 
 class TestPayoffPolynomial:
-    def test_derivative(self):
-        poly = PayoffPolynomial((1.0, 2.0, -3.0))
-        assert poly.derivative().coeffs == (2.0, -6.0)
+    def test_alpha_coefficients_derived_from_beta(self):
+        # 4b - 3b^2 with b = 1 - a is 1 + 2a - 3a^2
+        assert PayoffPolynomial((0.0, 4.0, -3.0)).coeffs == (1.0, 2.0, -3.0)
+        assert PayoffPolynomial((4.0,)).coeffs == (4.0,)
 
-    def test_degree_zero_derivative_is_zero(self):
-        assert PayoffPolynomial((4.0,)).derivative().coeffs == (0.0,)
+    def test_evaluates_in_one_minus_alpha(self):
+        poly = PayoffPolynomial((0.0, 4.0, -3.0))
+        assert poly(1.0) == 0.0
+        assert poly(0.0) == 1.0
+        assert poly(np.array([0.0, 1 / 3, 1.0])) == pytest.approx([1.0, 4 / 3, 0.0], abs=1e-15)
+
+    def test_rejects_non_finite_coefficients(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            PayoffPolynomial((1.0, float("nan")))
 
     def test_addition_pads_shorter(self):
         total = PayoffPolynomial((1.0, 3.0)) + PayoffPolynomial((2.0, -1.0, 0.5))
-        assert total.coeffs == (3.0, 2.0, 0.5)
+        assert total.beta_coeffs == (3.0, 2.0, 0.5)
 
     def test_scalar_operations(self):
         poly = (PayoffPolynomial((1.0, 2.0)) + 4.0) * 0.5
-        assert poly.coeffs == (2.5, 1.0)
+        assert poly.beta_coeffs == (2.5, 1.0)

@@ -1,5 +1,7 @@
 import json
+import re
 
+import numpy as np
 import pytest
 
 from absentdriver.cli import emit_csv, fmt_num, fmt_poly, fmt_value, main
@@ -112,6 +114,17 @@ class TestOptimizeCommand:
         assert "alpha* = 0.333333333333 (1/3)" in out
         assert "payoff = 1.33333333333 (4/3)" in out
         assert "closed_form" in out
+
+    def test_large_problem(self, capsys, scenario_file):
+        payoffs = np.random.default_rng(1024).uniform(0.0, 10.0, size=1025).round(3).tolist()
+        doc = {
+            "problem": {"kind": "drive", "exit_payoffs": payoffs[:-1], "terminal_payoff": payoffs[-1]},
+            "strategies": [{"name": "half", "kind": "stationary", "alpha": 0.5}],
+        }
+        code, out, err = run_cli(capsys, "optimize", "--scenario", scenario_file(doc))
+        assert (code, err) == (0, "")
+        payoff = float(re.search(r"payoff = ([^\s,]+)", out).group(1))
+        assert payoff <= max(payoffs)
 
 
 class TestSelectCommand:

@@ -1,16 +1,16 @@
-import math
-
 import numpy as np
 import pytest
 
 from absentdriver import (
     PayoffPolynomial,
+    SelectionProblem,
     Stationary,
     expected_payoff,
     make_drive_problem,
     maximize_polynomial,
-    numeric_maximize,
     optimize_stationary,
+    optimize_two_round,
+    residual_problem,
     stationary_payoff_polynomial,
 )
 
@@ -25,31 +25,44 @@ def grid_argmax(f, points):
 
 class TestMaximizePolynomial:
     def test_example1_polynomial(self):
-        result = maximize_polynomial(PayoffPolynomial((1.0, 2.0, -3.0)))
+        result = maximize_polynomial(PayoffPolynomial((0.0, 4.0, -3.0)))
         assert result.alpha_star == pytest.approx(1 / 3, abs=1e-12)
         assert result.payoff_star == pytest.approx(4 / 3, abs=1e-12)
         assert result.method == "closed_form"
 
     def test_constant_ties_break_to_zero(self):
-        result = maximize_polynomial(PayoffPolynomial((5.0, 0.0)))
-        assert result.alpha_star == 0.0
-        assert result.payoff_star == 5.0
+        for poly in (PayoffPolynomial((5.0, 0.0)), PayoffPolynomial((2.0,))):
+            result = maximize_polynomial(poly)
+            assert result.alpha_star == 0.0
+            assert result.payoff_star == poly.beta_coeffs[0]
 
     def test_monotone_takes_endpoint(self):
-        result = maximize_polynomial(PayoffPolynomial((0.0, 1.0)))
+        result = maximize_polynomial(PayoffPolynomial((1.0, -1.0)))
         assert result.alpha_star == 1.0
         assert result.payoff_star == 1.0
 
     def test_convex_interior_minimum_is_skipped(self):
-        # (a - 1/2)^2 has its stationary point at a minimum; ends win.
+        # (1/2 - b)^2 = (a - 1/2)^2 has its stationary point at a minimum; ends win.
         result = maximize_polynomial(PayoffPolynomial((0.25, -1.0, 1.0)))
         assert result.alpha_star == 0.0
         assert result.payoff_star == pytest.approx(0.25)
 
     def test_trailing_zero_coefficients_ignored(self):
-        result = maximize_polynomial(PayoffPolynomial((1.0, 2.0, -3.0, 0.0)))
+        result = maximize_polynomial(PayoffPolynomial((0.0, 4.0, -3.0, 0.0)))
         assert result.alpha_star == pytest.approx(1 / 3, abs=1e-12)
         assert result.method == "closed_form"
+
+    def test_taller_of_two_interior_peaks(self):
+        # Stationary points near b = 0.2, 0.5, 0.8: peaks at a ~ 0.8 and
+        # a ~ 0.2, the first tilted higher; the minimum between them is skipped.
+        poly = PayoffPolynomial((0.0, 79.0, -330.0, 500.0, -250.0))
+        result = maximize_polynomial(poly)
+        assert result.method == "numeric"
+        assert result.alpha_star == pytest.approx(0.8, abs=0.01)
+        assert type(result.alpha_star) is float
+        _, best = grid_argmax(lambda a: float(poly(a)), 100_001)
+        assert best - 1e-9 <= result.payoff_star <= best + 1e-6
+        assert result.payoff_star == float(poly(result.alpha_star))
 
     def test_quartic_uses_bisection(self):
         problem = make_drive_problem([2, 5, 3, 1], 0)
@@ -89,43 +102,6 @@ class TestOptimizeStationary:
         )
 
 
-class TestNumericMaximize:
-    def test_example1_objective(self):
-        result = numeric_maximize(lambda a: 1 + 2 * a - 3 * a * a, tolerance=1e-10)
-        assert result.alpha_star == pytest.approx(1 / 3, abs=1e-9)
-        assert result.method == "numeric"
-
-    def test_selection_average_objective(self):
-        result = numeric_maximize(lambda a: (10 + 6 * a - 6 * a * a) / 4)
-        assert result.alpha_star == pytest.approx(0.5, abs=1e-8)
-        assert result.payoff_star == pytest.approx(23 / 8, abs=1e-12)
-
-    def test_constant_objective_ties_to_zero(self):
-        result = numeric_maximize(lambda a: 2.0, tolerance=1e-8)
-        assert result.alpha_star == 0.0
-        assert result.payoff_star == 2.0
-
-    def test_multimodal_grid_seeding(self):
-        # two bumps; the taller one is narrow and sits right of the wide one
-        f = lambda a: math.exp(-((a - 0.2) ** 2) / 0.01) + 1.2 * math.exp(-((a - 0.8) ** 2) / 0.0004)
-        result = numeric_maximize(f, tolerance=1e-10)
-        assert result.alpha_star == pytest.approx(0.8, abs=1e-6)
-
-    def test_result_at_least_grid_maximum(self):
-        f = lambda a: math.sin(13 * a) + 0.5 * a
-        result = numeric_maximize(f, tolerance=1e-10)
-        _, best = grid_argmax(f, 1001)
-        assert result.payoff_star >= best - 1e-6
-
-    def test_non_finite_objective(self):
-        with pytest.raises(ValueError, match="objective error"):
-            numeric_maximize(lambda a: float("nan"), tolerance=1e-8)
-
-    def test_bad_tolerance(self):
-        with pytest.raises(ValueError, match="tolerance"):
-            numeric_maximize(lambda a: a, tolerance=0.0)
-
-
 class TestOptimizerProperties:
     def test_random_problems_beat_grid_and_scale(self):
         rng = np.random.default_rng(90210)
@@ -136,7 +112,11 @@ class TestOptimizerProperties:
             poly = stationary_payoff_polynomial(problem)
             result = maximize_polynomial(poly)
             assert 0.0 <= result.alpha_star <= 1.0
-            assert result.payoff_star >= float(poly(grid).max()) - 1e-9
+            best = float(poly(grid).max())
+            assert best - 1e-9 <= result.payoff_star <= best + 1e-6
+            assert result.payoff_star == pytest.approx(
+                expected_payoff(problem, Stationary(result.alpha_star)), abs=1e-12
+            )
 
             scaled = make_drive_problem(
                 [3.0 * p for p in problem.exit_payoffs], 3.0 * problem.terminal_payoff
@@ -145,14 +125,40 @@ class TestOptimizerProperties:
             assert scaled_result.alpha_star == pytest.approx(result.alpha_star, abs=1e-9)
             assert scaled_result.payoff_star == pytest.approx(3.0 * result.payoff_star, abs=1e-9)
 
-    def test_closed_form_agrees_with_numeric(self):
-        rng = np.random.default_rng(555)
-        for _ in range(100):
-            m = int(rng.integers(1, 5))
-            problem = make_drive_problem(rng.uniform(0, 10, size=m), rng.uniform(0, 10))
-            poly = stationary_payoff_polynomial(problem)
-            analytic = maximize_polynomial(poly)
-            numeric = numeric_maximize(lambda a: float(poly(a)), tolerance=1e-10)
-            close_alpha = abs(analytic.alpha_star - numeric.alpha_star) <= 1e-6
-            close_payoff = abs(analytic.payoff_star - numeric.payoff_star) <= 1e-9
-            assert close_alpha or close_payoff
+
+def payoff_tol(payoffs):
+    return 1e-12 * (1.0 + np.abs(payoffs).max())
+
+
+class TestLargeSizes:
+    """Against the direct product form, at sizes where an expansion in alpha
+    loses every digit."""
+
+    @pytest.mark.parametrize("m", [30, 60, 200, 1000])
+    def test_optimize_stationary_bounds(self, m):
+        rng = np.random.default_rng(7 * m)
+        payoffs = rng.uniform(0.0, 10.0, size=m + 1)
+        problem = make_drive_problem(payoffs[:-1], payoffs[-1])
+        result = optimize_stationary(problem)
+        tol = payoff_tol(payoffs)
+        assert type(result.alpha_star) is float
+        assert result.payoff_star <= payoffs.max() + tol
+        assert result.payoff_star == pytest.approx(
+            expected_payoff(problem, Stationary(result.alpha_star)), abs=tol
+        )
+        _, best = grid_argmax(lambda a: expected_payoff(problem, Stationary(a)), 1001)
+        assert result.payoff_star >= best - tol
+
+    @pytest.mark.parametrize("n", [64, 200])
+    def test_two_round_bounds(self, n):
+        payoffs = np.random.default_rng(n).uniform(0.0, 10.0, size=n)
+        result = optimize_two_round(SelectionProblem(tuple(payoffs)))
+        tol = payoff_tol(payoffs)
+        assert result.payoff_star <= np.sort(payoffs)[-2:].sum() + tol
+        # first pick uniform, second round driven at alpha* on the survivors
+        drive = make_drive_problem(payoffs[:-1], payoffs[-1])
+        direct = np.mean([
+            payoffs[c - 1] + expected_payoff(residual_problem(drive, c), Stationary(result.alpha_star))
+            for c in range(1, n + 1)
+        ])
+        assert result.payoff_star == pytest.approx(direct, abs=tol)
