@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from absentdriver import (
     Counting,
@@ -197,6 +198,12 @@ class TestPayoffPolynomial:
         assert poly(1.0) == 0.0
         assert poly(0.0) == 1.0
         assert poly(np.array([0.0, 1 / 3, 1.0])) == pytest.approx([1.0, 4 / 3, 0.0], abs=1e-15)
+
+    def test_degree_zero_derivative_is_zero(self):
+        poly = PayoffPolynomial((4.0,))
+        assert poly.degree == 0
+        assert tuple(npoly.polyder(poly.beta_coeffs)) == (0.0,)
+        assert np.all(poly(np.linspace(0.0, 1.0, 101)) == 4.0)
 
     def test_rejects_non_finite_coefficients(self):
         with pytest.raises(ValueError, match="must be finite"):

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from absentdriver import (
     PayoffPolynomial,
@@ -31,10 +34,9 @@ class TestMaximizePolynomial:
         assert result.method == "closed_form"
 
     def test_constant_ties_break_to_zero(self):
-        for poly in (PayoffPolynomial((5.0, 0.0)), PayoffPolynomial((2.0,))):
-            result = maximize_polynomial(poly)
-            assert result.alpha_star == 0.0
-            assert result.payoff_star == poly.beta_coeffs[0]
+        result = maximize_polynomial(PayoffPolynomial((5.0, 0.0)))
+        assert result.alpha_star == 0.0
+        assert result.payoff_star == 5.0
 
     def test_monotone_takes_endpoint(self):
         result = maximize_polynomial(PayoffPolynomial((1.0, -1.0)))
@@ -72,6 +74,51 @@ class TestMaximizePolynomial:
         assert result.method == "numeric"
         _, best = grid_argmax(lambda a: float(poly(a)), 100_001)
         assert result.payoff_star >= best - 1e-9
+
+
+def power(poly, k):
+    """``poly ** k``: the same maximizer as ``poly`` wherever ``poly > 0``,
+    at a degree that takes the bisection route."""
+    return PayoffPolynomial(tuple(npoly.polypow(poly.beta_coeffs, k)))
+
+
+class TestNumericMaximize:
+    """Objectives past the quadratic examples; above degree 3 they take the
+    bisection route."""
+
+    def test_example1_objective(self):
+        # (1 + 2a - 3a^2)^2, positive on [0, 1) with its peak at a = 1/3
+        result = maximize_polynomial(power(PayoffPolynomial((0.0, 4.0, -3.0)), 2))
+        assert result.alpha_star == pytest.approx(1 / 3, abs=1e-9)
+        assert result.payoff_star == pytest.approx(16 / 9, abs=1e-12)
+        assert result.method == "numeric"
+
+    def test_selection_average_objective(self):
+        # ((10 + 6a - 6a^2) / 4)^2; in beta the quadratic is (10 + 6b - 6b^2) / 4
+        result = maximize_polynomial(power(PayoffPolynomial((2.5, 1.5, -1.5)), 2))
+        assert result.method == "numeric"
+        assert result.alpha_star == pytest.approx(0.5, abs=1e-8)
+        assert result.payoff_star == pytest.approx((23 / 8) ** 2, abs=1e-12)
+
+    def test_constant_objective_ties_to_zero(self):
+        result = maximize_polynomial(PayoffPolynomial((2.0,)))
+        assert result.alpha_star == 0.0
+        assert result.payoff_star == 2.0
+
+    def test_result_at_least_grid_maximum(self):
+        # Taylor expansion in b = 1 - a of sin(13a) + 0.5a, to degree 60
+        f = lambda a: math.sin(13 * a) + 0.5 * a
+        coeffs = [0.5 + math.sin(13.0), -0.5 - 13.0 * math.cos(13.0)]
+        for j in range(2, 61):
+            lead = math.sin(13.0) if j % 2 == 0 else -math.cos(13.0)
+            coeffs.append((-1) ** (j // 2) * lead * 13.0**j / math.factorial(j))
+        poly = PayoffPolynomial(tuple(coeffs))
+        grid = np.linspace(0.0, 1.0, 1001)
+        assert poly(grid) == pytest.approx([f(a) for a in grid], abs=1e-9)
+        result = maximize_polynomial(poly)
+        assert result.method == "numeric"
+        _, best = grid_argmax(f, 1001)
+        assert result.payoff_star >= best - 1e-6
 
 
 class TestOptimizeStationary:
@@ -124,6 +171,21 @@ class TestOptimizerProperties:
             scaled_result = optimize_stationary(scaled)
             assert scaled_result.alpha_star == pytest.approx(result.alpha_star, abs=1e-9)
             assert scaled_result.payoff_star == pytest.approx(3.0 * result.payoff_star, abs=1e-9)
+
+    def test_closed_form_agrees_with_numeric(self):
+        # A stationary payoff with positive payoffs is positive on [0, 1], so
+        # its fourth power has the same maximizer but takes the bisection route.
+        rng = np.random.default_rng(555)
+        for _ in range(100):
+            m = int(rng.integers(1, 4))
+            problem = make_drive_problem(rng.uniform(0, 10, size=m), rng.uniform(0, 10))
+            poly = stationary_payoff_polynomial(problem)
+            analytic = maximize_polynomial(poly)
+            numeric = maximize_polynomial(power(poly, 4))
+            assert (analytic.method, numeric.method) == ("closed_form", "numeric")
+            close_alpha = abs(analytic.alpha_star - numeric.alpha_star) <= 1e-6
+            close_payoff = abs(analytic.payoff_star - float(poly(numeric.alpha_star))) <= 1e-9
+            assert close_alpha or close_payoff
 
 
 def payoff_tol(payoffs):
