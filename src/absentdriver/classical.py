@@ -86,12 +86,17 @@ class PayoffPolynomial:
         """Coefficients in ``alpha``: ``coeffs[j]`` multiplies ``alpha**j``.
 
         Derived by Horner's rule in ``1 - alpha``: one O(m) array pass per
-        ``beta`` coefficient, O(m^2) in all, so read it once per use.
+        ``beta`` coefficient, O(m^2) in all, so read it once per use.  The
+        binomials grow past the float range from about ``m = 1030``; such a
+        polynomial has no ``alpha`` view and raises ``ValueError``.
         """
         acc = np.zeros(len(self.beta_coeffs))
-        for c in reversed(self.beta_coeffs):
-            acc[1:] -= acc[:-1]  # multiply by (1 - alpha)
-            acc[0] += c
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c in reversed(self.beta_coeffs):
+                acc[1:] -= acc[:-1]  # multiply by (1 - alpha)
+                acc[0] += c
+        if not np.isfinite(acc).all():
+            raise ValueError("polynomial coefficients must be finite")
         return tuple(acc.tolist())
 
     def __call__(self, alpha):

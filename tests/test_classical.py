@@ -3,7 +3,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.polynomial import polynomial as npoly
 
 from absentdriver import (
     Counting,
@@ -148,20 +147,15 @@ class TestStationaryPayoffPolynomial:
 
     def test_consistency_on_101_point_grid(self):
         grid = np.linspace(0.0, 1.0, 101)
-        for problem in (EXAMPLE1, EXAMPLE2):
+        problems = [EXAMPLE1, EXAMPLE2]
+        for m in (30, 60, 200, 1000):
+            payoffs = np.random.default_rng(m).uniform(0.0, 10.0, size=m + 1)
+            problems.append(make_drive_problem(payoffs[:-1], payoffs[-1]))
+        for problem in problems:
             poly = stationary_payoff_polynomial(problem)
             direct = [expected_payoff(problem, Stationary(a)) for a in grid]
-            assert np.abs(poly(grid) - direct).max() <= 1e-12
-
-    @pytest.mark.parametrize("m", [30, 60, 200, 1000])
-    def test_matches_product_form_at_large_sizes(self, m):
-        rng = np.random.default_rng(m)
-        payoffs = rng.uniform(0.0, 10.0, size=m + 1)
-        problem = make_drive_problem(payoffs[:-1], payoffs[-1])
-        grid = np.linspace(0.0, 1.0, 1001)
-        direct = [expected_payoff(problem, Stationary(a)) for a in grid]
-        poly = stationary_payoff_polynomial(problem)
-        assert np.abs(poly(grid) - direct).max() <= 1e-12 * (1.0 + payoffs.max())
+            scale = 1.0 + np.abs(problem.destination_payoffs).max()
+            assert np.abs(poly(grid) - direct).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("m", [256, 1024])
     def test_alpha_coefficients_match_exact_expansion(self, m):
@@ -202,12 +196,14 @@ class TestPayoffPolynomial:
     def test_degree_zero_derivative_is_zero(self):
         poly = PayoffPolynomial((4.0,))
         assert poly.degree == 0
-        assert tuple(npoly.polyder(poly.beta_coeffs)) == (0.0,)
         assert np.all(poly(np.linspace(0.0, 1.0, 101)) == 4.0)
 
     def test_rejects_non_finite_coefficients(self):
         with pytest.raises(ValueError, match="must be finite"):
             PayoffPolynomial((1.0, float("nan")))
+        # (1 - a)^1100: the alpha coefficients C(1100, k) pass the float range
+        with pytest.raises(ValueError, match="must be finite"):
+            PayoffPolynomial((0.0,) * 1100 + (1.0,)).coeffs
 
     def test_addition_pads_shorter(self):
         total = PayoffPolynomial((1.0, 3.0)) + PayoffPolynomial((2.0, -1.0, 0.5))

@@ -126,6 +126,16 @@ class TestOptimizeCommand:
         payoff = float(re.search(r"payoff = ([^\s,]+)", out).group(1))
         assert payoff <= max(payoffs)
 
+    def test_alpha_coefficients_past_float_range_rejected(self, capsys, scenario_file):
+        payoffs = np.random.default_rng(1100).uniform(0.0, 10.0, size=1101).round(3).tolist()
+        doc = {
+            "problem": {"kind": "drive", "exit_payoffs": payoffs[:-1], "terminal_payoff": payoffs[-1]},
+            "strategies": [{"name": "half", "kind": "stationary", "alpha": 0.5}],
+        }
+        code, out, err = run_cli(capsys, "optimize", "--scenario", scenario_file(doc))
+        assert (code, out) == (3, "")
+        assert err == "runtime error: polynomial coefficients must be finite\n"
+
 
 class TestSelectCommand:
     def test_selection_example_report(self, capsys):

@@ -83,8 +83,8 @@ def power(poly, k):
 
 
 class TestNumericMaximize:
-    """Objectives past the quadratic examples; above degree 3 they take the
-    bisection route."""
+    """The ``method="numeric"`` route of ``maximize_polynomial``: objectives
+    above degree 3, maximized by bisecting the sign changes of the derivative."""
 
     def test_example1_objective(self):
         # (1 + 2a - 3a^2)^2, positive on [0, 1) with its peak at a = 1/3
