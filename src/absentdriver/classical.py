@@ -103,25 +103,11 @@ class PayoffPolynomial:
         """Evaluate at a scalar or array of ``alpha`` values."""
         return npoly.polyval(1.0 - np.asarray(alpha), self.beta_coeffs)
 
-    def __add__(self, other: "PayoffPolynomial | float") -> "PayoffPolynomial":
-        if isinstance(other, (int, float)):
-            return PayoffPolynomial((self.beta_coeffs[0] + other, *self.beta_coeffs[1:]))
-        if isinstance(other, PayoffPolynomial):
-            n = max(len(self.beta_coeffs), len(other.beta_coeffs))
-            a = np.zeros(n)
-            a[: len(self.beta_coeffs)] += self.beta_coeffs
-            a[: len(other.beta_coeffs)] += other.beta_coeffs
-            return PayoffPolynomial(tuple(a))
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __mul__(self, factor: float) -> "PayoffPolynomial":
-        if not isinstance(factor, (int, float)):
+    def __add__(self, shift: float) -> "PayoffPolynomial":
+        """The same polynomial shifted by a constant payoff."""
+        if not isinstance(shift, (int, float)):
             return NotImplemented
-        return PayoffPolynomial(tuple(c * factor for c in self.beta_coeffs))
-
-    __rmul__ = __mul__
+        return PayoffPolynomial((self.beta_coeffs[0] + shift, *self.beta_coeffs[1:]))
 
 
 def step_exit_probabilities(problem: DriveProblem, strategy: Strategy) -> np.ndarray:

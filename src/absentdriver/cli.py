@@ -26,17 +26,18 @@ from .model import Counting, DriveProblem, PerStep, Quantum, SelectionProblem, S
 from .optimize import optimize_stationary
 from .quantum import first_zero_distribution, quantum_expected_payoff
 from .scenario import (
+    MIN_GRID_STEP,
     PRESETS,
     Scenario,
     ScenarioError,
     parse_scenario,
     preset_scenario,
+    valid_grid_step,
 )
 from .selection import (
     counting_round_values,
     optimize_two_round,
     round_breakdowns,
-    selection_improvement,
     two_round_average_polynomial,
     two_round_counting_total,
 )
@@ -180,7 +181,7 @@ def _run_select(scenario: Scenario) -> CommandOutput:
     avg = two_round_average_polynomial(sel)
     best = optimize_two_round(sel)
     counting_total = two_round_counting_total(sel)
-    improvement = selection_improvement(sel)
+    improvement = counting_total - best.payoff_star
 
     totals = [b.total_polynomial.coeffs for b in breakdowns]
     table_rows = []
@@ -352,8 +353,8 @@ def _load_scenario(args) -> Scenario:
             raise ScenarioError("--seed must be an unsigned 64-bit integer")
         overrides["seed"] = args.seed
     if args.grid_step is not None:
-        if not 0.0 < args.grid_step <= 1.0:
-            raise ScenarioError("--grid-step must be in (0, 1]")
+        if not valid_grid_step(args.grid_step):
+            raise ScenarioError(f"--grid-step must be in [{MIN_GRID_STEP:g}, 1]")
         overrides["grid_step"] = args.grid_step
     return scenario.with_options(**overrides) if overrides else scenario
 

@@ -41,6 +41,8 @@ from .quantum import BasisTerm, build_state
 DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 12345
 DEFAULT_GRID_STEP = 0.05
+# curve prints ceil(1 / step) + 1 rows; a smaller step would not finish
+MIN_GRID_STEP = 1e-6
 
 
 class ScenarioError(ValueError):
@@ -72,6 +74,11 @@ class Scenario:
 
     def with_options(self, **overrides) -> "Scenario":
         return replace(self, options=replace(self.options, **overrides))
+
+
+def valid_grid_step(step) -> bool:
+    """Whether ``step`` is a number in ``[MIN_GRID_STEP, 1]``."""
+    return isinstance(step, (int, float)) and not isinstance(step, bool) and MIN_GRID_STEP <= step <= 1
 
 
 def _require(mapping, key, path, kind, type_name):
@@ -135,9 +142,7 @@ def _parse_strategy(doc, path, force_normalize: bool) -> NamedStrategy:
             term_path = f"{path}.terms[{j}]"
             bits = _require(term, "bits", term_path, str, "a string of 0s and 1s")
             re = _number(term, "re", term_path)
-            im = float(term.get("im", 0.0)) if isinstance(term.get("im", 0.0), (int, float)) else None
-            if im is None:
-                raise ScenarioError("field 'im' must be a number", term_path)
+            im = _number(term, "im", term_path) if "im" in term else 0.0
             terms.append(_wrap(term_path, BasisTerm, bits, complex(re, im)))
         normalize = doc.get("normalize", False)
         if not isinstance(normalize, bool):
@@ -169,8 +174,8 @@ def _parse_options(doc, path="options") -> ScenarioOptions:
         opts = replace(opts, seed=seed)
     if "grid_step" in doc:
         step = doc["grid_step"]
-        if not isinstance(step, (int, float)) or isinstance(step, bool) or not 0 < step <= 1:
-            raise ScenarioError("'grid_step' must be a number in (0, 1]", path)
+        if not valid_grid_step(step):
+            raise ScenarioError(f"'grid_step' must be a number in [{MIN_GRID_STEP:g}, 1]", path)
         opts = replace(opts, grid_step=float(step))
     unknown = set(doc) - {"trials", "seed", "grid_step"}
     if unknown:
@@ -338,6 +343,7 @@ __all__ = [
     "DEFAULT_GRID_STEP",
     "DEFAULT_SEED",
     "DEFAULT_TRIALS",
+    "MIN_GRID_STEP",
     "NamedStrategy",
     "PRESETS",
     "Scenario",
@@ -346,4 +352,5 @@ __all__ = [
     "parse_scenario",
     "preset_scenario",
     "scenario_to_document",
+    "valid_grid_step",
 ]

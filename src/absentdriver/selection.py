@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classical import PayoffPolynomial, expected_payoff, stationary_payoff_polynomial
-from .model import Counting, DriveProblem, SelectionProblem
+import numpy as np
+
+from .classical import PayoffPolynomial, stationary_payoff_polynomial
+from .model import DriveProblem, SelectionProblem
 from .optimize import OptimizationResult, maximize_polynomial
 
 
@@ -25,11 +27,6 @@ class RoundBreakdown:
     first_payoff: float
     second_round_polynomial: PayoffPolynomial
     total_polynomial: PayoffPolynomial
-
-
-def _as_drive(sel: SelectionProblem) -> DriveProblem:
-    payoffs = sel.destination_payoffs
-    return DriveProblem(payoffs[:-1], payoffs[-1])
 
 
 def residual_problem(problem: DriveProblem, removed: int) -> DriveProblem:
@@ -49,22 +46,26 @@ def residual_problem(problem: DriveProblem, removed: int) -> DriveProblem:
 
 def round_breakdowns(sel: SelectionProblem) -> tuple[RoundBreakdown, ...]:
     """Per-first-choice totals for the stationary second round, as polynomials."""
-    drive = _as_drive(sel)
+    payoffs = sel.destination_payoffs
+    drive = DriveProblem(payoffs[:-1], payoffs[-1])
     out = []
-    for choice in range(1, sel.num_destinations + 1):
-        first_payoff = sel.destination_payoffs[choice - 1]
+    for choice, first_payoff in enumerate(payoffs, start=1):
         second = stationary_payoff_polynomial(residual_problem(drive, choice))
         out.append(RoundBreakdown(choice, first_payoff, second, second + first_payoff))
     return tuple(out)
 
 
 def two_round_average_polynomial(sel: SelectionProblem) -> PayoffPolynomial:
-    """Uniform average over first choices of the per-choice total polynomials."""
-    breakdowns = round_breakdowns(sel)
-    total = breakdowns[0].total_polynomial
-    for b in breakdowns[1:]:
-        total = total + b.total_polynomial
-    return total * (1.0 / sel.num_destinations)
+    """Uniform average over first choices of the per-choice total polynomials.
+
+    The second round's stationary payoff is linear in the survivors' payoffs,
+    so the average is one drive: survivor ``j`` is ``v_j`` when the first
+    pick came later (probability ``1 - j/n``) and ``v_(j+1)`` otherwise.
+    """
+    v = np.asarray(sel.destination_payoffs)
+    j = np.arange(1, v.size) / v.size
+    averaged = (1.0 - j) * v[:-1] + j * v[1:]
+    return stationary_payoff_polynomial(DriveProblem(averaged[:-1], averaged[-1])) + v.mean()
 
 
 def optimize_two_round(sel: SelectionProblem) -> OptimizationResult:
@@ -75,23 +76,21 @@ def optimize_two_round(sel: SelectionProblem) -> OptimizationResult:
 def counting_round_values(sel: SelectionProblem) -> tuple[tuple[float, float], ...]:
     """Per first choice: (first payoff, counting payoff of the residual round).
 
-    The counting strategy hits each survivor with equal probability, so the
-    second entry is the mean of the remaining payoffs.
+    The counting strategy hits each of the ``n - 1`` survivors with
+    probability ``1/(n - 1)``, so the second entry is their mean.
     """
-    drive = _as_drive(sel)
-    return tuple(
-        (
-            sel.destination_payoffs[choice - 1],
-            expected_payoff(residual_problem(drive, choice), Counting()),
-        )
-        for choice in range(1, sel.num_destinations + 1)
-    )
+    payoffs = sel.destination_payoffs
+    total = sum(payoffs)
+    return tuple((v, (total - v) / (len(payoffs) - 1)) for v in payoffs)
 
 
 def two_round_counting_total(sel: SelectionProblem) -> float:
-    """Uniform average over first choices of first payoff plus counting round."""
-    values = counting_round_values(sel)
-    return sum(first + second for first, second in values) / sel.num_destinations
+    """Uniform average over first choices of first payoff plus counting round.
+
+    Every destination is the first pick or the second with probability
+    ``1/n`` each, so this is ``2 * mean(v)``.
+    """
+    return 2.0 * sum(sel.destination_payoffs) / sel.num_destinations
 
 
 def selection_improvement(sel: SelectionProblem) -> float:

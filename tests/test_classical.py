@@ -205,10 +205,10 @@ class TestPayoffPolynomial:
         with pytest.raises(ValueError, match="must be finite"):
             PayoffPolynomial((0.0,) * 1100 + (1.0,)).coeffs
 
-    def test_addition_pads_shorter(self):
-        total = PayoffPolynomial((1.0, 3.0)) + PayoffPolynomial((2.0, -1.0, 0.5))
-        assert total.beta_coeffs == (3.0, 2.0, 0.5)
-
     def test_scalar_operations(self):
-        poly = (PayoffPolynomial((1.0, 2.0)) + 4.0) * 0.5
-        assert poly.beta_coeffs == (2.5, 1.0)
+        # a constant payoff shifts the beta^0 coefficient; nothing else is defined
+        assert (PayoffPolynomial((1.0, 2.0)) + 4.0).beta_coeffs == (5.0, 2.0)
+        with pytest.raises(TypeError):
+            PayoffPolynomial((1.0, 2.0)) + PayoffPolynomial((2.0,))
+        with pytest.raises(TypeError):
+            PayoffPolynomial((1.0, 2.0)) * 0.5

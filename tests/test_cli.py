@@ -148,6 +148,37 @@ class TestSelectCommand:
         assert "1 + 3*alpha" in out
         assert "5 - alpha" in out
 
+    def test_one_residual_drive_per_first_choice(self, capsys, scenario_file, monkeypatch):
+        # the averaged polynomial, the counting round and the optimum need no
+        # residual drives; only the per-first-choice table builds them
+        import absentdriver.cli as cli
+        import absentdriver.selection as selection
+
+        calls = {"residual_problem": 0, "optimize_two_round": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(selection, "residual_problem")
+        for module in (cli, selection):
+            counted(module, "optimize_two_round")
+        n = 64
+        payoffs = np.random.default_rng(n).uniform(0.0, 10.0, size=n).round(3).tolist()
+        path = scenario_file(
+            {
+                "problem": {"kind": "selection", "destination_payoffs": payoffs},
+                "strategies": [{"name": "s", "kind": "stationary", "alpha": 0.5}],
+            }
+        )
+        assert run_cli(capsys, "select", "--scenario", path)[0] == 0
+        assert calls == {"residual_problem": n, "optimize_two_round": 1}
+
 
 class TestSimulateCommand:
     def test_reproducible_output(self, capsys):
@@ -215,3 +246,10 @@ class TestExitCodes:
     def test_bad_trials_override(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--preset", "example1", "--trials", "0")
         assert code == 2 and "no trials" in err
+
+    @pytest.mark.parametrize("step", ["0", "1e-300", "9e-7", "1.5", "nan"])
+    def test_bad_grid_step_override(self, capsys, step):
+        # curve prints ceil(1/step) + 1 rows: tiny steps are rejected, not run
+        code, out, err = run_cli(capsys, "curve", "--preset", "example1", "--grid-step", step)
+        assert (code, out) == (2, "")
+        assert err == "scenario error: --grid-step must be in [1e-06, 1]\n"

@@ -118,6 +118,31 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match=r"strategies\[0\].*alpha"):
             parse_scenario(doc)
 
+    @pytest.mark.parametrize("field", ["re", "im"])
+    @pytest.mark.parametrize("value", [True, "1", None])
+    def test_amplitude_parts_must_be_numbers(self, field, value):
+        term = {"bits": "1", "re": 1, "im": 0, field: value}
+        doc = json.dumps(
+            {
+                "problem": {"kind": "drive", "exit_payoffs": [0], "terminal_payoff": 1},
+                "strategies": [{"name": "q", "kind": "quantum", "terms": [term]}],
+            }
+        )
+        with pytest.raises(ScenarioError, match=rf"terms\[0\].*'{field}' must be a number"):
+            parse_scenario(doc)
+
+    def test_missing_imaginary_part_is_zero(self):
+        doc = json.dumps(
+            {
+                "problem": {"kind": "drive", "exit_payoffs": [0], "terminal_payoff": 1},
+                "strategies": [
+                    {"name": "q", "kind": "quantum", "terms": [{"bits": "1", "re": 1}]}
+                ],
+            }
+        )
+        state = parse_scenario(doc).strategies[0].strategy.state
+        assert list(state.amplitudes) == [0, 1]
+
     def test_duplicate_names(self):
         doc = json.dumps(
             {
@@ -172,6 +197,12 @@ class TestParseScenario:
             parse_scenario(json.dumps({**base, "options": {"seed": -4}}))
         with pytest.raises(ScenarioError, match="unknown option"):
             parse_scenario(json.dumps({**base, "options": {"trails": 10}}))
+        message = r"options: 'grid_step' must be a number in \[1e-06, 1\]"
+        for step in (0, 1e-300, 9e-7, 1.5, True, "0.1"):
+            with pytest.raises(ScenarioError, match=message):
+                parse_scenario(json.dumps({**base, "options": {"grid_step": step}}))
+        smallest = parse_scenario(json.dumps({**base, "options": {"grid_step": 1e-6}}))
+        assert smallest.options.grid_step == 1e-6
 
 
 class TestRoundTrip:

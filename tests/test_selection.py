@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from absentdriver import (
+    Counting,
     SelectionProblem,
     counting_round_values,
+    expected_payoff,
     make_drive_problem,
     optimize_two_round,
     residual_problem,
@@ -92,6 +94,30 @@ class TestTwoRoundAveragePolynomial:
     def test_two_destination_edge(self):
         poly = two_round_average_polynomial(SelectionProblem((3.0, 8.0)))
         assert poly.coeffs == pytest.approx((11.0,), abs=0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 200])
+class TestClosedFormsAgainstResidualDrives:
+    """The O(n) closed forms against the per-first-choice drives they replace."""
+
+    @staticmethod
+    def case(n):
+        payoffs = np.random.default_rng(n).uniform(0.0, 10.0, size=n)
+        return payoffs, SelectionProblem(tuple(payoffs)), 1e-12 * (1.0 + np.abs(payoffs).max())
+
+    def test_average_polynomial_is_mean_of_breakdown_totals(self, n):
+        payoffs, sel, tol = self.case(n)
+        totals = [b.total_polynomial.beta_coeffs for b in round_breakdowns(sel)]
+        got = two_round_average_polynomial(sel).beta_coeffs
+        assert np.abs(np.subtract(got, np.mean(totals, axis=0))).max() <= tol
+
+    def test_counting_values_match_residual_drives(self, n):
+        payoffs, sel, tol = self.case(n)
+        drive = make_drive_problem(payoffs[:-1], payoffs[-1])
+        for k, (first, second) in enumerate(counting_round_values(sel), start=1):
+            assert first == payoffs[k - 1]
+            direct = expected_payoff(residual_problem(drive, k), Counting())
+            assert second == pytest.approx(direct, abs=tol)
 
 
 class TestOptimizeTwoRound:
