@@ -21,10 +21,12 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classical import destination_distribution, expected_payoff, stationary_payoff_polynomial
-from .model import Counting, DriveProblem, PerStep, Quantum, SelectionProblem, Stationary
+import numpy as np
+
+from .classical import destination_distribution, stationary_payoff_polynomial
+from .model import Counting, PerStep, Quantum, SelectionProblem, Stationary
 from .optimize import optimize_stationary
-from .quantum import first_zero_distribution, quantum_expected_payoff
+from .quantum import first_zero_distribution
 from .scenario import (
     MIN_GRID_STEP,
     PRESETS,
@@ -129,21 +131,17 @@ class CommandOutput:
     rows: tuple  # rectangular table (header first) for --csv
 
 
-def _evaluate_one(problem: DriveProblem, strategy):
-    if isinstance(strategy, Quantum):
-        return first_zero_distribution(strategy.state), quantum_expected_payoff(
-            problem, strategy.state
-        )
-    return destination_distribution(problem, strategy), expected_payoff(problem, strategy)
-
-
 def _run_eval(scenario: Scenario) -> CommandOutput:
     problem = scenario.problem
     k = problem.num_destinations
     table_rows = []
     csv_rows = [("strategy", "expected_payoff", *(f"p{i}" for i in range(1, k + 1)))]
     for named in scenario.strategies:
-        dist, payoff = _evaluate_one(problem, named.strategy)
+        if isinstance(named.strategy, Quantum):
+            dist = first_zero_distribution(named.strategy.state)
+        else:
+            dist = destination_distribution(problem, named.strategy)
+        payoff = float(dist.probs @ np.asarray(problem.destination_payoffs))
         table_rows.append(
             (named.name, _strategy_label(named.strategy), fmt_value(payoff), fmt_dist(dist))
         )

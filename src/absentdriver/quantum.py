@@ -1,20 +1,18 @@
-"""Dense statevector strategies for the rule "measure a qubit; 0 means exit".
+"""Sparse statevector strategies for the rule "measure a qubit; 0 means exit".
 
 The state for an ``m``-intersection problem carries one qubit per
 intersection, and the leftmost symbol of a ket like ``|01>`` belongs to the
 first intersection.  At intersection ``i`` the driver measures qubit ``i``
 and exits on outcome 0, otherwise keeps driving.
 
-The destination distribution does not require simulating measurement
-collapse: destination ``i`` collects ``|amplitude|**2`` over every basis
-string whose first 0 sits at position ``i``, and the all-ones string feeds
-the terminal.  This equals the sequential collapse computation because the
-measurements are all in the computational basis.  With the first qubit as
-the most significant bit, the strings whose first 0 is at ``i`` are exactly
-the indices ``[2**m - 2**(m-i+1), 2**m - 2**(m-i))``: a leading run of
-``i - 1`` ones, then a 0, then anything.  The ``m + 1`` destinations are
-therefore ``m + 1`` contiguous index ranges, and the distribution is one
-``np.add.reduceat`` over their starts.
+A state stores only the kets it lists, so a GHZ or W plan costs the same at
+any qubit count.  Destination ``i`` collects ``|amplitude|**2`` over every
+basis string whose first 0 sits at position ``i``, and the all-ones string
+feeds the terminal; this equals the sequential collapse computation because
+the measurements are all in the computational basis.  Flipping every bit
+(``2**m - 1 - index``) turns the leading run of ones into leading zeros, so
+the first 0 sits at ``m + 1 - bit_length(2**m - 1 - index)``, and the
+all-ones string (bit length 0) maps to the terminal ``m + 1``.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ import numpy as np
 from .classical import DestinationDistribution
 from .model import DriveProblem
 
-# Dense 2**m storage; fine for desk-scale problems, refuse anything bigger.
+# product_state holds 2**m terms; the first-zero map is exact below 2**53.
 MAX_QUBITS = 20
 
 # Unnormalized input is accepted up to this deviation of the norm from 1.
@@ -58,51 +56,75 @@ class BasisTerm:
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Unit-norm complex amplitudes over the ``2**num_qubits`` basis strings.
+    """Unit-norm state stored as its basis ``indices`` and their amplitude ``values``.
 
-    Amplitudes are indexed by the integer value of the bit string with the
-    first intersection's qubit as the most significant bit.
+    An index is the bit string's value with the first intersection's qubit
+    most significant.  Terms are stored sorted by index, exact zeros dropped.
     """
 
     num_qubits: int
-    amplitudes: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self) -> None:
         m = int(self.num_qubits)
         if not 1 <= m <= MAX_QUBITS:
             raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {m}")
-        amps = np.array(self.amplitudes, dtype=complex)
-        if amps.shape != (2**m,):
-            raise ValueError(f"expected {2**m} amplitudes for {m} qubits, got shape {amps.shape}")
-        if not np.isfinite(amps).all():
+        indices = np.asarray(self.indices, dtype=np.int64)
+        values = np.asarray(self.values, dtype=complex)
+        if indices.ndim != 1 or indices.shape != values.shape:
+            raise ValueError(
+                f"indices {indices.shape} and values {values.shape} must match and be 1-d"
+            )
+        if not np.isfinite(values).all():
             raise ValueError("amplitudes must be finite")
-        norm = float(np.linalg.norm(amps))
+        if (np.diff(indices) <= 0).any():  # not strictly increasing: sort, find repeats
+            order = np.argsort(indices, kind="stable")
+            indices, values = indices[order], values[order]
+            repeated = indices[1:][np.diff(indices) == 0]
+            if repeated.size:
+                raise ValueError(f"duplicate term: {format(int(repeated[0]), f'0{m}b')!r}")
+        if indices.size and (indices[0] < 0 or indices[-1] >= 2**m):
+            raise ValueError(f"basis index out of range for {m} qubits")
+        norm = float(np.linalg.norm(values))
         if abs(norm - 1.0) > STATE_NORM_TOL:
             raise ValueError(f"not normalized: state norm is {norm!r}")
-        amps.setflags(write=False)
         object.__setattr__(self, "num_qubits", m)
-        object.__setattr__(self, "amplitudes", amps)
+        nonzero = values != 0
+        for name, array in (("indices", indices[nonzero]), ("values", values[nonzero])):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StateVector):
             return NotImplemented
-        return self.num_qubits == other.num_qubits and np.array_equal(
-            self.amplitudes, other.amplitudes
+        return (
+            self.num_qubits == other.num_qubits
+            and np.array_equal(self.indices, other.indices)
+            and np.array_equal(self.values, other.values)
         )
 
     @property
     def probabilities(self) -> np.ndarray:
-        """``|amplitude|**2`` per basis string."""
-        return np.abs(self.amplitudes) ** 2
+        """``|amplitude|**2`` per stored term, aligned with ``indices``."""
+        return np.abs(self.values) ** 2
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """Read-only dense view over all ``2**m`` strings, built in O(2**m) per read."""
+        amps = np.zeros(2**self.num_qubits, dtype=complex)
+        amps[self.indices] = self.values
+        amps.setflags(write=False)
+        return amps
 
 
 def build_state(terms, normalize: bool = False) -> StateVector:
     """Assemble a state from listed kets; amplitudes elsewhere are zero.
 
     ``terms`` is an iterable of :class:`BasisTerm` or ``(bits, amplitude)``
-    pairs, all with the same bit-string length.  With ``normalize`` the
-    result is rescaled to unit norm; without it, norms further than
-    ``INPUT_NORM_TOL`` from 1 are rejected.
+    pairs, all with the same bit-string length, in any order.  With
+    ``normalize`` the result is rescaled to unit norm; without it, norms
+    further than ``INPUT_NORM_TOL`` from 1 are rejected.
     """
     parsed = [t if isinstance(t, BasisTerm) else BasisTerm(*t) for t in terms]
     if not parsed:
@@ -112,11 +134,6 @@ def build_state(terms, normalize: bool = False) -> StateVector:
         raise ValueError("ragged terms: basis strings have mixed lengths")
     if m > MAX_QUBITS:
         raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {m}")
-    seen = set()
-    for t in parsed:
-        if t.bits in seen:
-            raise ValueError(f"duplicate term: {t.bits!r}")
-        seen.add(t.bits)
     values = np.array([t.amplitude for t in parsed], dtype=complex)
     norm = float(np.linalg.norm(values))
     if normalize:
@@ -126,10 +143,7 @@ def build_state(terms, normalize: bool = False) -> StateVector:
         raise ValueError(f"not normalized: state norm is {norm!r} (pass normalize to rescale)")
     if abs(norm - 1.0) > _RESCALE_SKIP:
         values = values / norm
-    # Scale the listed terms, not the dense vector: most of it is zeros.
-    amps = np.zeros(2**m, dtype=complex)
-    amps[[int(t.bits, 2) for t in parsed]] = values
-    return StateVector(m, amps)
+    return StateVector(m, [int(t.bits, 2) for t in parsed], values)
 
 
 def product_state(alpha: float, num_qubits: int) -> StateVector:
@@ -150,14 +164,20 @@ def product_state(alpha: float, num_qubits: int) -> StateVector:
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > _RESCALE_SKIP:
         amps = amps / norm
-    return StateVector(num_qubits, amps)
+    return StateVector(num_qubits, np.arange(amps.size), amps)
+
+
+def first_zero_destination(index, num_qubits: int) -> np.ndarray:
+    """Destination (1-based) of each basis index; ``frexp`` gives bit lengths exactly."""
+    _, bit_length = np.frexp((2**num_qubits - 1 - np.asarray(index)).astype(float))
+    return num_qubits + 1 - bit_length
 
 
 def first_zero_distribution(state: StateVector) -> DestinationDistribution:
     """Distribution over destinations induced by the first-zero exit rule."""
     m = state.num_qubits
-    starts = 2**m - (1 << np.arange(m, -1, -1))
-    probs = np.add.reduceat(state.probabilities, starts)
+    dest = first_zero_destination(state.indices, m)
+    probs = np.bincount(dest - 1, weights=state.probabilities, minlength=m + 1)
     total = float(probs.sum())
     if abs(total - 1.0) > 2 * STATE_NORM_TOL:
         raise ValueError(f"not normalized: probabilities sum to {total!r}")

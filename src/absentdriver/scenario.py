@@ -24,6 +24,7 @@ errors carry the JSON path of the offending field.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, replace
 
 from .model import (
@@ -43,6 +44,9 @@ DEFAULT_SEED = 12345
 DEFAULT_GRID_STEP = 0.05
 # curve prints ceil(1 / step) + 1 rows; a smaller step would not finish
 MIN_GRID_STEP = 1e-6
+# Larger JSON numbers (huge integers, 1e400 read as inf) are rejected.
+_FLOAT_MAX = sys.float_info.max
+_OUT_OF_RANGE = "number is outside the float range"
 
 
 class ScenarioError(ValueError):
@@ -92,16 +96,33 @@ def _require(mapping, key, path, kind, type_name):
     return value
 
 
+def _parse_int(digits: str):
+    """Integer literals over 4300 digits, which ``int`` refuses, read as ``inf``
+    (as ``json`` reads ``1e400``), for the number checks to reject with their path."""
+    try:
+        return int(digits)
+    except ValueError:
+        return float(digits)
+
+
+_DECODER = json.JSONDecoder(parse_int=_parse_int)
+
+
 def _number_list(mapping, key, path):
     values = _require(mapping, key, path, list, "a list of numbers")
     for j, v in enumerate(values):
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise ScenarioError("must be a number", f"{path}.{key}[{j}]")
+        if abs(v) > _FLOAT_MAX:
+            raise ScenarioError(_OUT_OF_RANGE, f"{path}.{key}[{j}]")
     return [float(v) for v in values]
 
 
 def _number(mapping, key, path):
-    return float(_require(mapping, key, path, (int, float), "a number"))
+    value = _require(mapping, key, path, (int, float), "a number")
+    if abs(value) > _FLOAT_MAX:
+        raise ScenarioError(_OUT_OF_RANGE, f"{path}.{key}")
+    return float(value)
 
 
 def _wrap(path: str, fn, *args, **kwargs):
@@ -215,7 +236,7 @@ def parse_scenario(text: str, normalize_states: bool = False) -> Scenario:
     document does not set the per-strategy flag.
     """
     try:
-        doc = json.loads(text)
+        doc = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(doc, dict):
@@ -256,8 +277,7 @@ def _strategy_doc(named: NamedStrategy) -> dict:
         m = s.state.num_qubits
         terms = [
             {"bits": format(i, f"0{m}b"), "re": amp.real, "im": amp.imag}
-            for i, amp in enumerate(s.state.amplitudes)
-            if amp != 0
+            for i, amp in zip(s.state.indices.tolist(), s.state.values.tolist())
         ]
         return {"name": named.name, "kind": "quantum", "terms": terms, "normalize": False}
     raise TypeError(f"unknown strategy type: {type(s).__name__}")

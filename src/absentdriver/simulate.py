@@ -9,12 +9,14 @@ order - serial or parallel - merges to bit-identical reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classical import DestinationDistribution, step_exit_probabilities
 from .model import DriveProblem, Quantum, Strategy
+from .quantum import first_zero_destination
 
 BLOCK_SIZE = 1 << 16
 _MAX_SEED = 2**64
@@ -35,18 +37,6 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, block]))
 
 
-def _first_zero_destination(index: np.ndarray, num_qubits: int) -> np.ndarray:
-    """Destination (1-based) of each basis index under the first-zero rule.
-
-    Flipping every bit (``2**m - 1 - index``) turns the leading run of ones
-    into leading zeros, so the first 0 sits at ``m + 1 - bit_length``; the
-    all-ones string has bit length 0 and maps to the terminal ``m + 1``.
-    ``frexp`` returns the bit length exactly for integers below ``2**53``.
-    """
-    _, bit_length = np.frexp((2**num_qubits - 1 - index).astype(float))
-    return num_qubits + 1 - bit_length
-
-
 def estimate_payoff(
     problem: DriveProblem, strategy: Strategy, trials: int, seed: int
 ) -> SimulationReport:
@@ -65,7 +55,10 @@ def estimate_payoff(
             raise ValueError(
                 f"strategy/problem mismatch: {state.num_qubits} qubits for {m} intersections"
             )
+        # The same draws as a cumsum over all 2**m strings (adding 0.0 is exact);
+        # a draw at or past the rounded total takes the extra terminal slot.
         cum = np.cumsum(state.probabilities)
+        term_dest = np.append(first_zero_destination(state.indices, m), m + 1)
     else:
         steps = step_exit_probabilities(problem, strategy)
 
@@ -74,8 +67,7 @@ def estimate_payoff(
         n = min(BLOCK_SIZE, trials - block * BLOCK_SIZE)
         rng = _block_rng(seed, block)
         if quantum:
-            index = np.searchsorted(cum, rng.random(n), side="right")
-            dest = _first_zero_destination(np.minimum(index, cum.size - 1), m)
+            dest = term_dest[np.searchsorted(cum, rng.random(n), side="right")]
         else:
             exited = rng.random((n, m)) < steps
             hit = exited.any(axis=1)
@@ -83,17 +75,21 @@ def estimate_payoff(
         counts += np.bincount(dest - 1, minlength=k)
 
     payoffs = np.asarray(problem.destination_payoffs)
-    total = float(counts @ payoffs)
-    total_sq = float(counts @ payoffs**2)
+    with np.errstate(over="ignore"):
+        total = float(counts @ payoffs)
+        total_sq = float(counts @ payoffs**2)
     mean = total / trials
     if trials > 1:
         variance = max(total_sq - trials * mean * mean, 0.0) / (trials - 1)
     else:
         variance = 0.0
+    std_error = float(np.sqrt(variance / trials))
+    if not (math.isfinite(mean) and math.isfinite(std_error)):
+        raise ValueError(f"simulation result is not finite: mean {mean!r}, std error {std_error!r}")
     return SimulationReport(
         trials=trials,
         mean_payoff=mean,
-        std_error=float(np.sqrt(variance / trials)),
+        std_error=std_error,
         empirical_distribution=DestinationDistribution(counts / trials),
         seed=seed,
     )

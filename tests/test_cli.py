@@ -1,10 +1,12 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from absentdriver.cli import emit_csv, fmt_num, fmt_poly, fmt_value, main
+from absentdriver import parse_scenario
+from absentdriver.cli import emit_csv, fmt_num, fmt_poly, fmt_value, main, run_command
 
 
 def run_cli(capsys, *argv):
@@ -190,6 +192,60 @@ class TestSimulateCommand:
         assert "seed: 11" in out_a
 
 
+    def test_overflowing_result_is_runtime_error(self, capsys, scenario_file):
+        path = scenario_file(
+            {
+                "problem": {"kind": "drive", "exit_payoffs": [1e308, 1e308], "terminal_payoff": 1e308},
+                "strategies": [{"name": "s", "kind": "stationary", "alpha": 0.5}],
+                "options": {"trials": 1000},
+            }
+        )
+        code, out, err = run_cli(capsys, "simulate", "--scenario", path)
+        assert (code, out) == (3, "")
+        assert err == "runtime error: simulation result is not finite: mean inf, std error nan\n"
+
+
+def _twenty_qubit_doc(terms):
+    return {
+        "problem": {"kind": "drive", "exit_payoffs": list(range(20)), "terminal_payoff": 0.5},
+        "strategies": [{"name": "plan", "kind": "quantum", "normalize": True, "terms": terms}],
+        "options": {"trials": 100000, "seed": 7},
+    }
+
+
+class TestSparseQuantumPlans:
+    def test_ket_order_does_not_change_output(self, capsys, scenario_file):
+        # a counting-like plan: one ket per destination, distinct amplitudes
+        terms = [
+            {"bits": "1" * i + "0" + "1" * (19 - i), "re": 1.0 + i / 7, "im": (-1) ** i / 3}
+            for i in range(20)
+        ] + [{"bits": "1" * 20, "re": 0.5, "im": 0}]
+        for command in ("eval", "simulate"):
+            outputs = [
+                run_cli(capsys, command, "--scenario", scenario_file(_twenty_qubit_doc(listed)))
+                for listed in (terms, terms[::-1])
+            ]
+            assert outputs[0] == outputs[1]
+            assert outputs[0][0] == 0
+
+    def test_twenty_qubit_ghz_allocates_no_dense_vector(self):
+        # the dense vector alone would take 2**20 complex amplitudes, 16 MB
+        text = json.dumps(
+            _twenty_qubit_doc(
+                [{"bits": "0" * 20, "re": 1, "im": 0}, {"bits": "1" * 20, "re": 0, "im": 1}]
+            )
+        )
+        tracemalloc.start()
+        try:
+            scenario = parse_scenario(text)
+            for command in ("eval", "simulate"):
+                run_command(command, scenario)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
 class TestCurveCommand:
     def test_half_step_grid(self, capsys):
         code, out, _ = run_cli(
@@ -246,6 +302,19 @@ class TestExitCodes:
     def test_bad_trials_override(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--preset", "example1", "--trials", "0")
         assert code == 2 and "no trials" in err
+
+    @pytest.mark.parametrize("literal", ["1" + "0" * 400, "9" * 5000], ids=["int400", "int5000"])
+    def test_integer_past_float_range(self, capsys, tmp_path, literal):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"problem": {"kind": "drive", "exit_payoffs": [0, 4], "terminal_payoff": '
+            + literal
+            + '}, "strategies": [{"name": "s", "kind": "counting"}]}',
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(capsys, "eval", "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert err == "scenario error: problem.terminal_payoff: number is outside the float range\n"
 
     @pytest.mark.parametrize("step", ["0", "1e-300", "9e-7", "1.5", "nan"])
     def test_bad_grid_step_override(self, capsys, step):

@@ -53,7 +53,7 @@ def sequential_exit_distribution(state: StateVector) -> list[float]:
 
 def random_state(rng: np.random.Generator, m: int) -> StateVector:
     amps = rng.normal(size=2**m) + 1j * rng.normal(size=2**m)
-    return StateVector(m, amps / np.linalg.norm(amps))
+    return StateVector(m, np.arange(2**m), amps / np.linalg.norm(amps))
 
 
 class TestBuildState:
@@ -94,6 +94,12 @@ class TestBuildState:
         with pytest.raises(ValueError, match="not normalized"):
             build_state([("01", 0.0)], normalize=True)
 
+    def test_term_order_does_not_matter(self):
+        terms = [("110", 0.6), ("001", 0.8j), ("011", 0.0)]
+        state = build_state(terms)
+        assert state == build_state(terms[::-1])
+        assert state.indices.tolist() == [1, 6]
+
     def test_qubit_cap(self):
         with pytest.raises(ValueError, match="qubit count"):
             build_state([("0" * 21, 1.0)])
@@ -105,17 +111,33 @@ class TestBuildState:
 
 class TestStateVector:
     def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError, match="amplitudes"):
-            StateVector(2, np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="must match and be 1-d"):
+            StateVector(2, [1, 2], [1.0])
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="not normalized"):
-            StateVector(1, np.array([1.0, 1.0]))
+            StateVector(1, [0, 1], [1.0, 1.0])
+
+    @pytest.mark.parametrize("index", [-1, 4])
+    def test_rejects_index_out_of_range(self, index):
+        with pytest.raises(ValueError, match="out of range"):
+            StateVector(2, [index], [1.0])
+
+    def test_rejects_duplicate_index(self):
+        with pytest.raises(ValueError, match="duplicate term: '01'"):
+            StateVector(2, [1, 1], [INV_SQRT2, INV_SQRT2])
+
+    def test_stores_sorted_terms_without_zeros(self):
+        state = StateVector(3, [6, 0, 3], [INV_SQRT2, 0.0, INV_SQRT2])
+        assert state.indices.tolist() == [3, 6]
+        assert state.values.tolist() == [INV_SQRT2, INV_SQRT2]
+        assert state == build_state([("011", INV_SQRT2), ("110", INV_SQRT2)])
 
     def test_amplitudes_read_only(self):
         state = build_state(THIRD_EXIT)
-        with pytest.raises(ValueError):
-            state.amplitudes[0] = 1.0
+        for array in (state.amplitudes, state.indices, state.values):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
 
 
 class TestProductState:
@@ -197,7 +219,7 @@ class TestFirstZeroDistribution:
     @settings(max_examples=60)
     def test_phase_invariance(self, theta, seed):
         state = random_state(np.random.default_rng(seed), 3)
-        rotated = StateVector(3, state.amplitudes * np.exp(1j * theta))
+        rotated = StateVector(3, state.indices, state.values * np.exp(1j * theta))
         base = first_zero_distribution(state).probs
         assert np.abs(first_zero_distribution(rotated).probs - base).max() <= 1e-12
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -12,6 +13,7 @@ from absentdriver import (
     ScenarioError,
     SelectionProblem,
     Stationary,
+    build_state,
     parse_scenario,
     preset_scenario,
     scenario_to_document,
@@ -131,6 +133,41 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match=rf"terms\[0\].*'{field}' must be a number"):
             parse_scenario(doc)
 
+    @pytest.mark.parametrize(
+        "literal",
+        ["1" + "0" * 400, "-" + "1" * 400, "9" * 5000, "-" + "9" * 5000, "1e400"],
+        ids=["int400", "negative_int400", "int5000", "negative_int5000", "float1e400"],
+    )
+    @pytest.mark.parametrize(
+        "field,path",
+        [
+            ("exit", "problem.exit_payoffs[1]"),
+            ("terminal", "problem.terminal_payoff"),
+            ("alpha", "strategies[0].alpha"),
+            ("re", "strategies[1].terms[0].re"),
+            ("im", "strategies[1].terms[0].im"),
+            ("step", "strategies[2].exit_probs[0]"),
+        ],
+    )
+    def test_numbers_past_float_range(self, literal, field, path):
+        # float() of a 400-digit integer overflows, and Python refuses to
+        # read an integer literal of more than 4300 digits at all
+        doc = json.dumps(
+            {
+                "problem": {"kind": "drive", "exit_payoffs": [0, "@exit"], "terminal_payoff": "@terminal"},
+                "strategies": [
+                    {"name": "s", "kind": "stationary", "alpha": "@alpha"},
+                    {"name": "q", "kind": "quantum", "normalize": True,
+                     "terms": [{"bits": "01", "re": "@re", "im": "@im"}]},
+                    {"name": "p", "kind": "per_step", "exit_probs": ["@step", 0.5]},
+                ],
+            }
+        )
+        for name in ("exit", "terminal", "alpha", "re", "im", "step"):
+            doc = doc.replace(f'"@{name}"', literal if name == field else "1")
+        with pytest.raises(ScenarioError, match=rf"^{re.escape(path)}: number is outside the float range$"):
+            parse_scenario(doc)
+
     def test_missing_imaginary_part_is_zero(self):
         doc = json.dumps(
             {
@@ -214,6 +251,19 @@ class TestRoundTrip:
     def test_presets_round_trip(self, name):
         scenario = preset_scenario(name)
         assert parse_scenario(scenario_to_document(scenario)) == scenario
+
+    def test_twenty_qubit_w_state_round_trip(self):
+        m = 20
+        kets = [("0" * i + "1" + "0" * (m - i - 1), complex(i + 1, -i)) for i in range(m)]
+        scenario = Scenario(
+            DriveProblem(tuple(range(m)), 0.5),
+            (NamedStrategy("w", Quantum(build_state(kets[::-1], normalize=True))),),
+        )
+        doc = scenario_to_document(scenario)
+        assert [t["bits"] for t in json.loads(doc)["strategies"][0]["terms"]] == sorted(
+            bits for bits, _ in kets
+        )
+        assert parse_scenario(doc) == scenario
 
     def test_per_step_round_trip(self):
         scenario = Scenario(

@@ -14,7 +14,8 @@ from absentdriver import (
     make_drive_problem,
     quantum_expected_payoff,
 )
-from absentdriver.simulate import BLOCK_SIZE, _first_zero_destination
+from absentdriver.quantum import first_zero_destination
+from absentdriver.simulate import BLOCK_SIZE
 
 EXAMPLE1 = make_drive_problem([0, 4], 1)
 EXAMPLE2 = make_drive_problem([0, 4, 1], 1)
@@ -59,13 +60,38 @@ class TestSimulateDrive:
         counts = np.rint(report.empirical_distribution.probs * 20_000).astype(int)
         assert counts.tolist() == [10135, 9865, 0]
 
+    @pytest.mark.parametrize(
+        "plan,expected",
+        [
+            ("w", [17241, 2759] + [0] * 19),
+            ("ghz", [7321] + [0] * 19 + [12679]),
+            ("counting_state", [80, 180, 287, 386, 439, 567, 703, 768, 856, 941, 1088,
+                                1112, 1221, 1327, 1332, 1497, 1582, 1674, 1763, 1856, 341]),
+        ],
+    )
+    def test_quantum_sample_stream_pinned_at_20_qubits(self, plan, expected):
+        # Counts recorded with the dense 2**20 sampler: sampling the stored
+        # terms must draw the same basis string from the same random number.
+        m = 20
+        terms = {
+            "w": [("0" * i + "1" + "0" * (m - i - 1), m - i) for i in range(m)],
+            "ghz": [("0" * m, 0.6), ("1" * m, 0.8j)],
+            "counting_state": [("1" * i + "0" + "1" * (m - i - 1), (i + 1) ** 0.5)
+                               for i in range(m)] + [("1" * m, 2.0)],
+        }[plan]
+        problem = make_drive_problem([float(i) for i in range(m)], 0.5)
+        state = build_state(terms, normalize=True)
+        report = estimate_payoff(problem, Quantum(state), 20_000, 11)
+        counts = np.rint(report.empirical_distribution.probs * 20_000).astype(int)
+        assert counts.tolist() == expected
+
     @pytest.mark.parametrize("m", range(1, 11))
     def test_first_zero_map_is_exhaustively_right(self, m):
         expected = []
         for index in range(2**m):
             bits = format(index, f"0{m}b")
             expected.append(bits.find("0") + 1 if "0" in bits else m + 1)
-        assert _first_zero_destination(np.arange(2**m), m).tolist() == expected
+        assert first_zero_destination(np.arange(2**m), m).tolist() == expected
 
 
 class TestEstimatePayoff:
@@ -83,6 +109,14 @@ class TestEstimatePayoff:
         assert report.seed == 7
         assert report.std_error >= 0.0
         assert abs(report.empirical_distribution.probs.sum() - 1.0) <= 1e-12
+
+    def test_overflowing_statistics_rejected(self):
+        # payoffs**2 overflows from |v| ~ 1.34e154, and the sum of 1000
+        # payoffs of 1e308 overflows the mean itself
+        for payoff, match in ((1e308, "mean inf"), (1e200, "std error nan")):
+            problem = make_drive_problem([payoff, payoff], payoff)
+            with pytest.raises(ValueError, match=f"not finite.*{match}"):
+                estimate_payoff(problem, Stationary(0.5), 1000, 1)
 
     def test_single_trial_has_zero_std_error(self):
         report = estimate_payoff(EXAMPLE1, Stationary(0.5), 1, 3)
