@@ -21,8 +21,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .classical import destination_distribution, stationary_payoff_polynomial
 from .model import Counting, PerStep, Quantum, SelectionProblem, Stationary
 from .optimize import optimize_stationary
@@ -141,7 +139,7 @@ def _run_eval(scenario: Scenario) -> CommandOutput:
             dist = first_zero_distribution(named.strategy.state)
         else:
             dist = destination_distribution(problem, named.strategy)
-        payoff = float(dist.probs @ np.asarray(problem.destination_payoffs))
+        payoff = float(dist.probs @ problem.destination_payoffs)
         table_rows.append(
             (named.name, _strategy_label(named.strategy), fmt_value(payoff), fmt_dist(dist))
         )

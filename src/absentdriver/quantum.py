@@ -70,20 +70,19 @@ class StateVector:
         m = int(self.num_qubits)
         if not 1 <= m <= MAX_QUBITS:
             raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {m}")
-        indices = np.asarray(self.indices, dtype=np.int64)
+        indices = np.asarray(self.indices)
         values = np.asarray(self.values, dtype=complex)
         if indices.ndim != 1 or indices.shape != values.shape:
-            raise ValueError(
-                f"indices {indices.shape} and values {values.shape} must match and be 1-d"
-            )
+            raise ValueError(f"indices {indices.shape} and values {values.shape} must match and be 1-d")
+        if indices.dtype.kind not in "iu":
+            raise ValueError(f"basis indices must be integers, got dtype {indices.dtype}")
         if not np.isfinite(values).all():
             raise ValueError("amplitudes must be finite")
-        if (np.diff(indices) <= 0).any():  # not strictly increasing: sort, find repeats
-            order = np.argsort(indices, kind="stable")
-            indices, values = indices[order], values[order]
-            repeated = indices[1:][np.diff(indices) == 0]
-            if repeated.size:
-                raise ValueError(f"duplicate term: {format(int(repeated[0]), f'0{m}b')!r}")
+        order = np.argsort(indices, kind="stable")
+        indices, values = indices[order].astype(np.int64), values[order]
+        repeated = indices[1:][np.diff(indices) == 0]
+        if repeated.size:
+            raise ValueError(f"duplicate term: {format(int(repeated[0]), f'0{m}b')!r}")
         if indices.size and (indices[0] < 0 or indices[-1] >= 2**m):
             raise ValueError(f"basis index out of range for {m} qubits")
         norm = float(np.linalg.norm(values))
@@ -184,12 +183,17 @@ def first_zero_distribution(state: StateVector) -> DestinationDistribution:
     return DestinationDistribution(probs / total)
 
 
-def quantum_expected_payoff(problem: DriveProblem, state: StateVector) -> float:
-    """Expected payoff of driving ``problem`` with the measurement plan ``state``."""
-    if state.num_qubits != problem.num_intersections:
+def check_qubit_count(state: StateVector, num_intersections: int) -> None:
+    """Reject a plan that does not carry one qubit per intersection."""
+    if state.num_qubits != num_intersections:
         raise ValueError(
             "strategy/problem mismatch: "
-            f"{state.num_qubits} qubits for {problem.num_intersections} intersections"
+            f"{state.num_qubits} qubits for {num_intersections} intersections"
         )
+
+
+def quantum_expected_payoff(problem: DriveProblem, state: StateVector) -> float:
+    """Expected payoff of driving ``problem`` with the measurement plan ``state``."""
+    check_qubit_count(state, problem.num_intersections)
     dist = first_zero_distribution(state)
     return float(dist.probs @ np.asarray(problem.destination_payoffs))

@@ -27,6 +27,7 @@ import json
 import sys
 from dataclasses import dataclass, replace
 
+from .classical import step_exit_probabilities
 from .model import (
     Counting,
     DriveProblem,
@@ -37,16 +38,13 @@ from .model import (
     Strategy,
     make_drive_problem,
 )
-from .quantum import BasisTerm, build_state
+from .quantum import BasisTerm, build_state, check_qubit_count
 
 DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 12345
 DEFAULT_GRID_STEP = 0.05
 # curve prints ceil(1 / step) + 1 rows; a smaller step would not finish
 MIN_GRID_STEP = 1e-6
-# Larger JSON numbers (huge integers, 1e400 read as inf) are rejected.
-_FLOAT_MAX = sys.float_info.max
-_OUT_OF_RANGE = "number is outside the float range"
 
 
 class ScenarioError(ValueError):
@@ -97,8 +95,7 @@ def _require(mapping, key, path, kind, type_name):
 
 
 def _parse_int(digits: str):
-    """Integer literals over 4300 digits, which ``int`` refuses, read as ``inf``
-    (as ``json`` reads ``1e400``), for the number checks to reject with their path."""
+    """Integer literals past ``int``'s 4300-digit limit read as ``inf``, for ``_float`` to reject."""
     try:
         return int(digits)
     except ValueError:
@@ -108,21 +105,22 @@ def _parse_int(digits: str):
 _DECODER = json.JSONDecoder(parse_int=_parse_int)
 
 
+def _float(value, path):
+    """One JSON number as a float; larger ones (huge integers, ``1e400`` read as inf) are rejected."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ScenarioError("must be a number", path)
+    if abs(value) > sys.float_info.max:
+        raise ScenarioError("number is outside the float range", path)
+    return float(value)
+
+
 def _number_list(mapping, key, path):
     values = _require(mapping, key, path, list, "a list of numbers")
-    for j, v in enumerate(values):
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ScenarioError("must be a number", f"{path}.{key}[{j}]")
-        if abs(v) > _FLOAT_MAX:
-            raise ScenarioError(_OUT_OF_RANGE, f"{path}.{key}[{j}]")
-    return [float(v) for v in values]
+    return [_float(v, f"{path}.{key}[{j}]") for j, v in enumerate(values)]
 
 
 def _number(mapping, key, path):
-    value = _require(mapping, key, path, (int, float), "a number")
-    if abs(value) > _FLOAT_MAX:
-        raise ScenarioError(_OUT_OF_RANGE, f"{path}.{key}")
-    return float(value)
+    return _float(_require(mapping, key, path, (int, float), "a number"), f"{path}.{key}")
 
 
 def _wrap(path: str, fn, *args, **kwargs):
@@ -214,19 +212,10 @@ def _check_dimensions(problem, named: NamedStrategy, path: str) -> None:
                 path,
             )
         return
-    m = problem.num_intersections
-    if isinstance(strategy, PerStep) and len(strategy.exit_probs) != m:
-        raise ScenarioError(
-            f"strategy/problem mismatch: {len(strategy.exit_probs)} step "
-            f"probabilities for {m} intersections",
-            path,
-        )
-    if isinstance(strategy, Quantum) and strategy.state.num_qubits != m:
-        raise ScenarioError(
-            f"strategy/problem mismatch: {strategy.state.num_qubits} qubits "
-            f"for {m} intersections",
-            path,
-        )
+    if isinstance(strategy, Quantum):
+        _wrap(path, check_qubit_count, strategy.state, problem.num_intersections)
+    else:
+        _wrap(path, step_exit_probabilities, problem, strategy)
 
 
 def parse_scenario(text: str, normalize_states: bool = False) -> Scenario:

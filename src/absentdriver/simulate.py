@@ -9,14 +9,13 @@ order - serial or parallel - merges to bit-identical reports.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classical import DestinationDistribution, step_exit_probabilities
 from .model import DriveProblem, Quantum, Strategy
-from .quantum import first_zero_destination
+from .quantum import check_qubit_count, first_zero_destination
 
 BLOCK_SIZE = 1 << 16
 _MAX_SEED = 2**64
@@ -51,10 +50,7 @@ def estimate_payoff(
     quantum = isinstance(strategy, Quantum)
     if quantum:
         state = strategy.state
-        if state.num_qubits != m:
-            raise ValueError(
-                f"strategy/problem mismatch: {state.num_qubits} qubits for {m} intersections"
-            )
+        check_qubit_count(state, m)
         # The same draws as a cumsum over all 2**m strings (adding 0.0 is exact);
         # a draw at or past the rounded total takes the extra terminal slot.
         cum = np.cumsum(state.probabilities)
@@ -75,7 +71,7 @@ def estimate_payoff(
         counts += np.bincount(dest - 1, minlength=k)
 
     payoffs = np.asarray(problem.destination_payoffs)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         total = float(counts @ payoffs)
         total_sq = float(counts @ payoffs**2)
     mean = total / trials
@@ -84,7 +80,7 @@ def estimate_payoff(
     else:
         variance = 0.0
     std_error = float(np.sqrt(variance / trials))
-    if not (math.isfinite(mean) and math.isfinite(std_error)):
+    if not np.isfinite([mean, std_error]).all():
         raise ValueError(f"simulation result is not finite: mean {mean!r}, std error {std_error!r}")
     return SimulationReport(
         trials=trials,

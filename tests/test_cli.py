@@ -192,17 +192,28 @@ class TestSimulateCommand:
         assert "seed: 11" in out_a
 
 
-    def test_overflowing_result_is_runtime_error(self, capsys, scenario_file):
+    @pytest.mark.parametrize(
+        "exits, strategy, mean",
+        [
+            ([1e308, 1e308], {"kind": "stationary", "alpha": 0.5}, "inf"),
+            # mixed signs: inf + -inf, or inf where the dot product uses fused multiply-add
+            ([1e308, -1e308], {"kind": "stationary", "alpha": 0.5}, "(nan|inf)"),
+            # 0 * inf for the destinations that are never reached
+            ([1e200, 1e200], {"kind": "per_step", "exit_probs": [1, 0.5]}, r"1e\+200"),
+        ],
+        ids=["overflow", "mixed-signs", "unreached-destination"],
+    )
+    def test_overflowing_result_is_runtime_error(self, capsys, scenario_file, exits, strategy, mean):
         path = scenario_file(
             {
-                "problem": {"kind": "drive", "exit_payoffs": [1e308, 1e308], "terminal_payoff": 1e308},
-                "strategies": [{"name": "s", "kind": "stationary", "alpha": 0.5}],
+                "problem": {"kind": "drive", "exit_payoffs": exits, "terminal_payoff": exits[0]},
+                "strategies": [{"name": "s", **strategy}],
                 "options": {"trials": 1000},
             }
         )
         code, out, err = run_cli(capsys, "simulate", "--scenario", path)
         assert (code, out) == (3, "")
-        assert err == "runtime error: simulation result is not finite: mean inf, std error nan\n"
+        assert re.fullmatch(f"runtime error: simulation result is not finite: mean {mean}, std error nan\n", err)
 
 
 def _twenty_qubit_doc(terms):

@@ -123,6 +123,11 @@ class TestStateVector:
         with pytest.raises(ValueError, match="out of range"):
             StateVector(2, [index], [1.0])
 
+    @pytest.mark.parametrize("indices", [[0.5, 2.7], [False, True], ["0", "1"]])
+    def test_rejects_non_integer_indices(self, indices):
+        with pytest.raises(ValueError, match="basis indices must be integers"):
+            StateVector(2, indices, [INV_SQRT2, INV_SQRT2])
+
     def test_rejects_duplicate_index(self):
         with pytest.raises(ValueError, match="duplicate term: '01'"):
             StateVector(2, [1, 1], [INV_SQRT2, INV_SQRT2])

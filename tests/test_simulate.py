@@ -117,6 +117,16 @@ class TestEstimatePayoff:
             problem = make_drive_problem([payoff, payoff], payoff)
             with pytest.raises(ValueError, match=f"not finite.*{match}"):
                 estimate_payoff(problem, Stationary(0.5), 1000, 1)
+        # mixed signs (inf + -inf, or inf where the dot product uses fused
+        # multiply-add) and 0 * inf for destinations never reached; numpy's
+        # invalid-value warnings would be errors under the test config
+        cases = (
+            (make_drive_problem([1e308, -1e308], 0.0), Stationary(0.5), "mean (nan|inf)"),
+            (make_drive_problem([1e200, 1e200], 1e200), PerStep((1.0, 0.5)), "mean 1e\\+200"),
+        )
+        for problem, strategy, match in cases:
+            with pytest.raises(ValueError, match=f"not finite: {match}, std error nan"):
+                estimate_payoff(problem, strategy, 1000, 1)
 
     def test_single_trial_has_zero_std_error(self):
         report = estimate_payoff(EXAMPLE1, Stationary(0.5), 1, 3)
