@@ -95,7 +95,7 @@ def _require(mapping, key, path, kind, type_name):
 
 
 def _parse_int(digits: str):
-    """Integer literals past ``int``'s 4300-digit limit read as ``inf``, for ``_float`` to reject."""
+    """Integer literals past ``int``'s 4300-digit limit read as ``inf``, for ``_floats`` to reject."""
     try:
         return int(digits)
     except ValueError:
@@ -105,22 +105,28 @@ def _parse_int(digits: str):
 _DECODER = json.JSONDecoder(parse_int=_parse_int)
 
 
-def _float(value, path):
-    """One JSON number as a float; larger ones (huge integers, ``1e400`` read as inf) are rejected."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ScenarioError("must be a number", path)
-    if abs(value) > sys.float_info.max:
-        raise ScenarioError("number is outside the float range", path)
-    return float(value)
+def _floats(values, where):
+    """JSON numbers as floats; ``where(j)`` is the path of entry ``j`` in errors.
+
+    Huge integers and ``1e400`` (read as inf) are outside the float range.
+    """
+    limit = sys.float_info.max
+    for j, v in enumerate(values):
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise ScenarioError("must be a number", where(j))
+        if abs(v) > limit:
+            raise ScenarioError("number is outside the float range", where(j))
+    return [float(v) for v in values]
 
 
 def _number_list(mapping, key, path):
     values = _require(mapping, key, path, list, "a list of numbers")
-    return [_float(v, f"{path}.{key}[{j}]") for j, v in enumerate(values)]
+    return _floats(values, lambda j: f"{path}.{key}[{j}]")
 
 
 def _number(mapping, key, path):
-    return _float(_require(mapping, key, path, (int, float), "a number"), f"{path}.{key}")
+    value = _require(mapping, key, path, (int, float), "a number")
+    return _floats([value], lambda _: f"{path}.{key}")[0]
 
 
 def _wrap(path: str, fn, *args, **kwargs):
