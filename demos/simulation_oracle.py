@@ -1,6 +1,6 @@
 # Every closed-form number in this package can be replayed as a plain
-# mechanism simulation: walk the intersections, flip the coins, tally the
-# destinations.  This script does exactly that and compares.
+# mechanism simulation: walk the intersections, draw how many cars exit at
+# each, tally the destinations.  This script does exactly that and compares.
 #
 # Reports are reproducible: trials are split into fixed 65536-trial blocks
 # and block b draws from PCG64 seeded with SeedSequence([seed, b]), so the

@@ -25,15 +25,7 @@ from .classical import destination_distribution, stationary_payoff_polynomial
 from .model import Counting, PerStep, Quantum, SelectionProblem, Stationary
 from .optimize import optimize_stationary
 from .quantum import first_zero_distribution
-from .scenario import (
-    MIN_GRID_STEP,
-    PRESETS,
-    Scenario,
-    ScenarioError,
-    parse_scenario,
-    preset_scenario,
-    valid_grid_step,
-)
+from .scenario import PRESETS, Scenario, ScenarioError, parse_scenario, preset_scenario
 from .selection import (
     counting_round_values,
     optimize_two_round,
@@ -333,26 +325,18 @@ def build_parser() -> _Parser:
     return parser
 
 
+# scenario option -> the flag that overrides it
+_OVERRIDES = {"trials": "--trials", "seed": "--seed", "grid_step": "--grid-step"}
+
+
 def _load_scenario(args) -> Scenario:
     if args.preset:
         scenario = preset_scenario(args.preset)
     else:
         with open(args.scenario, encoding="utf-8") as fh:
             scenario = parse_scenario(fh.read(), normalize_states=args.normalize_states)
-    overrides = {}
-    if args.trials is not None:
-        if args.trials < 1:
-            raise ScenarioError("no trials: --trials must be >= 1")
-        overrides["trials"] = args.trials
-    if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ScenarioError("--seed must be an unsigned 64-bit integer")
-        overrides["seed"] = args.seed
-    if args.grid_step is not None:
-        if not valid_grid_step(args.grid_step):
-            raise ScenarioError(f"--grid-step must be in [{MIN_GRID_STEP:g}, 1]")
-        overrides["grid_step"] = args.grid_step
-    return scenario.with_options(**overrides) if overrides else scenario
+    overrides = {key: getattr(args, key) for key in _OVERRIDES if getattr(args, key) is not None}
+    return scenario.with_options(_OVERRIDES, **overrides) if overrides else scenario
 
 
 def main(argv=None) -> int:
@@ -373,7 +357,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"scenario error: cannot read {args.scenario}: {exc}", file=sys.stderr)
         return 2
     try:

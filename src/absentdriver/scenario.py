@@ -43,7 +43,10 @@ from .quantum import BasisTerm, build_state, check_qubit_count
 DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 12345
 DEFAULT_GRID_STEP = 0.05
-# curve prints ceil(1 / step) + 1 rows; a smaller step would not finish
+# Bounds on the work an accepted document can ask for: simulate runs
+# ceil(trials / 65536) blocks (15259 at MAX_TRIALS), and curve prints
+# ceil(1 / step) + 1 rows.
+MAX_TRIALS = 10**9
 MIN_GRID_STEP = 1e-6
 
 
@@ -74,13 +77,34 @@ class Scenario:
     strategies: tuple[NamedStrategy, ...]
     options: ScenarioOptions = ScenarioOptions()
 
-    def with_options(self, **overrides) -> "Scenario":
-        return replace(self, options=replace(self.options, **overrides))
+    def with_options(self, names=None, **overrides) -> "Scenario":
+        """This scenario with its options overridden, checked as in a document."""
+        return replace(self, options=_checked_options(self.options, overrides, names, path=""))
 
 
-def valid_grid_step(step) -> bool:
-    """Whether ``step`` is a number in ``[MIN_GRID_STEP, 1]``."""
-    return isinstance(step, (int, float)) and not isinstance(step, bool) and MIN_GRID_STEP <= step <= 1
+# option -> (types, low, high, requirement); errors read "<option> must be <requirement>"
+_OPTION_RULES = {
+    "trials": (int, 1, MAX_TRIALS, f"an integer in [1, {MAX_TRIALS}]"),
+    "seed": (int, 0, 2**64 - 1, "an unsigned 64-bit integer"),
+    "grid_step": ((int, float), MIN_GRID_STEP, 1, f"a number in [{MIN_GRID_STEP:g}, 1]"),
+}
+
+
+def _checked_options(options: ScenarioOptions, values: dict, names=None,
+                    path: str = "options") -> ScenarioOptions:
+    """``options`` with ``values`` applied, each one checked against its rule.
+
+    ``names`` maps an option to what errors call it (such as a CLI flag); by
+    default they quote its JSON key.
+    """
+    for key, value in values.items():
+        types, low, high, requirement = _OPTION_RULES[key]
+        if not isinstance(value, types) or isinstance(value, bool) or not low <= value <= high:
+            name = names[key] if names else repr(key)
+            raise ScenarioError(f"{name} must be {requirement}", path)
+    if "grid_step" in values:
+        values = {**values, "grid_step": float(values["grid_step"])}
+    return replace(options, **values)
 
 
 def _require(mapping, key, path, kind, type_name):
@@ -186,26 +210,10 @@ def _parse_options(doc, path="options") -> ScenarioOptions:
         return ScenarioOptions()
     if not isinstance(doc, dict):
         raise ScenarioError("expected an object", path)
-    opts = ScenarioOptions()
-    if "trials" in doc:
-        trials = doc["trials"]
-        if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-            raise ScenarioError("no trials: 'trials' must be a positive integer", path)
-        opts = replace(opts, trials=trials)
-    if "seed" in doc:
-        seed = doc["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-            raise ScenarioError("'seed' must be an unsigned 64-bit integer", path)
-        opts = replace(opts, seed=seed)
-    if "grid_step" in doc:
-        step = doc["grid_step"]
-        if not valid_grid_step(step):
-            raise ScenarioError(f"'grid_step' must be a number in [{MIN_GRID_STEP:g}, 1]", path)
-        opts = replace(opts, grid_step=float(step))
-    unknown = set(doc) - {"trials", "seed", "grid_step"}
+    unknown = set(doc) - set(_OPTION_RULES)
     if unknown:
         raise ScenarioError(f"unknown option(s): {sorted(unknown)}", path)
-    return opts
+    return _checked_options(ScenarioOptions(), doc, path=path)
 
 
 def _check_dimensions(problem, named: NamedStrategy, path: str) -> None:
@@ -358,6 +366,7 @@ __all__ = [
     "DEFAULT_GRID_STEP",
     "DEFAULT_SEED",
     "DEFAULT_TRIALS",
+    "MAX_TRIALS",
     "MIN_GRID_STEP",
     "NamedStrategy",
     "PRESETS",
@@ -367,5 +376,4 @@ __all__ = [
     "parse_scenario",
     "preset_scenario",
     "scenario_to_document",
-    "valid_grid_step",
 ]

@@ -5,6 +5,16 @@ strategy)``.  Trials are split into fixed blocks of 65536; block ``b`` draws
 from numpy's PCG64 generator seeded with ``SeedSequence([seed, b])``, and the
 per-block tallies are plain integer destination counts, so any execution
 order - serial or parallel - merges to bit-identical reports.
+
+A classical block drives its ``n`` cars as one population: at intersection
+``j`` a binomial draw of the ``left`` cars still on the highway exits, with
+the strategy's step exit probability, and whoever is left at the end reaches
+the terminal.  That is the conditional-binomial method for multinomial
+variates (Davis, Comput. Stat. Data Anal. 16(2), 1993): the counts have the
+distribution of ``n`` separate drives, for O(m) draws, not ``n * m``
+uniforms.  The draws use only the per-step probabilities, never the product
+form of the closed-form distribution they check.  A quantum block draws one
+uniform per trial and picks a stored basis string by inverse CDF.
 """
 
 from __future__ import annotations
@@ -56,7 +66,7 @@ def estimate_payoff(
         cum = np.cumsum(state.probabilities)
         term_dest = np.append(first_zero_destination(state.indices, m), m + 1)
     else:
-        steps = step_exit_probabilities(problem, strategy)
+        steps = step_exit_probabilities(problem, strategy).tolist()
 
     counts = np.zeros(k, dtype=np.int64)
     for block in range((trials + BLOCK_SIZE - 1) // BLOCK_SIZE):
@@ -64,11 +74,17 @@ def estimate_payoff(
         rng = _block_rng(seed, block)
         if quantum:
             dest = term_dest[np.searchsorted(cum, rng.random(n), side="right")]
+            counts += np.bincount(dest - 1, minlength=k)
         else:
-            exited = rng.random((n, m)) < steps
-            hit = exited.any(axis=1)
-            dest = np.where(hit, exited.argmax(axis=1) + 1, k)
-        counts += np.bincount(dest - 1, minlength=k)
+            tally = [0] * k
+            left = n
+            for j, p in enumerate(steps):
+                tally[j] = out = rng.binomial(left, p)
+                left -= out
+                if left == 0:
+                    break
+            tally[m] = left
+            counts += tally
 
     payoffs = np.asarray(problem.destination_payoffs)
     with np.errstate(over="ignore", invalid="ignore"):

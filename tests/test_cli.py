@@ -7,6 +7,7 @@ import pytest
 
 from absentdriver import parse_scenario
 from absentdriver.cli import emit_csv, fmt_num, fmt_poly, fmt_value, main, run_command
+from absentdriver.scenario import MAX_TRIALS
 
 
 def run_cli(capsys, *argv):
@@ -311,8 +312,33 @@ class TestExitCodes:
         assert code == 3 and "runtime error" in err
 
     def test_bad_trials_override(self, capsys):
-        code, _, err = run_cli(capsys, "simulate", "--preset", "example1", "--trials", "0")
-        assert code == 2 and "no trials" in err
+        # rejected before a single block runs
+        for trials in ("0", "-5", str(MAX_TRIALS + 1), "1" + "0" * 30):
+            code, out, err = run_cli(capsys, "simulate", "--preset", "example1", "--trials", trials)
+            assert (code, out) == (2, "")
+            assert err == "scenario error: --trials must be an integer in [1, 1000000000]\n"
+
+    def test_largest_trials_override_accepted(self, capsys):
+        # eval runs no trials, so the cap itself is checked without a run
+        code, out, _ = run_cli(capsys, "eval", "--preset", "example1", "--trials", str(MAX_TRIALS))
+        assert code == 0 and out == run_cli(capsys, "eval", "--preset", "example1")[1]
+
+    def test_bad_seed_override(self, capsys):
+        for seed in ("-1", str(2**64)):
+            code, out, err = run_cli(capsys, "simulate", "--preset", "example1", "--seed", seed)
+            assert (code, out) == (2, "")
+            assert err == "scenario error: --seed must be an unsigned 64-bit integer\n"
+
+    def test_non_utf8_scenario_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(
+            b'{"problem": {"kind": "drive", "exit_payoffs": [0, 4], "terminal_payoff": 1}, '
+            b'"strategies": [{"name": "caf\xff", "kind": "counting"}]}'
+        )
+        code, out, err = run_cli(capsys, "eval", "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"scenario error: cannot read {path}: 'utf-8' codec can't decode")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("literal", ["1" + "0" * 400, "9" * 5000], ids=["int400", "int5000"])
     def test_integer_past_float_range(self, capsys, tmp_path, literal):
@@ -332,4 +358,4 @@ class TestExitCodes:
         # curve prints ceil(1/step) + 1 rows: tiny steps are rejected, not run
         code, out, err = run_cli(capsys, "curve", "--preset", "example1", "--grid-step", step)
         assert (code, out) == (2, "")
-        assert err == "scenario error: --grid-step must be in [1e-06, 1]\n"
+        assert err == "scenario error: --grid-step must be a number in [1e-06, 1]\n"

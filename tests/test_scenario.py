@@ -18,7 +18,7 @@ from absentdriver import (
     preset_scenario,
     scenario_to_document,
 )
-from absentdriver.scenario import PRESETS, NamedStrategy, ScenarioOptions
+from absentdriver.scenario import MAX_TRIALS, PRESETS, NamedStrategy, ScenarioOptions
 
 EXAMPLE1_DOC = """
 {
@@ -228,8 +228,12 @@ class TestParseScenario:
             "problem": {"kind": "drive", "exit_payoffs": [0, 4], "terminal_payoff": 1},
             "strategies": [{"name": "s", "kind": "counting"}],
         }
-        with pytest.raises(ScenarioError, match="no trials"):
-            parse_scenario(json.dumps({**base, "options": {"trials": 0}}))
+        message = r"options: 'trials' must be an integer in \[1, 1000000000\]"
+        for trials in (0, -1, MAX_TRIALS + 1, 10**30, 1e5, True, "10"):
+            with pytest.raises(ScenarioError, match=message):
+                parse_scenario(json.dumps({**base, "options": {"trials": trials}}))
+        largest = parse_scenario(json.dumps({**base, "options": {"trials": MAX_TRIALS}}))
+        assert largest.options.trials == MAX_TRIALS
         with pytest.raises(ScenarioError, match="seed"):
             parse_scenario(json.dumps({**base, "options": {"seed": -4}}))
         with pytest.raises(ScenarioError, match="unknown option"):
@@ -240,6 +244,14 @@ class TestParseScenario:
                 parse_scenario(json.dumps({**base, "options": {"grid_step": step}}))
         smallest = parse_scenario(json.dumps({**base, "options": {"grid_step": 1e-6}}))
         assert smallest.options.grid_step == 1e-6
+
+    def test_overrides_take_the_option_checks(self):
+        scenario = preset_scenario("example1")
+        assert scenario.with_options(trials=MAX_TRIALS, seed=0).options.trials == MAX_TRIALS
+        with pytest.raises(ScenarioError, match=r"^'trials' must be an integer in"):
+            scenario.with_options(trials=MAX_TRIALS + 1)
+        with pytest.raises(ScenarioError, match=r"^--seed must be an unsigned 64-bit integer"):
+            scenario.with_options({"seed": "--seed"}, seed=2**64)
 
 
 class TestRoundTrip:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,28 @@ class TestSimulateDrive:
         counts = np.rint(report.empirical_distribution.probs * 20_000).astype(int)
         assert counts.tolist() == expected
 
+    def test_classical_sample_stream_pinned(self):
+        # A change to the per-step binomial draws that moves a single car
+        # changes these counts; the last case spans three blocks.
+        cases = [
+            (EXAMPLE2, Counting(), 20_000, [4957, 5110, 4888, 5045]),
+            (EXAMPLE2, PerStep((0.2, 0.5, 0.9)), 20_000, [3961, 8125, 7162, 752]),
+            (make_drive_problem([float(i) for i in range(20)], 0.5), Stationary(0.1),
+             2 * BLOCK_SIZE + 5,
+             [12946, 11853, 10628, 9435, 8576, 7876, 6864, 6342, 5743, 5209, 4508, 4085,
+              3731, 3381, 2980, 2610, 2458, 2221, 1975, 1778, 15878]),
+        ]
+        for problem, strategy, trials, expected in cases:
+            report = estimate_payoff(problem, strategy, trials, 11)
+            counts = np.rint(report.empirical_distribution.probs * trials).astype(int)
+            assert counts.tolist() == expected
+
+    def test_certain_exit_lands_only_there(self):
+        problem = make_drive_problem([1.0, 2.0, 3.0, 4.0, 5.0], 6.0)
+        assert landed(problem, PerStep((0.0, 0.0, 1.0, 0.5, 0.5)), 2 * BLOCK_SIZE, 3) == {3}
+        assert landed(problem, PerStep((0.3, 0.2, 1.0, 0.5, 0.5)), 10_000, 3) == {1, 2, 3}
+        assert landed(problem, PerStep((0.0,) * 4 + (1.0,)), 1000, 3) == {5}
+
     @pytest.mark.parametrize("m", range(1, 11))
     def test_first_zero_map_is_exhaustively_right(self, m):
         expected = []
@@ -171,6 +195,28 @@ class TestEstimatePayoff:
             analytic = expected_payoff(problem, strategy)
         report = estimate_payoff(problem, strategy, 200_000, 20260810)
         assert abs(report.mean_payoff - analytic) <= SIGMAS * report.std_error
+
+    def test_per_step_oracle_agreement_at_1024_intersections(self):
+        rng = np.random.default_rng(1024)
+        problem = make_drive_problem(rng.uniform(0.0, 10.0, 1024).tolist(), 5.0)
+        strategy = PerStep(tuple(rng.uniform(0.0, 0.005, 1024).tolist()))
+        report = estimate_payoff(problem, strategy, 1_000_000, 20260810)
+        analytic = expected_payoff(problem, strategy)
+        assert abs(report.mean_payoff - analytic) <= SIGMAS * report.std_error
+
+    def test_classical_blocks_hold_no_per_trial_arrays(self):
+        # Two blocks at m = 1024: the per-step draws need O(m) memory, where a
+        # (65536, m) matrix of uniforms would take 512 MiB.
+        problem = make_drive_problem([1.0] * 1024, 0.0)
+        strategy = PerStep((0.001,) * 1024)
+        estimate_payoff(problem, strategy, 10, 5)  # numpy's first-call setup is not counted
+        tracemalloc.start()
+        try:
+            estimate_payoff(problem, strategy, 2 * BLOCK_SIZE, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_quantum_oracle_agreement(self):
         report = estimate_payoff(EXAMPLE1, Quantum(BELL), 200_000, 20260810)
