@@ -9,8 +9,8 @@
 from absentdriver import (
     SelectionProblem,
     counting_round_values,
+    first_choice_totals,
     optimize_two_round,
-    round_breakdowns,
     selection_improvement,
     two_round_average_polynomial,
     two_round_counting_total,
@@ -18,16 +18,19 @@ from absentdriver import (
 
 courses = SelectionProblem((0, 4, 1, 1))
 
-print("per-first-choice totals with a stationary second round:")
-for b in round_breakdowns(courses):
-    print(f"  choice {b.first_choice}: first payoff {b.first_payoff:g}, "
-          f"total coefficients {b.total_polynomial.coeffs}")
-
+# (1/4)(10 + 6a - 6a^2) in alpha; 2.5 + 1.5b - 1.5b^2 in beta = 1 - alpha
 avg = two_round_average_polynomial(courses)
-print("\nuniform average polynomial:", avg.coeffs)  # (1/4)(10 + 6a - 6a^2)
+print("uniform average polynomial in beta:", avg.beta_coeffs)
 
 best = optimize_two_round(courses)
 print(f"best stationary alpha: {best.alpha_star:g}, total payoff {best.payoff_star:g}")
+
+# Per first choice, 1 + 3a, 5 - a, and 2 + 2a - 3a^2 twice; their mean is
+# the optimum above.
+print("\nper-first-choice totals with a stationary second round at alpha*:")
+totals = first_choice_totals(courses, best.alpha_star)
+for choice, (first, total) in enumerate(zip(courses.destination_payoffs, totals), start=1):
+    print(f"  choice {choice}: first payoff {first:g}, total {total:g}")
 
 print("\ncounting (uniform) second round, per first choice:")
 for first, second in counting_round_values(courses):

@@ -30,9 +30,11 @@ for alpha in (0.0, 0.25, 1 / 3, 0.5, 1.0):
         f"payoff={expected_payoff(two_exits, Stationary(alpha)):.6f}"
     )
 
-# The expected payoff is a polynomial in alpha; here 1 + 2a - 3a^2.
+# The expected payoff is a polynomial in alpha, here 1 + 2a - 3a^2.  It is
+# stored in beta = 1 - alpha, where it reads 4b - 3b^2: each coefficient is
+# the difference of two consecutive payoffs.
 poly = stationary_payoff_polynomial(two_exits)
-print("\npolynomial coefficients (c0, c1, ...):", poly.coeffs)
+print("\npolynomial coefficients in beta (b0, b1, ...):", poly.beta_coeffs)
 
 best = optimize_stationary(two_exits)
 print(f"optimum: alpha*={best.alpha_star:.6f} payoff={best.payoff_star:.6f} ({best.method})")
@@ -40,7 +42,7 @@ print(f"optimum: alpha*={best.alpha_star:.6f} payoff={best.payoff_star:.6f} ({be
 # Growing the highway by one more payoff-1 exit changes nothing: the
 # polynomial's cubic term cancels and the optimum stays at (1/3, 4/3).
 three_exits = make_drive_problem([0, 4, 1], 1)
-print("\nlarger problem coefficients:", stationary_payoff_polynomial(three_exits).coeffs)
+print("\nlarger problem coefficients:", stationary_payoff_polynomial(three_exits).beta_coeffs)
 print("larger problem optimum:", optimize_stationary(three_exits))
 
 # Now give the car (not the driver) a counter.  Exiting with probability

@@ -51,11 +51,10 @@ from .scenario import (
     scenario_to_document,
 )
 from .selection import (
-    RoundBreakdown,
     counting_round_values,
+    first_choice_totals,
     optimize_two_round,
     residual_problem,
-    round_breakdowns,
     selection_improvement,
     two_round_average_polynomial,
     two_round_counting_total,
@@ -75,7 +74,6 @@ __all__ = [
     "PayoffPolynomial",
     "PerStep",
     "Quantum",
-    "RoundBreakdown",
     "Scenario",
     "ScenarioError",
     "ScenarioOptions",
@@ -89,6 +87,7 @@ __all__ = [
     "destination_distribution",
     "estimate_payoff",
     "expected_payoff",
+    "first_choice_totals",
     "first_zero_distribution",
     "make_drive_problem",
     "maximize_polynomial",
@@ -99,7 +98,6 @@ __all__ = [
     "product_state",
     "quantum_expected_payoff",
     "residual_problem",
-    "round_breakdowns",
     "scenario_to_document",
     "selection_improvement",
     "stationary_payoff_polynomial",

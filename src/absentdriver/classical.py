@@ -9,9 +9,7 @@ Everything here is closed form.  With per-step exit probabilities
 For the stationary strategy (all ``p_j = alpha``) the expected payoff is a
 polynomial, stored in ``beta = 1 - alpha``: collecting powers of ``beta``
 turns its coefficients into payoff differences, with none of the
-cancelling binomials of an expansion in ``alpha``.  Evaluation and the
-optimizer work in ``beta``; the ``alpha`` coefficients are derived for
-display.
+cancelling binomials of an expansion in ``alpha``.
 """
 
 from __future__ import annotations
@@ -81,27 +79,14 @@ class PayoffPolynomial:
     def degree(self) -> int:
         return len(self.beta_coeffs) - 1
 
-    @property
-    def coeffs(self) -> tuple[float, ...]:
-        """Coefficients in ``alpha``: ``coeffs[j]`` multiplies ``alpha**j``.
-
-        Derived by Horner's rule in ``1 - alpha``: one O(m) array pass per
-        ``beta`` coefficient, O(m^2) in all, so read it once per use.  The
-        binomials grow past the float range from about ``m = 1030``; such a
-        polynomial has no ``alpha`` view and raises ``ValueError``.
-        """
-        acc = np.zeros(len(self.beta_coeffs))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for c in reversed(self.beta_coeffs):
-                acc[1:] -= acc[:-1]  # multiply by (1 - alpha)
-                acc[0] += c
-        if not np.isfinite(acc).all():
-            raise ValueError("polynomial coefficients must be finite")
-        return tuple(acc.tolist())
-
     def __call__(self, alpha):
-        """Evaluate at a scalar or array of ``alpha`` values."""
-        return npoly.polyval(1.0 - np.asarray(alpha), self.beta_coeffs)
+        """Evaluate at a scalar or array of ``alpha`` values.
+
+        Payoffs near the float limit can overflow; the result is then
+        ``inf`` or ``nan`` without a warning, for the caller to reject.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            return npoly.polyval(1.0 - np.asarray(alpha), self.beta_coeffs)
 
     def __add__(self, shift: float) -> "PayoffPolynomial":
         """The same polynomial shifted by a constant payoff."""

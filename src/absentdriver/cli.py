@@ -17,9 +17,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .classical import destination_distribution, stationary_payoff_polynomial
 from .model import Counting, PerStep, Quantum, SelectionProblem, Stationary
@@ -28,8 +31,8 @@ from .quantum import first_zero_distribution
 from .scenario import PRESETS, Scenario, ScenarioError, parse_scenario, preset_scenario
 from .selection import (
     counting_round_values,
+    first_choice_totals,
     optimize_two_round,
-    round_breakdowns,
     two_round_average_polynomial,
     two_round_counting_total,
 )
@@ -39,8 +42,15 @@ COMMANDS = ("eval", "optimize", "select", "simulate", "curve")
 
 
 def fmt_num(x) -> str:
-    """12 significant digits, no trailing noise (the CSV number format)."""
-    return f"{float(x):.12g}"
+    """12 significant digits, no trailing noise (the CSV number format).
+
+    Every printed number passes through here, so an overflowed result is
+    refused rather than printed as ``inf`` or ``nan``.
+    """
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError("result is not finite")
+    return f"{x:.12g}"
 
 
 def fmt_value(x) -> str:
@@ -53,7 +63,7 @@ def fmt_value(x) -> str:
 
 
 def fmt_poly(coeffs) -> str:
-    """Render c0 + c1*alpha + c2*alpha^2 + ... skipping zero terms."""
+    """Render c0 + c1*beta + c2*beta^2 + ... skipping zero terms."""
     parts = []
     for power, c in enumerate(coeffs):
         if c == 0 and not (power == 0 and len(coeffs) == 1):
@@ -62,7 +72,7 @@ def fmt_poly(coeffs) -> str:
         if power == 0:
             term = magnitude
         else:
-            var = "alpha" if power == 1 else f"alpha^{power}"
+            var = "beta" if power == 1 else f"beta^{power}"
             term = var if abs(c) == 1 else f"{magnitude}*{var}"
         if not parts:
             parts.append(term if c >= 0 else f"-{term}")
@@ -144,19 +154,19 @@ def _run_eval(scenario: Scenario) -> CommandOutput:
 
 def _run_optimize(scenario: Scenario) -> CommandOutput:
     problem = scenario.problem
-    coeffs = stationary_payoff_polynomial(problem).coeffs
+    coeffs = stationary_payoff_polynomial(problem).beta_coeffs
     result = optimize_stationary(problem)
     text = "\n".join(
         [
             _problem_line(problem),
-            f"stationary payoff polynomial: {fmt_poly(coeffs)}",
-            f"coefficients: [{', '.join(fmt_num(c) for c in coeffs)}]",
+            f"stationary payoff polynomial (beta = 1 - alpha): {fmt_poly(coeffs)}",
+            f"beta coefficients: [{', '.join(fmt_num(c) for c in coeffs)}]",
             f"optimum: alpha* = {fmt_value(result.alpha_star)}, "
             f"payoff = {fmt_value(result.payoff_star)}, method = {result.method}",
         ]
     )
     rows = (
-        ("alpha_star", "payoff_star", "method", *(f"c{j}" for j in range(len(coeffs)))),
+        ("alpha_star", "payoff_star", "method", *(f"b{j}" for j in range(len(coeffs)))),
         (result.alpha_star, result.payoff_star, result.method, *coeffs),
     )
     return CommandOutput(text, rows)
@@ -164,53 +174,44 @@ def _run_optimize(scenario: Scenario) -> CommandOutput:
 
 def _run_select(scenario: Scenario) -> CommandOutput:
     sel = scenario.problem
-    breakdowns = round_breakdowns(sel)
     counting_values = counting_round_values(sel)
     avg = two_round_average_polynomial(sel)
     best = optimize_two_round(sel)
+    totals = first_choice_totals(sel, best.alpha_star)
     counting_total = two_round_counting_total(sel)
     improvement = counting_total - best.payoff_star
 
-    totals = [b.total_polynomial.coeffs for b in breakdowns]
     table_rows = []
-    for b, coeffs, (first, second) in zip(breakdowns, totals, counting_values):
+    csv_rows = [
+        ("first_choice", "first_payoff", "counting_second_round", "counting_total",
+         "stationary_total")
+    ]
+    for choice, (total, (first, second)) in enumerate(zip(totals, counting_values), start=1):
         table_rows.append(
             (
-                b.first_choice,
-                fmt_num(b.first_payoff),
-                fmt_poly(coeffs),
+                choice,
+                fmt_num(first),
+                fmt_value(total),
                 f"{fmt_num(first)} + {fmt_value(second)}",
                 fmt_value(first + second),
             )
         )
+        csv_rows.append((choice, first, second, first + second, total))
     text = _problem_line(sel) + "\n\n"
     text += _render_table(
-        ("first choice", "first payoff", "stationary total (alpha)", "counting split",
+        ("first choice", "first payoff", "stationary total at alpha*", "counting split",
          "counting total"),
         table_rows,
     )
     text += "\n\n" + "\n".join(
         [
-            f"average stationary polynomial: {fmt_poly(avg.coeffs)}",
+            f"average stationary polynomial (beta = 1 - alpha): {fmt_poly(avg.beta_coeffs)}",
             f"stationary optimum: alpha* = {fmt_value(best.alpha_star)}, "
             f"payoff = {fmt_value(best.payoff_star)}",
             f"counting average total: {fmt_value(counting_total)}",
             f"counting improvement over optimized stationary: {fmt_value(improvement)}",
         ]
     )
-    degree = max(len(coeffs) for coeffs in totals)
-    csv_rows = [
-        (
-            "first_choice",
-            "first_payoff",
-            "counting_second_round",
-            "counting_total",
-            *(f"total_c{j}" for j in range(degree)),
-        )
-    ]
-    for b, coeffs, (first, second) in zip(breakdowns, totals, counting_values):
-        padded = list(coeffs) + [0.0] * (degree - len(coeffs))
-        csv_rows.append((b.first_choice, first, second, first + second, *padded))
     return CommandOutput(text, tuple(csv_rows))
 
 
@@ -289,7 +290,10 @@ def run_command(command: str, scenario: Scenario) -> CommandOutput:
         raise ScenarioError(
             f"command/problem mismatch: '{command}' needs a drive problem, got selection"
         )
-    return _RUNNERS[command](scenario)
+    # Payoffs near the float limit overflow quietly; the polynomial's own
+    # check and fmt_num turn the inf or nan into a runtime error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _RUNNERS[command](scenario)
 
 
 class _UsageError(Exception):

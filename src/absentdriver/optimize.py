@@ -94,9 +94,13 @@ def maximize_polynomial(poly: PayoffPolynomial) -> OptimizationResult:
 
     The derivative is taken in ``beta``.  Derivatives of degree <= 2 are
     solved in closed form; higher degrees fall back to sign-change bisection
-    over a fixed partition of the interval.
+    over a fixed partition of the interval.  The coefficients are first
+    scaled by a power of two so that no ``j * c_j`` overflows: the roots do
+    not move, and the scaling is exact.
     """
-    deriv = tuple(npoly.polyder(poly.beta_coeffs).tolist())
+    coeffs = np.asarray(poly.beta_coeffs)
+    shift = int(np.frexp(np.abs(coeffs).max())[1]) + coeffs.size.bit_length()
+    deriv = tuple(npoly.polyder(np.ldexp(coeffs, -shift)).tolist())
     while len(deriv) > 1 and deriv[-1] == 0.0:
         deriv = deriv[:-1]
     if len(deriv) <= 3:

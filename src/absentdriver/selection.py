@@ -10,23 +10,11 @@ the terminal role.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .classical import PayoffPolynomial, stationary_payoff_polynomial
-from .model import DriveProblem, SelectionProblem
+from .classical import PayoffPolynomial, destination_distribution, stationary_payoff_polynomial
+from .model import DriveProblem, SelectionProblem, Stationary
 from .optimize import OptimizationResult, maximize_polynomial
-
-
-@dataclass(frozen=True)
-class RoundBreakdown:
-    """One first-choice branch: its payoff and the second-round polynomial."""
-
-    first_choice: int
-    first_payoff: float
-    second_round_polynomial: PayoffPolynomial
-    total_polynomial: PayoffPolynomial
 
 
 def residual_problem(problem: DriveProblem, removed: int) -> DriveProblem:
@@ -44,15 +32,21 @@ def residual_problem(problem: DriveProblem, removed: int) -> DriveProblem:
     return DriveProblem(tuple(remaining[:-1]), remaining[-1])
 
 
-def round_breakdowns(sel: SelectionProblem) -> tuple[RoundBreakdown, ...]:
-    """Per-first-choice totals for the stationary second round, as polynomials."""
-    payoffs = sel.destination_payoffs
-    drive = DriveProblem(payoffs[:-1], payoffs[-1])
-    out = []
-    for choice, first_payoff in enumerate(payoffs, start=1):
-        second = stationary_payoff_polynomial(residual_problem(drive, choice))
-        out.append(RoundBreakdown(choice, first_payoff, second, second + first_payoff))
-    return tuple(out)
+def first_choice_totals(sel: SelectionProblem, alpha: float) -> np.ndarray:
+    """Per first choice: its payoff plus the stationary second round at ``alpha``.
+
+    The second-round distribution ``d`` over survivor slots is the same for
+    every first choice.  Survivors ahead of choice ``c`` keep their slot and
+    those after it move up one, so the second round pays
+    ``sum_(j<c) d_j v_j + sum_(j>=c) d_j v_(j+1)``: a prefix sum plus a
+    suffix sum, O(n) for all choices together.
+    """
+    v = np.asarray(sel.destination_payoffs)
+    # any drive over the n - 1 survivors has this distribution
+    d = destination_distribution(DriveProblem(v[:-2], v[-2]), Stationary(alpha)).probs
+    ahead = np.concatenate(([0.0], np.cumsum(d * v[:-1])))
+    after = np.concatenate((np.cumsum((d * v[1:])[::-1])[::-1], [0.0]))
+    return v + ahead + after
 
 
 def two_round_average_polynomial(sel: SelectionProblem) -> PayoffPolynomial:

@@ -21,6 +21,7 @@ from absentdriver import (
     destination_distribution,
     estimate_payoff,
     expected_payoff,
+    first_choice_totals,
     first_zero_distribution,
     make_drive_problem,
     maximize_polynomial,
@@ -28,7 +29,6 @@ from absentdriver import (
     optimize_two_round,
     product_state,
     quantum_expected_payoff,
-    round_breakdowns,
     selection_improvement,
     stationary_payoff_polynomial,
     two_round_average_polynomial,
@@ -46,6 +46,14 @@ THIRD_EXIT = build_state([("110", 1)])
 
 MC_TRIALS = 1_000_000
 MC_SEED = 20260810
+
+
+def assert_alpha_form(poly, alpha_coeffs):
+    """``poly`` equals ``sum_j alpha_coeffs[j] a^j``: two polynomials of degree
+    ``d`` that agree at ``d + 1`` distinct points are the same polynomial."""
+    points = np.linspace(0.0, 1.0, len(alpha_coeffs))
+    want = np.polynomial.polynomial.polyval(points, alpha_coeffs)
+    assert poly(points) == pytest.approx(want, abs=1e-12)
 
 
 @contextmanager
@@ -67,9 +75,10 @@ def test_criterion_01_example1_stationary_and_optimum():
 
 
 def test_criterion_02_example2_polynomial_and_optimum():
-    with criterion(2, "example 2: coefficients [1, 2, -3, 0], optimum (1/3, 4/3)"):
+    with criterion(2, "example 2: 1 + 2a - 3a^2 (beta [0, 4, -3, 0]), optimum (1/3, 4/3)"):
         poly = stationary_payoff_polynomial(EXAMPLE2)
-        assert poly.coeffs == pytest.approx((1.0, 2.0, -3.0, 0.0), abs=TOL)
+        assert poly.beta_coeffs == pytest.approx((0.0, 4.0, -3.0, 0.0), abs=TOL)
+        assert_alpha_form(poly, (1.0, 2.0, -3.0, 0.0))
         result = maximize_polynomial(poly)
         assert result.alpha_star == pytest.approx(1 / 3, abs=TOL)
         assert result.payoff_star == pytest.approx(4 / 3, abs=TOL)
@@ -94,15 +103,20 @@ def test_criterion_04_counting_beats_stationary_on_examples():
 def test_criterion_05_two_round_selection():
     with criterion(5, "selection (0,4,1,1): avg poly, optimum 23/8, counting 3, gain 1/8"):
         avg = two_round_average_polynomial(SELECTION)
-        assert avg.coeffs == pytest.approx((10 / 4, 6 / 4, -6 / 4), abs=1e-12)
+        assert avg.beta_coeffs == pytest.approx((10 / 4, 6 / 4, -6 / 4), abs=1e-12)
+        assert_alpha_form(avg, (10 / 4, 6 / 4, -6 / 4))
 
-        totals = {b.first_choice: b.total_polynomial for b in round_breakdowns(SELECTION)}
-        assert totals[1].coeffs == pytest.approx((1.0, 3.0, 0.0), abs=1e-12)   # 1 + 3a
-        assert totals[2].coeffs == pytest.approx((5.0, -1.0, 0.0), abs=1e-12)  # 5 - a
+        # per first choice, 1 + 3a and 5 - a: degree 1, so two points each
+        for a in (0.0, 0.5):
+            totals = first_choice_totals(SELECTION, a)
+            assert totals[:2] == pytest.approx((1 + 3 * a, 5 - a), abs=1e-12)
 
         best = optimize_two_round(SELECTION)
         assert best.alpha_star == pytest.approx(0.5, abs=TOL)
         assert best.payoff_star == pytest.approx(23 / 8, abs=TOL)
+        assert first_choice_totals(SELECTION, best.alpha_star).mean() == pytest.approx(
+            23 / 8, abs=TOL
+        )
 
         values = counting_round_values(SELECTION)
         expected = ((0, 2), (4, 2 / 3), (1, 5 / 3), (1, 5 / 3))

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -124,13 +122,14 @@ class TestExpectedPayoff:
 
 class TestStationaryPayoffPolynomial:
     def test_example1_coefficients(self):
-        assert stationary_payoff_polynomial(EXAMPLE1).coeffs == (1.0, 2.0, -3.0)
+        # 4b - 3b^2 with b = 1 - a is the paper's 1 + 2a - 3a^2
+        assert stationary_payoff_polynomial(EXAMPLE1).beta_coeffs == (0.0, 4.0, -3.0)
 
     def test_example2_cubic_term_cancels(self):
-        assert stationary_payoff_polynomial(EXAMPLE2).coeffs == (1.0, 2.0, -3.0, 0.0)
+        assert stationary_payoff_polynomial(EXAMPLE2).beta_coeffs == (0.0, 4.0, -3.0, 0.0)
 
     def test_constant_payoff_problem(self):
-        assert stationary_payoff_polynomial(make_drive_problem([7.0], 7.0)).coeffs == (7.0, 0.0)
+        assert stationary_payoff_polynomial(make_drive_problem([7.0], 7.0)).beta_coeffs == (7.0, 0.0)
 
     @given(
         alpha=st.floats(min_value=0, max_value=1),
@@ -157,23 +156,6 @@ class TestStationaryPayoffPolynomial:
             scale = 1.0 + np.abs(problem.destination_payoffs).max()
             assert np.abs(poly(grid) - direct).max() <= 1e-12 * scale
 
-    @pytest.mark.parametrize("m", [256, 1024])
-    def test_alpha_coefficients_match_exact_expansion(self, m):
-        payoffs = np.random.default_rng(m).uniform(0.0, 10.0, size=m + 1)
-        coeffs = stationary_payoff_polynomial(make_drive_problem(payoffs[:-1], payoffs[-1])).coeffs
-        v = [Fraction(0)] + [Fraction(p) for p in payoffs]
-        beta = [v[j + 1] - v[j] for j in range(m + 1)]
-        scale = max(b.denominator for b in beta)  # a power of two: the payoffs are floats
-        want = [0] * (m + 1)
-        row = [1]  # (-1)^k C(j, k), the coefficients of (1 - a)^j, in exact integers
-        for b in beta:
-            numerator = int(b * scale)
-            for k, c in enumerate(row):
-                want[k] += c * numerator
-            row = [1] + [x - y for x, y in zip(row[1:], row)] + [-row[-1]]
-        for got, exact in zip(coeffs, want):
-            assert abs(Fraction(got) * scale - exact) <= Fraction(abs(exact), 10**12)
-
     def test_bounded_by_payoff_range(self):
         problem = make_drive_problem([2, 5, 3, 1], 0)
         poly = stationary_payoff_polynomial(problem)
@@ -182,11 +164,6 @@ class TestStationaryPayoffPolynomial:
 
 
 class TestPayoffPolynomial:
-    def test_alpha_coefficients_derived_from_beta(self):
-        # 4b - 3b^2 with b = 1 - a is 1 + 2a - 3a^2
-        assert PayoffPolynomial((0.0, 4.0, -3.0)).coeffs == (1.0, 2.0, -3.0)
-        assert PayoffPolynomial((4.0,)).coeffs == (4.0,)
-
     def test_evaluates_in_one_minus_alpha(self):
         poly = PayoffPolynomial((0.0, 4.0, -3.0))
         assert poly(1.0) == 0.0
@@ -201,9 +178,12 @@ class TestPayoffPolynomial:
     def test_rejects_non_finite_coefficients(self):
         with pytest.raises(ValueError, match="must be finite"):
             PayoffPolynomial((1.0, float("nan")))
-        # (1 - a)^1100: the alpha coefficients C(1100, k) pass the float range
-        with pytest.raises(ValueError, match="must be finite"):
-            PayoffPolynomial((0.0,) * 1100 + (1.0,)).coeffs
+
+    def test_overflow_evaluates_quietly(self):
+        # at alpha = 0 Horner's rule sums -1e308 twice; no RuntimeWarning escapes
+        poly = PayoffPolynomial((1e308, -1e308, -1e308))
+        assert poly(0.0) == -np.inf
+        assert poly(1.0) == 1e308
 
     def test_scalar_operations(self):
         # a constant payoff shifts the beta^0 coefficient; nothing else is defined

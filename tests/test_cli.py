@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from absentdriver import parse_scenario
+from absentdriver import Stationary, expected_payoff, make_drive_problem, parse_scenario
 from absentdriver.cli import emit_csv, fmt_num, fmt_poly, fmt_value, main, run_command
 from absentdriver.scenario import MAX_TRIALS
 
@@ -38,9 +38,15 @@ class TestFormatting:
         assert fmt_value(2.0) == "2"
         assert fmt_value(0.123456789) == "0.123456789"
 
+    def test_fmt_num_refuses_non_finite(self):
+        for x in (float("inf"), -float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="result is not finite"):
+                fmt_num(x)
+
     def test_fmt_poly(self):
-        assert fmt_poly((1.0, 2.0, -3.0)) == "1 + 2*alpha - 3*alpha^2"
-        assert fmt_poly((5.0, -1.0, 0.0)) == "5 - alpha"
+        assert fmt_poly((0.0, 4.0, -3.0)) == "4*beta - 3*beta^2"
+        assert fmt_poly((5.0, -1.0, 0.0)) == "5 - beta"
+        assert fmt_poly((2.5, 1.5, -1.5)) == "2.5 + 1.5*beta - 1.5*beta^2"
         assert fmt_poly((0.0,)) == "0"
 
 
@@ -110,13 +116,34 @@ class TestEvalCommand:
         assert code == 0 and "[0.5, 0.5, 0]" in out
 
 
+def _drive_doc(payoffs):
+    return {
+        "problem": {"kind": "drive", "exit_payoffs": payoffs[:-1], "terminal_payoff": payoffs[-1]},
+        "strategies": [{"name": "half", "kind": "stationary", "alpha": 0.5}],
+    }
+
+
+def _selection_doc(payoffs):
+    return {
+        "problem": {"kind": "selection", "destination_payoffs": payoffs},
+        "strategies": [{"name": "s", "kind": "stationary", "alpha": 0.5}],
+    }
+
+
 class TestOptimizeCommand:
-    def test_example2(self, capsys):
-        code, out, _ = run_cli(capsys, "optimize", "--preset", "example2")
+    def test_example2(self, capsys, tmp_path):
+        csv_path = tmp_path / "optimize.csv"
+        code, out, _ = run_cli(capsys, "optimize", "--preset", "example2", "--csv", str(csv_path))
         assert code == 0
+        assert "stationary payoff polynomial (beta = 1 - alpha): 4*beta - 3*beta^2\n" in out
+        assert "beta coefficients: [0, 4, -3, 0]\n" in out
         assert "alpha* = 0.333333333333 (1/3)" in out
         assert "payoff = 1.33333333333 (4/3)" in out
         assert "closed_form" in out
+        assert csv_path.read_text() == (
+            "alpha_star,payoff_star,method,b0,b1,b2,b3\n"
+            "0.333333333333,1.33333333333,closed_form,0,4,-3,0\n"
+        )
 
     def test_large_problem(self, capsys, scenario_file):
         payoffs = np.random.default_rng(1024).uniform(0.0, 10.0, size=1025).round(3).tolist()
@@ -129,31 +156,84 @@ class TestOptimizeCommand:
         payoff = float(re.search(r"payoff = ([^\s,]+)", out).group(1))
         assert payoff <= max(payoffs)
 
-    def test_alpha_coefficients_past_float_range_rejected(self, capsys, scenario_file):
-        payoffs = np.random.default_rng(1100).uniform(0.0, 10.0, size=1101).round(3).tolist()
-        doc = {
-            "problem": {"kind": "drive", "exit_payoffs": payoffs[:-1], "terminal_payoff": payoffs[-1]},
-            "strategies": [{"name": "half", "kind": "stationary", "alpha": 0.5}],
-        }
-        code, out, err = run_cli(capsys, "optimize", "--scenario", scenario_file(doc))
-        assert (code, out) == (3, "")
-        assert err == "runtime error: polynomial coefficients must be finite\n"
+    @pytest.mark.parametrize("m", [1100, 20000])
+    def test_past_alpha_binomial_float_range(self, capsys, scenario_file, m):
+        # the alpha binomials C(m, k) pass the float range from about m = 1030;
+        # the beta coefficients are payoff differences at every size
+        payoffs = np.random.default_rng(m).uniform(0.0, 10.0, size=m + 1).round(3).tolist()
+        code, out, err = run_cli(capsys, "optimize", "--scenario", scenario_file(_drive_doc(payoffs)))
+        assert (code, err) == (0, "")
+        match = re.search(r"optimum: alpha\* = ([^\s,]+).*, payoff = ([^\s,]+)", out)
+        alpha, payoff = float(match.group(1)), float(match.group(2))
+        problem = make_drive_problem(payoffs[:-1], payoffs[-1])
+        at_alpha = expected_payoff(problem, Stationary(alpha))
+        assert payoff == pytest.approx(at_alpha, rel=1e-9)
+        grid = [expected_payoff(problem, Stationary(a)) for a in np.linspace(0.0, 1.0, 201)]
+        assert payoff >= max(grid) - 1e-9
+
+    def test_overflowing_terminal_payoff_is_still_optimized(self, capsys, scenario_file):
+        # payoff(0) evaluates to -inf in beta, but the optimum at alpha = 1 is exact
+        code, out, err = run_cli(
+            capsys, "optimize", "--scenario", scenario_file(_drive_doc([1e308, 0, -1e308]))
+        )
+        assert (code, err) == (0, "")
+        assert "optimum: alpha* = 1, payoff = 1e+308, method = closed_form" in out
+
+    @pytest.mark.parametrize(
+        "payoffs, message",
+        [
+            # payoff(0) evaluates to +inf, the best candidate: never printed
+            ([0, -1e308, 0, 1e308], "result is not finite"),
+            # 1e308 - (-1e308): a payoff difference past the float range
+            ([1e308, -1e308, 1e308], "polynomial coefficients must be finite"),
+        ],
+        ids=["payoff", "coefficient"],
+    )
+    def test_non_finite_result_is_runtime_error(self, capsys, scenario_file, payoffs, message):
+        code, out, err = run_cli(capsys, "optimize", "--scenario", scenario_file(_drive_doc(payoffs)))
+        assert (code, out, err) == (3, "", f"runtime error: {message}\n")
 
 
 class TestSelectCommand:
-    def test_selection_example_report(self, capsys):
-        code, out, _ = run_cli(capsys, "select", "--preset", "selection-example")
+    def test_selection_example_report(self, capsys, tmp_path):
+        csv_path = tmp_path / "select.csv"
+        code, out, _ = run_cli(
+            capsys, "select", "--preset", "selection-example", "--csv", str(csv_path)
+        )
         assert code == 0
         assert "alpha* = 0.5 (1/2)" in out
         assert "2.875 (23/8)" in out
         assert "counting average total: 3" in out
         assert "0.125 (1/8)" in out
-        assert "1 + 3*alpha" in out
-        assert "5 - alpha" in out
+        assert "average stationary polynomial (beta = 1 - alpha): 2.5 + 1.5*beta - 1.5*beta^2" in out
+        # per first choice at alpha* = 1/2: 1 + 3a, 5 - a, 2 + 2a - 3a^2 twice
+        rows = out.split("\n\n")[1].splitlines()[2:]
+        assert [row.split()[2] for row in rows] == ["2.5", "4.5", "2.25", "2.25"]
+        assert csv_path.read_text().splitlines() == [
+            "first_choice,first_payoff,counting_second_round,counting_total,stationary_total",
+            "1,0,2,2,2.5",
+            "2,4,0.666666666667,4.66666666667,4.5",
+            "3,1,1.66666666667,2.66666666667,2.25",
+            "4,1,1.66666666667,2.66666666667,2.25",
+        ]
 
-    def test_one_residual_drive_per_first_choice(self, capsys, scenario_file, monkeypatch):
-        # the averaged polynomial, the counting round and the optimum need no
-        # residual drives; only the per-first-choice table builds them
+    def test_large_selection_output_is_linear(self, capsys, scenario_file):
+        # one value per first choice: a polynomial per row made this 30 MB
+        n = 1000
+        payoffs = np.random.default_rng(n).uniform(0.0, 10.0, size=n).round(3).tolist()
+        code, out, err = run_cli(capsys, "select", "--scenario", scenario_file(_selection_doc(payoffs)))
+        assert (code, err) == (0, "")
+        assert len(out.encode()) < 200_000
+
+    def test_non_finite_total_is_runtime_error(self, capsys, scenario_file):
+        # first pick 1e308 plus a second round near 1e308 passes the float range
+        path = scenario_file(_selection_doc([1e308, -1e308, 1e308]))
+        code, out, err = run_cli(capsys, "select", "--scenario", path)
+        assert (code, out, err) == (3, "", "runtime error: result is not finite\n")
+
+    def test_no_residual_drives(self, capsys, scenario_file, monkeypatch):
+        # the averaged polynomial, the per-choice totals, the counting round
+        # and the optimum are all closed forms over the payoff list
         import absentdriver.cli as cli
         import absentdriver.selection as selection
 
@@ -180,7 +260,7 @@ class TestSelectCommand:
             }
         )
         assert run_cli(capsys, "select", "--scenario", path)[0] == 0
-        assert calls == {"residual_problem": n, "optimize_two_round": 1}
+        assert calls == {"residual_problem": 0, "optimize_two_round": 1}
 
 
 class TestSimulateCommand:
@@ -265,6 +345,12 @@ class TestCurveCommand:
         )
         assert code == 0
         assert out == "alpha,payoff\n0,1\n0.5,1.25\n1,0\n"
+
+    def test_overflowing_point_is_runtime_error(self, capsys, scenario_file):
+        # payoff(0) is the terminal -1e308, but Horner's rule in beta reaches -inf
+        path = scenario_file(_drive_doc([1e308, 0, -1e308]))
+        code, out, err = run_cli(capsys, "curve", "--scenario", path)
+        assert (code, out, err) == (3, "", "runtime error: result is not finite\n")
 
     def test_csv_file_matches_stdout(self, capsys, tmp_path):
         csv_path = tmp_path / "curve.csv"

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package in ``src/``."""
+"""Every demo script runs to completion against the package in ``src/``,
+under the suite's warning policy: a ``RuntimeWarning`` is an error."""
 
 import os
 import subprocess
@@ -20,7 +21,7 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True,
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -224,3 +224,35 @@ class TestLargeSizes:
             for c in range(1, n + 1)
         ])
         assert result.payoff_star == pytest.approx(direct, abs=tol)
+
+
+class TestPayoffMagnitude:
+    """The derivative is taken on coefficients scaled by a power of two."""
+
+    def test_payoffs_near_float_max(self):
+        # unscaled, j * c_j overflows the derivative and the optimum falls
+        # below the grid maximum in about a third of these problems
+        rng = np.random.default_rng(0)
+        big = np.finfo(float).max / 4
+        grid = np.linspace(0.0, 1.0, 1001)
+        for _ in range(40):
+            m = int(rng.integers(1, 401))
+            payoffs = rng.uniform(-big, big, size=m + 1)
+            problem = make_drive_problem(payoffs[:-1], payoffs[-1])
+            poly = stationary_payoff_polynomial(problem)
+            result = maximize_polynomial(poly)
+            tol = 1e-9 * big
+            assert result.payoff_star >= float(poly(grid).max()) - tol
+            assert result.payoff_star == pytest.approx(
+                expected_payoff(problem, Stationary(result.alpha_star)), abs=tol
+            )
+
+    @pytest.mark.parametrize("exponent", [-900, -40, 40, 900])
+    def test_power_of_two_scaling_is_exact(self, exponent):
+        payoffs = np.random.default_rng(31).uniform(0.0, 10.0, size=65)
+        base = optimize_stationary(make_drive_problem(payoffs[:-1], payoffs[-1]))
+        scaled = np.ldexp(payoffs, exponent)
+        result = optimize_stationary(make_drive_problem(scaled[:-1], scaled[-1]))
+        assert result.method == base.method == "numeric"
+        assert result.alpha_star == base.alpha_star
+        assert result.payoff_star == math.ldexp(base.payoff_star, exponent)

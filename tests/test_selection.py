@@ -6,12 +6,13 @@ import pytest
 from absentdriver import (
     Counting,
     SelectionProblem,
+    Stationary,
     counting_round_values,
     expected_payoff,
+    first_choice_totals,
     make_drive_problem,
     optimize_two_round,
     residual_problem,
-    round_breakdowns,
     selection_improvement,
     two_round_average_polynomial,
     two_round_counting_total,
@@ -27,10 +28,6 @@ def brute_force_counting_total(payoffs):
     for i, j in permutations(range(n), 2):
         total += (payoffs[i] + payoffs[j]) / (n * (n - 1))
     return total
-
-
-def padded(coeffs, length):
-    return tuple(coeffs) + (0.0,) * (length - len(coeffs))
 
 
 class TestResidualProblem:
@@ -68,35 +65,40 @@ class TestResidualProblem:
             assert list(residual.destination_payoffs) == expected
 
 
-class TestRoundBreakdowns:
-    def test_example_per_choice_totals(self):
-        totals = {b.first_choice: b.total_polynomial.coeffs for b in round_breakdowns(SELECTION_EXAMPLE)}
-        assert totals[1] == pytest.approx(padded((1.0, 3.0), 3))      # 1 + 3a
-        assert totals[2] == pytest.approx(padded((5.0, -1.0), 3))     # 5 - a
-        assert totals[3] == pytest.approx((2.0, 2.0, -3.0))
-        assert totals[4] == pytest.approx((2.0, 2.0, -3.0))
+ALPHAS = (0.0, 0.2, 1 / 3, 0.5, 0.9, 1.0)
 
-    def test_total_is_first_payoff_plus_second_round(self):
-        for b in round_breakdowns(SELECTION_EXAMPLE):
-            expected = (b.second_round_polynomial + b.first_payoff).coeffs
-            assert b.total_polynomial.coeffs == pytest.approx(expected, abs=0)
+
+class TestFirstChoiceTotals:
+    def test_example_per_choice_totals(self):
+        # the paper's per-choice polynomials: 1 + 3a, 5 - a, and 2 + 2a - 3a^2 twice
+        for a in ALPHAS:
+            want = (1 + 3 * a, 5 - a, 2 + 2 * a - 3 * a * a, 2 + 2 * a - 3 * a * a)
+            assert first_choice_totals(SELECTION_EXAMPLE, a) == pytest.approx(want, abs=1e-12)
+
+    def test_mean_at_optimum_is_payoff_star(self):
+        best = optimize_two_round(SELECTION_EXAMPLE)
+        totals = first_choice_totals(SELECTION_EXAMPLE, best.alpha_star)
+        assert totals == pytest.approx((2.5, 4.5, 2.25, 2.25), abs=1e-12)
+        assert totals.mean() == pytest.approx(best.payoff_star, abs=1e-12)
+        assert best.payoff_star == pytest.approx(23 / 8, abs=1e-12)
 
 
 class TestTwoRoundAveragePolynomial:
     def test_example_coefficients(self):
+        # 2.5 + 1.5b - 1.5b^2 with b = 1 - a is the paper's (1/4)(10 + 6a - 6a^2)
         poly = two_round_average_polynomial(SELECTION_EXAMPLE)
-        assert poly.coeffs == pytest.approx((10 / 4, 6 / 4, -6 / 4), abs=1e-12)
+        assert poly.beta_coeffs == pytest.approx((10 / 4, 6 / 4, -6 / 4), abs=1e-12)
 
     def test_all_zero_payoffs(self):
         poly = two_round_average_polynomial(SelectionProblem((0.0, 0.0, 0.0)))
-        assert poly.coeffs == pytest.approx((0.0, 0.0), abs=0)
+        assert poly.beta_coeffs == pytest.approx((0.0, 0.0), abs=0)
 
     def test_two_destination_edge(self):
         poly = two_round_average_polynomial(SelectionProblem((3.0, 8.0)))
-        assert poly.coeffs == pytest.approx((11.0,), abs=0)
+        assert poly.beta_coeffs == pytest.approx((11.0,), abs=0)
 
 
-@pytest.mark.parametrize("n", [2, 3, 64, 200])
+@pytest.mark.parametrize("n", [2, 3, 50, 64, 200, 400])
 class TestClosedFormsAgainstResidualDrives:
     """The O(n) closed forms against the per-first-choice drives they replace."""
 
@@ -105,11 +107,21 @@ class TestClosedFormsAgainstResidualDrives:
         payoffs = np.random.default_rng(n).uniform(0.0, 10.0, size=n)
         return payoffs, SelectionProblem(tuple(payoffs)), 1e-12 * (1.0 + np.abs(payoffs).max())
 
-    def test_average_polynomial_is_mean_of_breakdown_totals(self, n):
+    def test_first_choice_totals_match_residual_drives(self, n):
         payoffs, sel, tol = self.case(n)
-        totals = [b.total_polynomial.beta_coeffs for b in round_breakdowns(sel)]
-        got = two_round_average_polynomial(sel).beta_coeffs
-        assert np.abs(np.subtract(got, np.mean(totals, axis=0))).max() <= tol
+        drive = make_drive_problem(payoffs[:-1], payoffs[-1])
+        for a in ALPHAS:
+            want = [
+                payoffs[c - 1] + expected_payoff(residual_problem(drive, c), Stationary(a))
+                for c in range(1, n + 1)
+            ]
+            assert np.abs(first_choice_totals(sel, a) - want).max() <= tol
+
+    def test_average_polynomial_is_mean_of_first_choice_totals(self, n):
+        payoffs, sel, tol = self.case(n)
+        poly = two_round_average_polynomial(sel)
+        for a in ALPHAS:
+            assert abs(first_choice_totals(sel, a).mean() - float(poly(a))) <= tol
 
     def test_counting_values_match_residual_drives(self, n):
         payoffs, sel, tol = self.case(n)
