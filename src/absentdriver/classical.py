@@ -14,7 +14,8 @@ cancelling binomials of an expansion in ``alpha``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -63,9 +64,17 @@ class PayoffPolynomial:
     ``beta_coeffs[j]`` multiplies ``(1 - alpha)**j``.  Trailing zero
     coefficients are kept as given (the degree-``m`` term of an
     ``m``-intersection problem can cancel exactly).
+
+    ``scaled`` is ``(beta_coeffs * 2**-shift, shift)`` for the smallest
+    ``shift >= 0`` that keeps every Horner step of the polynomial and of its
+    derivative inside the float range for ``|beta| <= 1``: those steps are
+    bounded by ``sum_j j |c_j| < 2**(e + 2 b)``, with ``2**e > max |c_j|``
+    and ``2**b`` above the coefficient count.  Scaling by a power of two is
+    exact, and ordinary payoffs get ``shift = 0``.
     """
 
     beta_coeffs: tuple[float, ...]
+    scaled: tuple[np.ndarray, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         coeffs = tuple(float(c) for c in self.beta_coeffs)
@@ -74,6 +83,9 @@ class PayoffPolynomial:
         if not np.isfinite(coeffs).all():
             raise ValueError("polynomial coefficients must be finite")
         object.__setattr__(self, "beta_coeffs", coeffs)
+        bound = math.frexp(max(map(abs, coeffs)))[1] + 2 * len(coeffs).bit_length()
+        shift = max(0, bound - 1023)
+        object.__setattr__(self, "scaled", (np.ldexp(coeffs, -shift), shift))
 
     @property
     def degree(self) -> int:
@@ -82,11 +94,11 @@ class PayoffPolynomial:
     def __call__(self, alpha):
         """Evaluate at a scalar or array of ``alpha`` values.
 
-        Payoffs near the float limit can overflow; the result is then
-        ``inf`` or ``nan`` without a warning, for the caller to reject.
+        Evaluation runs on the scaled coefficients, so for ``alpha`` in
+        [0, 1] the result overflows only where the true value does.
         """
-        with np.errstate(over="ignore", invalid="ignore"):
-            return npoly.polyval(1.0 - np.asarray(alpha), self.beta_coeffs)
+        coeffs, shift = self.scaled
+        return np.ldexp(npoly.polyval(1.0 - np.asarray(alpha), coeffs), shift)
 
     def __add__(self, shift: float) -> "PayoffPolynomial":
         """The same polynomial shifted by a constant payoff."""

@@ -290,8 +290,8 @@ def run_command(command: str, scenario: Scenario) -> CommandOutput:
         raise ScenarioError(
             f"command/problem mismatch: '{command}' needs a drive problem, got selection"
         )
-    # Payoffs near the float limit overflow quietly; the polynomial's own
-    # check and fmt_num turn the inf or nan into a runtime error.
+    # A result past the float range overflows quietly here, and the
+    # polynomial's checks or fmt_num turn the inf or nan into a runtime error.
     with np.errstate(over="ignore", invalid="ignore"):
         return _RUNNERS[command](scenario)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -77,30 +76,21 @@ def _bisection_roots(deriv: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(roots)
 
 
-def _best_candidate(values: Callable[[float], float], candidates) -> tuple[float, float]:
-    """Smallest argument achieving the strictly greatest value."""
-    best_x = None
-    best_y = -math.inf
-    for x in sorted(candidates):
-        y = values(x)
-        if y > best_y:
-            best_x, best_y = x, y
-    assert best_x is not None
-    return best_x, best_y
-
-
 def maximize_polynomial(poly: PayoffPolynomial) -> OptimizationResult:
     """Global maximum of the polynomial over [0, 1].
 
     The derivative is taken in ``beta``.  Derivatives of degree <= 2 are
     solved in closed form; higher degrees fall back to sign-change bisection
-    over a fixed partition of the interval.  The coefficients are first
-    scaled by a power of two so that no ``j * c_j`` overflows: the roots do
-    not move, and the scaling is exact.
+    over a fixed partition of the interval.  The derivative is taken on
+    ``PayoffPolynomial.scaled`` coefficients, so no ``j * c_j`` overflows,
+    and then scaled by a power of two to unit size, which does not move its
+    roots.  A candidate whose payoff is outside the float range is refused,
+    never skipped.
     """
-    coeffs = np.asarray(poly.beta_coeffs)
-    shift = int(np.frexp(np.abs(coeffs).max())[1]) + coeffs.size.bit_length()
-    deriv = tuple(npoly.polyder(np.ldexp(coeffs, -shift)).tolist())
+    deriv = npoly.polyder(poly.scaled[0])
+    # roots are scale-free, but the quadratic formula squares coefficients
+    # and the sign tests need normal floats: bring the largest near 1
+    deriv = tuple(np.ldexp(deriv, -math.frexp(np.abs(deriv).max())[1]).tolist())
     while len(deriv) > 1 and deriv[-1] == 0.0:
         deriv = deriv[:-1]
     if len(deriv) <= 3:
@@ -111,8 +101,12 @@ def maximize_polynomial(poly: PayoffPolynomial) -> OptimizationResult:
         method = "numeric"
     candidates = {0.0, 1.0}
     candidates.update(1.0 - r for r in interior if 0.0 < r < 1.0)
-    alpha, payoff = _best_candidate(lambda x: float(poly(x)), candidates)
-    return OptimizationResult(alpha, payoff, method)
+    xs = sorted(candidates)
+    ys = [float(poly(x)) for x in xs]
+    if not all(map(math.isfinite, ys)):
+        raise ValueError("result is not finite")
+    best = ys.index(max(ys))  # the first maximum: the smallest alpha
+    return OptimizationResult(xs[best], ys[best], method)
 
 
 def optimize_stationary(problem: DriveProblem) -> OptimizationResult:

@@ -179,11 +179,23 @@ class TestPayoffPolynomial:
         with pytest.raises(ValueError, match="must be finite"):
             PayoffPolynomial((1.0, float("nan")))
 
-    def test_overflow_evaluates_quietly(self):
-        # at alpha = 0 Horner's rule sums -1e308 twice; no RuntimeWarning escapes
+    def test_horner_steps_past_float_range_evaluate_exactly(self):
+        # unscaled, Horner's rule at alpha = 0 reaches -1e308 - 1e308 = -inf
         poly = PayoffPolynomial((1e308, -1e308, -1e308))
-        assert poly(0.0) == -np.inf
+        assert poly.scaled[1] == 5
+        assert poly(0.0) == -1e308
         assert poly(1.0) == 1e308
+
+    def test_ordinary_coefficients_are_not_scaled(self):
+        coeffs = (0.0, 4.0, -3.0, 0.0)
+        scaled, shift = PayoffPolynomial(coeffs).scaled
+        assert shift == 0
+        assert tuple(scaled) == coeffs
+
+    def test_overflowing_value_is_infinite(self):
+        # 1e308 + 1e308 is past the float range itself
+        with np.errstate(over="ignore"):
+            assert PayoffPolynomial((1e308, 1e308))(0.0) == np.inf
 
     def test_scalar_operations(self):
         # a constant payoff shifts the beta^0 coefficient; nothing else is defined

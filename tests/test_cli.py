@@ -5,7 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from absentdriver import Stationary, expected_payoff, make_drive_problem, parse_scenario
+from absentdriver import (
+    Stationary,
+    expected_payoff,
+    make_drive_problem,
+    parse_scenario,
+    residual_problem,
+)
 from absentdriver.cli import emit_csv, fmt_num, fmt_poly, fmt_value, main, run_command
 from absentdriver.scenario import MAX_TRIALS
 
@@ -171,27 +177,29 @@ class TestOptimizeCommand:
         grid = [expected_payoff(problem, Stationary(a)) for a in np.linspace(0.0, 1.0, 201)]
         assert payoff >= max(grid) - 1e-9
 
-    def test_overflowing_terminal_payoff_is_still_optimized(self, capsys, scenario_file):
-        # payoff(0) evaluates to -inf in beta, but the optimum at alpha = 1 is exact
-        code, out, err = run_cli(
-            capsys, "optimize", "--scenario", scenario_file(_drive_doc([1e308, 0, -1e308]))
-        )
-        assert (code, err) == (0, "")
-        assert "optimum: alpha* = 1, payoff = 1e+308, method = closed_form" in out
-
     @pytest.mark.parametrize(
-        "payoffs, message",
+        "payoffs, optimum",
         [
-            # payoff(0) evaluates to +inf, the best candidate: never printed
-            ([0, -1e308, 0, 1e308], "result is not finite"),
-            # 1e308 - (-1e308): a payoff difference past the float range
-            ([1e308, -1e308, 1e308], "polynomial coefficients must be finite"),
+            # unscaled, Horner's rule gives payoff(0) = -inf, beside the true -1e308
+            ([1e308, 0, -1e308], "alpha* = 1, payoff = 1e+308, method = closed_form"),
+            # and +inf here, beside the true maximum 1e308
+            ([0, -1e308, 0, 1e308], "alpha* = 0, payoff = 1e+308, method = closed_form"),
+            # and -inf for every alpha < 0.353, which hid the maximum at alpha = 0
+            ([-1.7e308] * 4 + [5e306, 1e308, -7e307, -8.5e307],
+             "alpha* = 0, payoff = -8.5e+307, method = numeric"),
         ],
-        ids=["payoff", "coefficient"],
+        ids=["minimum", "maximum", "hidden-maximum"],
     )
-    def test_non_finite_result_is_runtime_error(self, capsys, scenario_file, payoffs, message):
+    def test_horner_steps_past_float_range(self, capsys, scenario_file, payoffs, optimum):
         code, out, err = run_cli(capsys, "optimize", "--scenario", scenario_file(_drive_doc(payoffs)))
-        assert (code, out, err) == (3, "", f"runtime error: {message}\n")
+        assert (code, err) == (0, "")
+        assert f"optimum: {optimum}\n" in out
+
+    def test_non_finite_coefficient_is_runtime_error(self, capsys, scenario_file):
+        # 1e308 - (-1e308): a payoff difference past the float range
+        path = scenario_file(_drive_doc([1e308, -1e308, 1e308]))
+        code, out, err = run_cli(capsys, "optimize", "--scenario", path)
+        assert (code, out, err) == (3, "", "runtime error: polynomial coefficients must be finite\n")
 
 
 class TestSelectCommand:
@@ -230,6 +238,27 @@ class TestSelectCommand:
         path = scenario_file(_selection_doc([1e308, -1e308, 1e308]))
         code, out, err = run_cli(capsys, "select", "--scenario", path)
         assert (code, out, err) == (3, "", "runtime error: result is not finite\n")
+
+    def test_maximum_behind_an_overflowing_horner_step(self, capsys, scenario_file):
+        # unscaled, the averaged polynomial reached -inf on the way to the
+        # true maximum, and alpha* = 1 (payoff -6.43e307) was printed instead
+        payoffs = [-6.2e307, -6.2e307, 1.31e308, 1.31e308, -7.6e307, -7.6e307]
+        code, out, err = run_cli(capsys, "select", "--scenario", scenario_file(_selection_doc(payoffs)))
+        assert (code, err) == (0, "")
+        match = re.search(r"stationary optimum: alpha\* = ([^\s,]+), payoff = ([^\s,]+)", out)
+        alpha, payoff = float(match.group(1)), float(match.group(2))
+        drive = make_drive_problem(payoffs[:-1], payoffs[-1])
+
+        def direct(a):
+            # the mean of the row totals, summed in shares: their plain sum overflows
+            n = len(payoffs)
+            return sum(
+                (payoffs[c - 1] + expected_payoff(residual_problem(drive, c), Stationary(a))) / n
+                for c in range(1, n + 1)
+            )
+
+        assert payoff == pytest.approx(direct(alpha), rel=1e-9)
+        assert payoff >= max(direct(a) for a in np.linspace(0.0, 1.0, 201))
 
     def test_no_residual_drives(self, capsys, scenario_file, monkeypatch):
         # the averaged polynomial, the per-choice totals, the counting round
@@ -346,11 +375,16 @@ class TestCurveCommand:
         assert code == 0
         assert out == "alpha,payoff\n0,1\n0.5,1.25\n1,0\n"
 
-    def test_overflowing_point_is_runtime_error(self, capsys, scenario_file):
-        # payoff(0) is the terminal -1e308, but Horner's rule in beta reaches -inf
+    def test_horner_step_past_float_range(self, capsys, scenario_file):
+        # payoff(0) is the terminal -1e308; unscaled, Horner's rule reached -inf
         path = scenario_file(_drive_doc([1e308, 0, -1e308]))
+        code, out, err = run_cli(capsys, "curve", "--scenario", path, "--grid-step", "0.5")
+        assert (code, out, err) == (0, "alpha,payoff\n0,-1e+308\n0.5,2.5e+307\n1,1e+308\n", "")
+
+    def test_non_finite_coefficient_is_runtime_error(self, capsys, scenario_file):
+        path = scenario_file(_drive_doc([1e308, -1e308, 1e308]))
         code, out, err = run_cli(capsys, "curve", "--scenario", path)
-        assert (code, out, err) == (3, "", "runtime error: result is not finite\n")
+        assert (code, out, err) == (3, "", "runtime error: polynomial coefficients must be finite\n")
 
     def test_csv_file_matches_stdout(self, capsys, tmp_path):
         csv_path = tmp_path / "curve.csv"

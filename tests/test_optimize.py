@@ -227,7 +227,7 @@ class TestLargeSizes:
 
 
 class TestPayoffMagnitude:
-    """The derivative is taken on coefficients scaled by a power of two."""
+    """Roots and values are computed on coefficients scaled by a power of two."""
 
     def test_payoffs_near_float_max(self):
         # unscaled, j * c_j overflows the derivative and the optimum falls
@@ -247,7 +247,8 @@ class TestPayoffMagnitude:
                 expected_payoff(problem, Stationary(result.alpha_star)), abs=tol
             )
 
-    @pytest.mark.parametrize("exponent", [-900, -40, 40, 900])
+    # from 1010 on the polynomial scales its coefficients internally
+    @pytest.mark.parametrize("exponent", [-900, -40, 40, 900, 1010])
     def test_power_of_two_scaling_is_exact(self, exponent):
         payoffs = np.random.default_rng(31).uniform(0.0, 10.0, size=65)
         base = optimize_stationary(make_drive_problem(payoffs[:-1], payoffs[-1]))
@@ -256,3 +257,27 @@ class TestPayoffMagnitude:
         assert result.method == base.method == "numeric"
         assert result.alpha_star == base.alpha_star
         assert result.payoff_star == math.ldexp(base.payoff_star, exponent)
+
+    @pytest.mark.parametrize("exponent", [-1000, -900, 900, 1000])
+    def test_closed_form_at_any_magnitude(self, exponent):
+        # a quadratic derivative: unnormalized, b * b under- or overflows
+        payoffs = [math.ldexp(v, exponent) for v in (0.0, 1.0, 3.0, 1.0)]
+        result = optimize_stationary(make_drive_problem(payoffs[:-1], payoffs[-1]))
+        base = optimize_stationary(make_drive_problem([0.0, 1.0, 3.0], 1.0))
+        assert result.method == base.method == "closed_form"
+        assert result.alpha_star == base.alpha_star > 0.0
+        assert result.payoff_star == math.ldexp(base.payoff_star, exponent)
+
+    def test_maximum_behind_an_overflowing_horner_step(self):
+        # unscaled, -1.7e308 - 0.15e308 * beta is -inf for alpha < 0.353,
+        # which hid the maximum at alpha = 0 behind the finite values
+        problem = make_drive_problem([-1.7e308] * 4 + [5e306, 1e308, -7e307], -8.5e307)
+        result = optimize_stationary(problem)
+        assert result.alpha_star == 0.0
+        assert result.payoff_star == pytest.approx(-8.5e307, rel=1e-15)
+
+    def test_payoff_past_float_range_refused(self):
+        # payoff(0) = 2e308: the maximum itself is not a float
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="result is not finite"):
+                maximize_polynomial(PayoffPolynomial((1e308, 1e308)))
