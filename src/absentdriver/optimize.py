@@ -64,7 +64,9 @@ def _bisection_roots(deriv: tuple[float, ...]) -> tuple[float, ...]:
         lo, hi, ylo = float(xs[i]), float(xs[i + 1]), float(ys[i])
         while hi - lo > _BISECT_WIDTH:
             mid = (lo + hi) / 2.0
-            ymid = float(npoly.polyval(mid, deriv))
+            ymid = 0.0  # Horner's rule on Python floats, as polyval steps
+            for c in reversed(deriv):
+                ymid = ymid * mid + c
             if ymid == 0.0:
                 lo = hi = mid
                 break

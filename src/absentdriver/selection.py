@@ -10,6 +10,8 @@ the terminal role.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .classical import PayoffPolynomial, destination_distribution, stationary_payoff_polynomial
@@ -71,11 +73,14 @@ def counting_round_values(sel: SelectionProblem) -> tuple[tuple[float, float], .
     """Per first choice: (first payoff, counting payoff of the residual round).
 
     The counting strategy hits each of the ``n - 1`` survivors with
-    probability ``1/(n - 1)``, so the second entry is their mean.
+    probability ``1/(n - 1)``, so the second entry is their mean.  Payoffs
+    are summed scaled by the power of two that keeps the sum in float range.
     """
     payoffs = sel.destination_payoffs
-    total = sum(payoffs)
-    return tuple((v, (total - v) / (len(payoffs) - 1)) for v in payoffs)
+    n = len(payoffs)
+    scale = 2.0 ** max(0, math.frexp(max(map(abs, payoffs)))[1] + n.bit_length() - 1023)
+    total = sum(v / scale for v in payoffs)
+    return tuple((v, (total - v / scale) / (n - 1) * scale) for v in payoffs)
 
 
 def two_round_counting_total(sel: SelectionProblem) -> float:

@@ -6,15 +6,17 @@ from numpy's PCG64 generator seeded with ``SeedSequence([seed, b])``, and the
 per-block tallies are plain integer destination counts, so any execution
 order - serial or parallel - merges to bit-identical reports.
 
-A classical block drives its ``n`` cars as one population: at intersection
-``j`` a binomial draw of the ``left`` cars still on the highway exits, with
-the strategy's step exit probability, and whoever is left at the end reaches
-the terminal.  That is the conditional-binomial method for multinomial
-variates (Davis, Comput. Stat. Data Anal. 16(2), 1993): the counts have the
-distribution of ``n`` separate drives, for O(m) draws, not ``n * m``
-uniforms.  The draws use only the per-step probabilities, never the product
-form of the closed-form distribution they check.  A quantum block draws one
-uniform per trial and picks a stored basis string by inverse CDF.
+A block drives its ``n`` cars as one population: at intersection ``j`` a
+binomial draw of the ``left`` cars still on the highway exits, with the
+step exit probability, and whoever is left at the end reaches the terminal.
+That is the conditional-binomial method for multinomial variates (Davis,
+Comput. Stat. Data Anal. 16(2), 1993): the counts have the distribution of
+``n`` separate drives, for O(m) draws, not ``n * m`` uniforms.  A classical
+strategy supplies its step probabilities, so its draws never use the product
+form they check.  A quantum plan exits at ``j`` when qubit ``j`` reads 0 given
+that qubits ``1..j-1`` read 1, with probability ``d_j / (d_j + ... + d_(m+1))``
+over the first-zero distribution ``d``: simulating a plan checks the sampler,
+not the first-zero map.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .classical import DestinationDistribution, step_exit_probabilities
 from .model import DriveProblem, Quantum, Strategy
-from .quantum import check_qubit_count, first_zero_destination
+from .quantum import check_qubit_count, first_zero_distribution
 
 BLOCK_SIZE = 1 << 16
 _MAX_SEED = 2**64
@@ -42,10 +44,6 @@ class SimulationReport:
     seed: int
 
 
-def _block_rng(seed: int, block: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, block]))
-
-
 def estimate_payoff(
     problem: DriveProblem, strategy: Strategy, trials: int, seed: int
 ) -> SimulationReport:
@@ -57,34 +55,27 @@ def estimate_payoff(
 
     k = problem.num_destinations
     m = problem.num_intersections
-    quantum = isinstance(strategy, Quantum)
-    if quantum:
-        state = strategy.state
-        check_qubit_count(state, m)
-        # The same draws as a cumsum over all 2**m strings (adding 0.0 is exact);
-        # a draw at or past the rounded total takes the extra terminal slot.
-        cum = np.cumsum(state.probabilities)
-        term_dest = np.append(first_zero_destination(state.indices, m), m + 1)
+    if isinstance(strategy, Quantum):
+        check_qubit_count(strategy.state, m)
+        d = first_zero_distribution(strategy.state).probs
+        tail = np.cumsum(d[::-1])[:0:-1]  # d_j + ... + d_(m+1) >= d_j in floats
+        # a one-term tail gives exactly 1; no car reaches a step of tail 0
+        steps = np.divide(d[:m], tail, out=np.ones(m), where=tail > 0.0).tolist()
     else:
         steps = step_exit_probabilities(problem, strategy).tolist()
 
     counts = np.zeros(k, dtype=np.int64)
     for block in range((trials + BLOCK_SIZE - 1) // BLOCK_SIZE):
-        n = min(BLOCK_SIZE, trials - block * BLOCK_SIZE)
-        rng = _block_rng(seed, block)
-        if quantum:
-            dest = term_dest[np.searchsorted(cum, rng.random(n), side="right")]
-            counts += np.bincount(dest - 1, minlength=k)
-        else:
-            tally = [0] * k
-            left = n
-            for j, p in enumerate(steps):
-                tally[j] = out = rng.binomial(left, p)
-                left -= out
-                if left == 0:
-                    break
-            tally[m] = left
-            counts += tally
+        rng = np.random.default_rng(np.random.SeedSequence([seed, block]))
+        tally = [0] * k
+        left = min(BLOCK_SIZE, trials - block * BLOCK_SIZE)
+        for j, p in enumerate(steps):
+            tally[j] = out = rng.binomial(left, p)
+            left -= out
+            if left == 0:
+                break
+        tally[m] = left
+        counts += tally
 
     payoffs = np.asarray(problem.destination_payoffs)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -239,6 +239,19 @@ class TestSelectCommand:
         code, out, err = run_cli(capsys, "select", "--scenario", path)
         assert (code, out, err) == (3, "", "runtime error: result is not finite\n")
 
+    def test_counting_round_past_float_range_in_the_sum(self, capsys, scenario_file):
+        # the payoff sum minus 1.7e308 is -inf unscaled, though the mean of
+        # row 3's other payoffs, -3.6e307, is finite
+        payoffs = [-7e307, -7e307, 1.7e308, 1e308, -7e307, -7e307]
+        code, out, err = run_cli(capsys, "select", "--scenario", scenario_file(_selection_doc(payoffs)))
+        assert (code, err) == (0, "")
+        rows = out.split("\n\n")[1].splitlines()[2:]
+        seconds = [float(row.split()[5]) for row in rows]
+        assert seconds[2] == -3.6e307
+        for c, second in enumerate(seconds):  # the others' mean, summed in eighths
+            others = payoffs[:c] + payoffs[c + 1:]
+            assert second == pytest.approx(sum(v / 8 for v in others) / 5 * 8, rel=1e-11)
+
     def test_maximum_behind_an_overflowing_horner_step(self, capsys, scenario_file):
         # unscaled, the averaged polynomial reached -inf on the way to the
         # true maximum, and alpha* = 1 (payoff -6.43e307) was printed instead

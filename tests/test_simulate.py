@@ -23,6 +23,18 @@ EXAMPLE1 = make_drive_problem([0, 4], 1)
 EXAMPLE2 = make_drive_problem([0, 4, 1], 1)
 BELL = build_state([("01", 1), ("10", 1)], normalize=True)
 
+PROBLEM_20 = make_drive_problem([float(i) for i in range(20)], 0.5)
+PLANS_20 = {
+    name: build_state(terms, normalize=True)
+    for name, terms in {
+        "w": [("0" * i + "1" + "0" * (19 - i), 20 - i) for i in range(20)],
+        "ghz": [("0" * 20, 0.6), ("1" * 20, 0.8j)],
+        # one ket per destination, like the counting strategy
+        "counting_state": [("1" * i + "0" + "1" * (19 - i), (i + 1) ** 0.5)
+                           for i in range(20)] + [("1" * 20, 2.0)],
+    }.items()
+}
+
 # Agreement checks use a 4-sigma budget: each one fails spuriously about
 # once in 16,000 runs under the normal approximation.
 SIGMAS = 4.0
@@ -55,35 +67,40 @@ class TestSimulateDrive:
         with pytest.raises(ValueError, match="strategy/problem mismatch"):
             estimate_payoff(EXAMPLE1, PerStep((0.5,)), 10, 0)
 
+    @pytest.mark.parametrize(
+        "problem,plan,reached",
+        [
+            (PROBLEM_20, PLANS_20["w"], {1, 2}),
+            (make_drive_problem([1.0, 2.0, 3.0], 4.0),
+             build_state([("011", 0.1), ("101", 0.7), ("110", 0.3)], normalize=True), {1, 2, 3}),
+        ],
+    )
+    def test_plan_never_lands_past_its_last_weighted_destination(self, problem, plan, reached):
+        # As for Bell, the last destination with weight has step probability
+        # d_j / d_j, exactly 1, so no car drives on to the zero-weight rest.
+        assert landed(problem, Quantum(plan), 2 * BLOCK_SIZE, 17) == reached
+
     def test_quantum_sample_stream_pinned(self):
-        # A change to the sampling or to the index-to-destination map that
-        # moves a single sample changes these counts.
+        # A change to the per-step binomial draws of a measurement plan that
+        # moves a single car changes these counts.
         report = estimate_payoff(EXAMPLE1, Quantum(BELL), 20_000, 11)
         counts = np.rint(report.empirical_distribution.probs * 20_000).astype(int)
-        assert counts.tolist() == [10135, 9865, 0]
+        assert counts.tolist() == [9950, 10050, 0]
 
     @pytest.mark.parametrize(
         "plan,expected",
         [
-            ("w", [17241, 2759] + [0] * 19),
-            ("ghz", [7321] + [0] * 19 + [12679]),
-            ("counting_state", [80, 180, 287, 386, 439, 567, 703, 768, 856, 941, 1088,
-                                1112, 1221, 1327, 1332, 1497, 1582, 1674, 1763, 1856, 341]),
+            ("w", [17247, 2753] + [0] * 19),
+            ("ghz", [7152] + [0] * 19 + [12848]),
+            ("counting_state", [89, 210, 258, 372, 420, 563, 689, 716, 867, 926, 1118,
+                                1134, 1201, 1267, 1416, 1516, 1519, 1719, 1814, 1796, 390]),
         ],
     )
     def test_quantum_sample_stream_pinned_at_20_qubits(self, plan, expected):
-        # Counts recorded with the dense 2**20 sampler: sampling the stored
-        # terms must draw the same basis string from the same random number.
-        m = 20
-        terms = {
-            "w": [("0" * i + "1" + "0" * (m - i - 1), m - i) for i in range(m)],
-            "ghz": [("0" * m, 0.6), ("1" * m, 0.8j)],
-            "counting_state": [("1" * i + "0" + "1" * (m - i - 1), (i + 1) ** 0.5)
-                               for i in range(m)] + [("1" * m, 2.0)],
-        }[plan]
-        problem = make_drive_problem([float(i) for i in range(m)], 0.5)
-        state = build_state(terms, normalize=True)
-        report = estimate_payoff(problem, Quantum(state), 20_000, 11)
+        # These counts pin the per-step binomial draws at 20 qubits: a change
+        # to the step probabilities taken from the first-zero distribution, or
+        # to the draws, that moves a single car changes them.
+        report = estimate_payoff(PROBLEM_20, Quantum(PLANS_20[plan]), 20_000, 11)
         counts = np.rint(report.empirical_distribution.probs * 20_000).astype(int)
         assert counts.tolist() == expected
 
@@ -217,6 +234,27 @@ class TestEstimatePayoff:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_quantum_blocks_hold_no_per_trial_arrays(self):
+        # Two blocks of a 20-qubit plan with one ket per destination: the
+        # per-step draws need O(m) memory, not a uniform and a destination per
+        # trial.
+        strategy = Quantum(PLANS_20["counting_state"])
+        estimate_payoff(PROBLEM_20, strategy, 10, 5)  # numpy's first-call setup is not counted
+        tracemalloc.start()
+        try:
+            estimate_payoff(PROBLEM_20, strategy, 2 * BLOCK_SIZE, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+
+    @pytest.mark.parametrize("plan", sorted(PLANS_20))
+    def test_quantum_oracle_agreement_at_20_qubits(self, plan):
+        state = PLANS_20[plan]
+        report = estimate_payoff(PROBLEM_20, Quantum(state), 1_000_000, 20260810)
+        analytic = quantum_expected_payoff(PROBLEM_20, state)
+        assert abs(report.mean_payoff - analytic) <= SIGMAS * report.std_error
 
     def test_quantum_oracle_agreement(self):
         report = estimate_payoff(EXAMPLE1, Quantum(BELL), 200_000, 20260810)
