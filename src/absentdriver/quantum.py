@@ -5,14 +5,12 @@ intersection, and the leftmost symbol of a ket like ``|01>`` belongs to the
 first intersection.  At intersection ``i`` the driver measures qubit ``i``
 and exits on outcome 0, otherwise keeps driving.
 
-A state stores only the kets it lists, so a GHZ or W plan costs the same at
-any qubit count.  Destination ``i`` collects ``|amplitude|**2`` over every
-basis string whose first 0 sits at position ``i``, and the all-ones string
-feeds the terminal; this equals the sequential collapse computation because
-the measurements are all in the computational basis.  Flipping every bit
-(``2**m - 1 - index``) turns the leading run of ones into leading zeros, so
-the first 0 sits at ``m + 1 - bit_length(2**m - 1 - index)``, and the
-all-ones string (bit length 0) maps to the terminal ``m + 1``.
+A state stores only the kets it lists, keyed by their bit strings, so its
+cost grows with those kets and not with ``2**m``.  Destination ``i`` collects
+``|amplitude|**2`` over every basis string whose first 0 sits at position
+``i``, and the all-ones string feeds the terminal; this equals the
+sequential collapse computation because the measurements are all in the
+computational basis.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ import numpy as np
 from .classical import DestinationDistribution
 from .model import DriveProblem
 
-# product_state holds 2**m terms; the first-zero map is exact below 2**53.
+# Caps only product_state and the dense amplitudes view, which hold all 2**m strings.
 MAX_QUBITS = 20
 
 # Unnormalized input is accepted up to this deviation of the norm from 1.
@@ -46,7 +44,7 @@ class BasisTerm:
     amplitude: complex
 
     def __post_init__(self) -> None:
-        if not self.bits or any(c not in "01" for c in self.bits):
+        if not self.bits or self.bits.strip("01"):
             raise ValueError(f"bad basis string: {self.bits!r}")
         amp = complex(self.amplitude)
         if not cmath.isfinite(amp):
@@ -56,63 +54,62 @@ class BasisTerm:
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Unit-norm state stored as its basis ``indices`` and their amplitude ``values``.
+    """Unit-norm state stored as its basis strings ``bits`` and amplitudes ``values``.
 
-    An index is the bit string's value with the first intersection's qubit
-    most significant.  Terms are stored sorted by index, exact zeros dropped.
+    ``bits`` is a numpy ``S{m}`` array of fixed-width ``0``/``1`` strings,
+    the first intersection's qubit leftmost.  Terms are stored sorted by
+    their strings, which for equal widths is basis-index order, exact zeros
+    dropped.
     """
 
-    num_qubits: int
-    indices: np.ndarray
+    bits: np.ndarray
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        m = int(self.num_qubits)
-        if not 1 <= m <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {m}")
-        indices = np.asarray(self.indices)
+        bits = np.asarray(self.bits, dtype=np.bytes_)
         values = np.asarray(self.values, dtype=complex)
-        if indices.ndim != 1 or indices.shape != values.shape:
-            raise ValueError(f"indices {indices.shape} and values {values.shape} must match and be 1-d")
-        if indices.dtype.kind not in "iu":
-            raise ValueError(f"basis indices must be integers, got dtype {indices.dtype}")
+        if bits.ndim != 1 or bits.shape != values.shape:
+            raise ValueError(f"bits {bits.shape} and values {values.shape} must match and be 1-d")
         if not np.isfinite(values).all():
             raise ValueError("amplitudes must be finite")
-        order = np.argsort(indices, kind="stable")
-        indices, values = indices[order].astype(np.int64), values[order]
-        repeated = indices[1:][np.diff(indices) == 0]
+        order = np.argsort(bits, kind="stable")
+        bits, values = bits[order], values[order]
+        codes = bits.view(np.uint8)
+        if not ((codes == ord("0")) | (codes == ord("1"))).all():
+            raise ValueError(f"bad basis strings: each must be {bits.itemsize} characters of 0 and 1")
+        repeated = bits[1:][bits[1:] == bits[:-1]]
         if repeated.size:
-            raise ValueError(f"duplicate term: {format(int(repeated[0]), f'0{m}b')!r}")
-        if indices.size and (indices[0] < 0 or indices[-1] >= 2**m):
-            raise ValueError(f"basis index out of range for {m} qubits")
+            raise ValueError(f"duplicate term: {repeated[0].decode()!r}")
         norm = float(np.linalg.norm(values))
         if abs(norm - 1.0) > STATE_NORM_TOL:
             raise ValueError(f"not normalized: state norm is {norm!r}")
-        object.__setattr__(self, "num_qubits", m)
         nonzero = values != 0
-        for name, array in (("indices", indices[nonzero]), ("values", values[nonzero])):
+        for name, array in (("bits", bits[nonzero]), ("values", values[nonzero])):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StateVector):
             return NotImplemented
-        return (
-            self.num_qubits == other.num_qubits
-            and np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.values, other.values)
-        )
+        return np.array_equal(self.bits, other.bits) and np.array_equal(self.values, other.values)
+
+    @property
+    def num_qubits(self) -> int:
+        return self.bits.itemsize
 
     @property
     def probabilities(self) -> np.ndarray:
-        """``|amplitude|**2`` per stored term, aligned with ``indices``."""
+        """``|amplitude|**2`` per stored term, aligned with ``bits``."""
         return np.abs(self.values) ** 2
 
     @property
     def amplitudes(self) -> np.ndarray:
-        """Read-only dense view over all ``2**m`` strings, built in O(2**m) per read."""
-        amps = np.zeros(2**self.num_qubits, dtype=complex)
-        amps[self.indices] = self.values
+        """Read-only dense view over all ``2**m`` strings in index order, O(2**m) per read."""
+        m = self.num_qubits
+        if m > MAX_QUBITS:
+            raise ValueError(f"dense view needs a qubit count in 1..{MAX_QUBITS}, got {m}")
+        amps = np.zeros(2**m, dtype=complex)
+        amps[[int(b, 2) for b in self.bits.tolist()]] = self.values
         amps.setflags(write=False)
         return amps
 
@@ -131,8 +128,6 @@ def build_state(terms, normalize: bool = False) -> StateVector:
     m = len(parsed[0].bits)
     if any(len(t.bits) != m for t in parsed):
         raise ValueError("ragged terms: basis strings have mixed lengths")
-    if m > MAX_QUBITS:
-        raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {m}")
     values = np.array([t.amplitude for t in parsed], dtype=complex)
     norm = float(np.linalg.norm(values))
     if normalize:
@@ -142,7 +137,7 @@ def build_state(terms, normalize: bool = False) -> StateVector:
         raise ValueError(f"not normalized: state norm is {norm!r} (pass normalize to rescale)")
     if abs(norm - 1.0) > _RESCALE_SKIP:
         values = values / norm
-    return StateVector(m, [int(t.bits, 2) for t in parsed], values)
+    return StateVector(np.array([t.bits for t in parsed], dtype=np.bytes_), values)
 
 
 def product_state(alpha: float, num_qubits: int) -> StateVector:
@@ -157,26 +152,24 @@ def product_state(alpha: float, num_qubits: int) -> StateVector:
     if not 1 <= num_qubits <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {num_qubits}")
     single = np.array([math.sqrt(a), math.sqrt(1.0 - a)], dtype=complex)
-    amps = single
+    digit = np.array([b"0", b"1"])
+    amps, bits = single, digit
     for _ in range(num_qubits - 1):
         amps = np.kron(amps, single)
+        bits = np.strings.add(bits[:, None], digit).ravel()
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > _RESCALE_SKIP:
         amps = amps / norm
-    return StateVector(num_qubits, np.arange(amps.size), amps)
-
-
-def first_zero_destination(index, num_qubits: int) -> np.ndarray:
-    """Destination (1-based) of each basis index; ``frexp`` gives bit lengths exactly."""
-    _, bit_length = np.frexp((2**num_qubits - 1 - np.asarray(index)).astype(float))
-    return num_qubits + 1 - bit_length
+    return StateVector(bits, amps)
 
 
 def first_zero_distribution(state: StateVector) -> DestinationDistribution:
     """Distribution over destinations induced by the first-zero exit rule."""
     m = state.num_qubits
-    dest = first_zero_destination(state.indices, m)
-    probs = np.bincount(dest - 1, weights=state.probabilities, minlength=m + 1)
+    # 0-based slot of each ket: its first 0, or the terminal slot m when it has none
+    first_zero = np.strings.find(state.bits, b"0")
+    slot = np.where(first_zero < 0, m, first_zero)
+    probs = np.bincount(slot, weights=state.probabilities, minlength=m + 1)
     total = float(probs.sum())
     if abs(total - 1.0) > 2 * STATE_NORM_TOL:
         raise ValueError(f"not normalized: probabilities sum to {total!r}")

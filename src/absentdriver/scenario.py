@@ -277,10 +277,9 @@ def _strategy_doc(named: NamedStrategy) -> dict:
     if isinstance(s, PerStep):
         return {"name": named.name, "kind": "per_step", "exit_probs": list(s.exit_probs)}
     if isinstance(s, Quantum):
-        m = s.state.num_qubits
         terms = [
-            {"bits": format(i, f"0{m}b"), "re": amp.real, "im": amp.imag}
-            for i, amp in zip(s.state.indices.tolist(), s.state.values.tolist())
+            {"bits": bits.decode(), "re": amp.real, "im": amp.imag}
+            for bits, amp in zip(s.state.bits.tolist(), s.state.values.tolist())
         ]
         return {"name": named.name, "kind": "quantum", "terms": terms, "normalize": False}
     raise TypeError(f"unknown strategy type: {type(s).__name__}")

@@ -34,6 +34,11 @@ def residual_problem(problem: DriveProblem, removed: int) -> DriveProblem:
     return DriveProblem(tuple(remaining[:-1]), remaining[-1])
 
 
+def _sum_scale(payoffs) -> float:
+    """Power of two that keeps sums of ``payoffs`` divided by it in float range; 1 if ordinary."""
+    return 2.0 ** max(0, math.frexp(max(map(abs, payoffs)))[1] + len(payoffs).bit_length() - 1023)
+
+
 def first_choice_totals(sel: SelectionProblem, alpha: float) -> np.ndarray:
     """Per first choice: its payoff plus the stationary second round at ``alpha``.
 
@@ -61,7 +66,9 @@ def two_round_average_polynomial(sel: SelectionProblem) -> PayoffPolynomial:
     v = np.asarray(sel.destination_payoffs)
     j = np.arange(1, v.size) / v.size
     averaged = (1.0 - j) * v[:-1] + j * v[1:]
-    return stationary_payoff_polynomial(DriveProblem(averaged[:-1], averaged[-1])) + v.mean()
+    scale = _sum_scale(sel.destination_payoffs)
+    drive = DriveProblem(averaged[:-1], averaged[-1])
+    return stationary_payoff_polynomial(drive) + (v / scale).mean() * scale
 
 
 def optimize_two_round(sel: SelectionProblem) -> OptimizationResult:
@@ -73,12 +80,11 @@ def counting_round_values(sel: SelectionProblem) -> tuple[tuple[float, float], .
     """Per first choice: (first payoff, counting payoff of the residual round).
 
     The counting strategy hits each of the ``n - 1`` survivors with
-    probability ``1/(n - 1)``, so the second entry is their mean.  Payoffs
-    are summed scaled by the power of two that keeps the sum in float range.
+    probability ``1/(n - 1)``, so the second entry is their mean.
     """
     payoffs = sel.destination_payoffs
     n = len(payoffs)
-    scale = 2.0 ** max(0, math.frexp(max(map(abs, payoffs)))[1] + n.bit_length() - 1023)
+    scale = _sum_scale(payoffs)
     total = sum(v / scale for v in payoffs)
     return tuple((v, (total - v / scale) / (n - 1) * scale) for v in payoffs)
 
@@ -89,7 +95,8 @@ def two_round_counting_total(sel: SelectionProblem) -> float:
     Every destination is the first pick or the second with probability
     ``1/n`` each, so this is ``2 * mean(v)``.
     """
-    return 2.0 * sum(sel.destination_payoffs) / sel.num_destinations
+    scale = _sum_scale(sel.destination_payoffs)
+    return 2.0 * (sum(v / scale for v in sel.destination_payoffs) / sel.num_destinations * scale)
 
 
 def selection_improvement(sel: SelectionProblem) -> float:

@@ -252,6 +252,20 @@ class TestSelectCommand:
             others = payoffs[:c] + payoffs[c + 1:]
             assert second == pytest.approx(sum(v / 8 for v in others) / 5 * 8, rel=1e-11)
 
+    def test_payoff_mean_past_float_range_in_the_sum(self, capsys, scenario_file):
+        # the payoffs sum to 2.4e308, but every total and mean printed is finite
+        payoffs = [8e307, 8e307, 8e307, 0.0]
+        code, out, err = run_cli(capsys, "select", "--scenario", scenario_file(_selection_doc(payoffs)))
+        assert (code, err) == (0, "")
+        alpha = float(re.search(r"alpha\* = ([^\s,]+)", out).group(1))
+        drive = make_drive_problem(payoffs[:-1], payoffs[-1])
+        rows = out.split("\n\n")[1].splitlines()[2:]
+        for c, row in enumerate(rows, start=1):
+            second = expected_payoff(residual_problem(drive, c), Stationary(alpha))
+            assert float(row.split()[2]) == pytest.approx(payoffs[c - 1] + second, rel=1e-12)
+        assert "stationary optimum: alpha* = 1, payoff = 1.4e+308\n" in out
+        assert "counting average total: 1.2e+308\n" in out
+
     def test_maximum_behind_an_overflowing_horner_step(self, capsys, scenario_file):
         # unscaled, the averaged polynomial reached -inf on the way to the
         # true maximum, and alpha* = 1 (payoff -6.43e307) was printed instead
@@ -339,12 +353,17 @@ class TestSimulateCommand:
         assert re.fullmatch(f"runtime error: simulation result is not finite: mean {mean}, std error nan\n", err)
 
 
-def _twenty_qubit_doc(terms):
+def _plan_doc(terms):
+    m = len(terms[0]["bits"])
     return {
-        "problem": {"kind": "drive", "exit_payoffs": list(range(20)), "terminal_payoff": 0.5},
+        "problem": {"kind": "drive", "exit_payoffs": list(range(m)), "terminal_payoff": 0.5},
         "strategies": [{"name": "plan", "kind": "quantum", "normalize": True, "terms": terms}],
         "options": {"trials": 100000, "seed": 7},
     }
+
+
+def _ghz_terms(m):
+    return [{"bits": "0" * m, "re": 1, "im": 0}, {"bits": "1" * m, "re": 0, "im": 1}]
 
 
 class TestSparseQuantumPlans:
@@ -356,19 +375,16 @@ class TestSparseQuantumPlans:
         ] + [{"bits": "1" * 20, "re": 0.5, "im": 0}]
         for command in ("eval", "simulate"):
             outputs = [
-                run_cli(capsys, command, "--scenario", scenario_file(_twenty_qubit_doc(listed)))
+                run_cli(capsys, command, "--scenario", scenario_file(_plan_doc(listed)))
                 for listed in (terms, terms[::-1])
             ]
             assert outputs[0] == outputs[1]
             assert outputs[0][0] == 0
 
-    def test_twenty_qubit_ghz_allocates_no_dense_vector(self):
-        # the dense vector alone would take 2**20 complex amplitudes, 16 MB
-        text = json.dumps(
-            _twenty_qubit_doc(
-                [{"bits": "0" * 20, "re": 1, "im": 0}, {"bits": "1" * 20, "re": 0, "im": 1}]
-            )
-        )
+    @pytest.mark.parametrize("m", [20, 1024])
+    def test_ghz_allocates_no_dense_vector(self, m):
+        # the dense vector alone would take 2**m complex amplitudes, 16 MB at 20 qubits
+        text = json.dumps(_plan_doc(_ghz_terms(m)))
         tracemalloc.start()
         try:
             scenario = parse_scenario(text)
@@ -378,6 +394,28 @@ class TestSparseQuantumPlans:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("m", [64, 256, 1024])
+    @pytest.mark.parametrize("plan", ["ghz", "w"])
+    def test_plans_past_float_precision(self, capsys, scenario_file, tmp_path, plan, m):
+        # Past 53 qubits a ket's basis index has no exact float; eval reads
+        # destinations off the strings, and simulate agrees with it.
+        w = [{"bits": "0" * i + "1" + "0" * (m - 1 - i), "re": m - i, "im": 0} for i in range(m)]
+        path = scenario_file(_plan_doc(_ghz_terms(m) if plan == "ghz" else w))
+        rows = {}
+        for command in ("eval", "simulate"):
+            csv_path = tmp_path / f"{command}.csv"
+            code, _, err = run_cli(capsys, command, "--scenario", path, "--csv", str(csv_path))
+            assert (code, err) == (0, "")
+            rows[command] = csv_path.read_text(encoding="utf-8").splitlines()[1].split(",")
+        exact = float(rows["eval"][1])
+        if plan == "ghz":  # exit at the first intersection or reach the terminal
+            assert rows["eval"][2:] == ["0.5"] + ["0"] * (m - 1) + ["0.5"]
+            assert exact == 0.25
+        else:  # every W ket exits first but 10...0 (weight m**2), which exits second
+            assert float(rows["eval"][3]) == pytest.approx(m**2 / sum(k * k for k in range(1, m + 1)))
+        mean, std_error = float(rows["simulate"][3]), float(rows["simulate"][4])
+        assert abs(mean - exact) <= 4.0 * std_error
 
 
 class TestCurveCommand:

@@ -51,9 +51,14 @@ def sequential_exit_distribution(state: StateVector) -> list[float]:
     return probs
 
 
+def all_strings(m: int) -> list[str]:
+    """Every ``m``-bit string, in basis-index order."""
+    return [format(index, f"0{m}b") for index in range(2**m)]
+
+
 def random_state(rng: np.random.Generator, m: int) -> StateVector:
     amps = rng.normal(size=2**m) + 1j * rng.normal(size=2**m)
-    return StateVector(m, np.arange(2**m), amps / np.linalg.norm(amps))
+    return StateVector(all_strings(m), amps / np.linalg.norm(amps))
 
 
 class TestBuildState:
@@ -98,11 +103,16 @@ class TestBuildState:
         terms = [("110", 0.6), ("001", 0.8j), ("011", 0.0)]
         state = build_state(terms)
         assert state == build_state(terms[::-1])
-        assert state.indices.tolist() == [1, 6]
+        assert state.bits.tolist() == [b"001", b"110"]
 
-    def test_qubit_cap(self):
+    def test_no_qubit_cap_on_listed_kets(self):
+        state = build_state([("0" * 21, 1.0)])
+        assert state.num_qubits == 21
+        assert state.bits.tolist() == [b"0" * 21]
+
+    def test_product_state_qubit_cap(self):
         with pytest.raises(ValueError, match="qubit count"):
-            build_state([("0" * 21, 1.0)])
+            product_state(0.5, 21)
 
     def test_complex_amplitudes_supported(self):
         state = build_state([("0", 1j * INV_SQRT2), ("1", INV_SQRT2)])
@@ -112,35 +122,33 @@ class TestBuildState:
 class TestStateVector:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="must match and be 1-d"):
-            StateVector(2, [1, 2], [1.0])
+            StateVector(["01", "10"], [1.0])
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="not normalized"):
-            StateVector(1, [0, 1], [1.0, 1.0])
+            StateVector(["0", "1"], [1.0, 1.0])
 
-    @pytest.mark.parametrize("index", [-1, 4])
-    def test_rejects_index_out_of_range(self, index):
-        with pytest.raises(ValueError, match="out of range"):
-            StateVector(2, [index], [1.0])
+    @pytest.mark.parametrize(
+        "bits",
+        [["2"], ["0x"], ["01", "1"], [b"0\x001"], [""], [0.5, 2.7], [False, True], [1, 6]],
+    )
+    def test_rejects_bad_strings(self, bits):
+        with pytest.raises(ValueError, match="bad basis strings"):
+            StateVector(bits, np.full(len(bits), len(bits) ** -0.5))
 
-    @pytest.mark.parametrize("indices", [[0.5, 2.7], [False, True], ["0", "1"]])
-    def test_rejects_non_integer_indices(self, indices):
-        with pytest.raises(ValueError, match="basis indices must be integers"):
-            StateVector(2, indices, [INV_SQRT2, INV_SQRT2])
-
-    def test_rejects_duplicate_index(self):
+    def test_rejects_duplicate_string(self):
         with pytest.raises(ValueError, match="duplicate term: '01'"):
-            StateVector(2, [1, 1], [INV_SQRT2, INV_SQRT2])
+            StateVector(["01", b"01"], [INV_SQRT2, INV_SQRT2])
 
     def test_stores_sorted_terms_without_zeros(self):
-        state = StateVector(3, [6, 0, 3], [INV_SQRT2, 0.0, INV_SQRT2])
-        assert state.indices.tolist() == [3, 6]
+        state = StateVector(["110", "000", "011"], [INV_SQRT2, 0.0, INV_SQRT2])
+        assert state.bits.tolist() == [b"011", b"110"]
         assert state.values.tolist() == [INV_SQRT2, INV_SQRT2]
         assert state == build_state([("011", INV_SQRT2), ("110", INV_SQRT2)])
 
     def test_amplitudes_read_only(self):
         state = build_state(THIRD_EXIT)
-        for array in (state.amplitudes, state.indices, state.values):
+        for array in (state.amplitudes, state.bits, state.values):
             with pytest.raises(ValueError):
                 array[0] = 1.0
 
@@ -163,6 +171,10 @@ class TestProductState:
     def test_bad_alpha(self):
         with pytest.raises(ValueError, match="probability"):
             product_state(1.5, 2)
+
+    @pytest.mark.parametrize("m", [1, 3, 10])
+    def test_lists_every_string_in_index_order(self, m):
+        assert product_state(0.3, m).bits.tolist() == [b.encode() for b in all_strings(m)]
 
 
 class TestFirstZeroDistribution:
@@ -210,7 +222,18 @@ class TestFirstZeroDistribution:
             probs = first_zero_distribution(build_state([(bits, 1.0)])).probs
             assert probs.tolist() == [float(d == expected) for d in range(1, m + 2)]
 
-    @pytest.mark.parametrize("m", [3, 10, 20])
+    @pytest.mark.parametrize("m", [64, 1024])
+    def test_single_kets_past_float_precision(self, m):
+        # Past 53 qubits a ket's index has no exact float; its string still
+        # names the first 0.
+        rng = np.random.default_rng(m)
+        for first in (1, 2, 12, 53, 54, m - 1, m):
+            tail = "".join(rng.choice(["0", "1"], m - first))
+            probs = first_zero_distribution(build_state([("1" * (first - 1) + "0" + tail, 1.0)])).probs
+            assert probs.tolist() == [float(d == first) for d in range(1, m + 2)]
+        assert first_zero_distribution(build_state([("1" * m, 1.0)])).probs[-1] == 1.0
+
+    @pytest.mark.parametrize("m", [3, 10, 20, 1024])
     def test_at_most_one_zero_state_is_counting(self, m):
         # One ket per destination: a single 0 at position i, or no 0 at all.
         # Uniform amplitudes give the counting strategy with no counter.
@@ -224,7 +247,7 @@ class TestFirstZeroDistribution:
     @settings(max_examples=60)
     def test_phase_invariance(self, theta, seed):
         state = random_state(np.random.default_rng(seed), 3)
-        rotated = StateVector(3, state.indices, state.values * np.exp(1j * theta))
+        rotated = StateVector(state.bits, state.values * np.exp(1j * theta))
         base = first_zero_distribution(state).probs
         assert np.abs(first_zero_distribution(rotated).probs - base).max() <= 1e-12
 

@@ -264,8 +264,8 @@ class TestRoundTrip:
         scenario = preset_scenario(name)
         assert parse_scenario(scenario_to_document(scenario)) == scenario
 
-    def test_twenty_qubit_w_state_round_trip(self):
-        m = 20
+    @pytest.mark.parametrize("m", [20, 1024])
+    def test_w_state_round_trip(self, m):
         kets = [("0" * i + "1" + "0" * (m - i - 1), complex(i + 1, -i)) for i in range(m)]
         scenario = Scenario(
             DriveProblem(tuple(range(m)), 0.5),

@@ -16,24 +16,32 @@ from absentdriver import (
     make_drive_problem,
     quantum_expected_payoff,
 )
-from absentdriver.quantum import first_zero_destination
 from absentdriver.simulate import BLOCK_SIZE
 
 EXAMPLE1 = make_drive_problem([0, 4], 1)
 EXAMPLE2 = make_drive_problem([0, 4, 1], 1)
 BELL = build_state([("01", 1), ("10", 1)], normalize=True)
 
-PROBLEM_20 = make_drive_problem([float(i) for i in range(20)], 0.5)
-PLANS_20 = {
-    name: build_state(terms, normalize=True)
-    for name, terms in {
-        "w": [("0" * i + "1" + "0" * (19 - i), 20 - i) for i in range(20)],
-        "ghz": [("0" * 20, 0.6), ("1" * 20, 0.8j)],
-        # one ket per destination, like the counting strategy
-        "counting_state": [("1" * i + "0" + "1" * (19 - i), (i + 1) ** 0.5)
-                           for i in range(20)] + [("1" * 20, 2.0)],
-    }.items()
-}
+
+def ramp_problem(m: int):
+    return make_drive_problem([float(i) for i in range(m)], 0.5)
+
+
+def plans(m: int) -> dict:
+    return {
+        name: build_state(terms, normalize=True)
+        for name, terms in {
+            "w": [("0" * i + "1" + "0" * (m - 1 - i), m - i) for i in range(m)],
+            "ghz": [("0" * m, 0.6), ("1" * m, 0.8j)],
+            # one ket per destination, like the counting strategy
+            "counting_state": [("1" * i + "0" + "1" * (m - 1 - i), (i + 1) ** 0.5)
+                               for i in range(m)] + [("1" * m, 2.0)],
+        }.items()
+    }
+
+
+PROBLEM_20 = ramp_problem(20)
+PLANS_20 = plans(20)
 
 # Agreement checks use a 4-sigma budget: each one fails spuriously about
 # once in 16,000 runs under the normal approximation.
@@ -128,11 +136,16 @@ class TestSimulateDrive:
 
     @pytest.mark.parametrize("m", range(1, 11))
     def test_first_zero_map_is_exhaustively_right(self, m):
-        expected = []
-        for index in range(2**m):
-            bits = format(index, f"0{m}b")
-            expected.append(bits.find("0") + 1 if "0" in bits else m + 1)
-        assert first_zero_destination(np.arange(2**m), m).tolist() == expected
+        # Every m-bit string with its own random weight: each destination must
+        # collect exactly the weights of the strings whose first 0 sits there.
+        strings = [format(index, f"0{m}b") for index in range(2**m)]
+        weights = np.random.default_rng(m).uniform(0.5, 1.5, 2**m)
+        weights /= weights.sum()
+        expected = np.zeros(m + 1)
+        for bits, weight in zip(strings, weights):
+            expected[bits.find("0") if "0" in bits else m] += weight
+        state = build_state(zip(strings, np.sqrt(weights)))
+        assert first_zero_distribution(state).probs == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 class TestEstimatePayoff:
@@ -235,19 +248,20 @@ class TestEstimatePayoff:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_quantum_blocks_hold_no_per_trial_arrays(self):
-        # Two blocks of a 20-qubit plan with one ket per destination: the
-        # per-step draws need O(m) memory, not a uniform and a destination per
-        # trial.
-        strategy = Quantum(PLANS_20["counting_state"])
-        estimate_payoff(PROBLEM_20, strategy, 10, 5)  # numpy's first-call setup is not counted
+    @pytest.mark.parametrize("m,bound", [(20, 64 << 10), (1024, 256 << 10)])
+    def test_quantum_blocks_hold_no_per_trial_arrays(self, m, bound):
+        # Two blocks of a plan with one ket per destination: the per-step
+        # draws need O(m) memory (about 90 bytes a step), not a uniform and a
+        # destination per trial (512 KiB each as float64).
+        problem, strategy = ramp_problem(m), Quantum(plans(m)["counting_state"])
+        estimate_payoff(problem, strategy, 10, 5)  # numpy's first-call setup is not counted
         tracemalloc.start()
         try:
-            estimate_payoff(PROBLEM_20, strategy, 2 * BLOCK_SIZE, 5)
+            estimate_payoff(problem, strategy, 2 * BLOCK_SIZE, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 << 10
+        assert peak < bound
 
     @pytest.mark.parametrize("plan", sorted(PLANS_20))
     def test_quantum_oracle_agreement_at_20_qubits(self, plan):
