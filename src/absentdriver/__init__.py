@@ -18,7 +18,6 @@ from .classical import (
     step_exit_probabilities,
 )
 from .model import (
-    ClassicalStrategy,
     Counting,
     DriveProblem,
     PerStep,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisTerm",
-    "ClassicalStrategy",
     "Counting",
     "DestinationDistribution",
     "DriveProblem",

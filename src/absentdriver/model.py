@@ -79,12 +79,9 @@ class SelectionProblem:
     """Pick two of ``n`` destinations in successive rounds.
 
     The first pick is struck from the list before the second round is driven.
-    Only two rounds are supported; the first round removes exactly one
-    destination.
     """
 
     destination_payoffs: tuple[float, ...]
-    rounds: int = 2
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -94,8 +91,6 @@ class SelectionProblem:
         )
         if len(self.destination_payoffs) < 2:
             raise ValueError("degenerate problem: selection needs at least two destinations")
-        if self.rounds != 2:
-            raise ValueError("only two-round selection is supported")
 
     @property
     def num_destinations(self) -> int:
@@ -154,5 +149,4 @@ class Quantum:
 
 
 Strategy = Union[Stationary, Counting, PerStep, Quantum]
-ClassicalStrategy = Union[Stationary, Counting, PerStep]
 

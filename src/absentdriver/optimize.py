@@ -1,11 +1,11 @@
 """Maximizing expected payoff over the stationary exit probability.
 
-The payoff polynomial is stored in ``beta = 1 - alpha``, so the work happens
-there.  Candidates are always both endpoints of [0, 1] plus every real root
-of the ``beta`` derivative strictly inside the interval, mapped back with
-``alpha = 1 - beta``; an interior stationary point can just as well be a
-minimum.  Ties are broken toward the smallest maximizing ``alpha`` so results
-are deterministic.
+The work happens in ``beta = 1 - alpha``, where the payoff polynomial is
+stored.  Candidates are both endpoints of [0, 1] plus interior roots of the
+derivative: every root of a derivative of degree <= 2, else the maxima that
+one halving loop locates while it bounds ``p`` on every segment (Lipschitz
+pruning, Hansen, Jaumard & Lu, Math. Programming 55, 1992).  Ties go to the
+smallest maximizing ``alpha``, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -19,18 +19,17 @@ from numpy.polynomial import polynomial as npoly
 from .classical import PayoffPolynomial, stationary_payoff_polynomial
 from .model import DriveProblem
 
-# Partition of [0, 1] scanned for sign changes before bisection.
-_ROOT_SEGMENTS = 1001
-_BISECT_WIDTH = 1e-15
-
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Maximizer, maximum, and which route produced them."""
+    """Maximizer, maximum, which route produced them, and ``gap``: how far the
+    largest bound of a closed segment lies above ``payoff_star`` (0 for the
+    closed form), leaving out the rounding error of each evaluation."""
 
     alpha_star: float
     payoff_star: float
     method: str  # "closed_form" or "numeric"
+    gap: float
 
 
 def _quadratic_roots(a: float, b: float, c: float) -> tuple[float, ...]:
@@ -54,61 +53,76 @@ def _closed_form_roots(deriv: tuple[float, ...]) -> tuple[float, ...]:
     return _quadratic_roots(deriv[2], deriv[1], deriv[0])
 
 
-def _bisection_roots(deriv: tuple[float, ...]) -> tuple[float, ...]:
-    """Roots in [0, 1] via sign changes over a fixed partition, then bisection."""
-    xs = np.linspace(0.0, 1.0, _ROOT_SEGMENTS + 1)
-    ys = npoly.polyval(xs, deriv)
-    roots = xs[ys == 0.0].tolist()
-    signs = np.sign(ys)
-    for i in np.flatnonzero(signs[:-1] * signs[1:] < 0.0):
-        lo, hi, ylo = float(xs[i]), float(xs[i + 1]), float(ys[i])
-        while hi - lo > _BISECT_WIDTH:
-            mid = (lo + hi) / 2.0
-            ymid = 0.0  # Horner's rule on Python floats, as polyval steps
-            for c in reversed(deriv):
-                ymid = ymid * mid + c
-            if ymid == 0.0:
-                lo = hi = mid
-                break
-            if (ymid > 0.0) == (ylo > 0.0):
-                lo, ylo = mid, ymid
-            else:
-                hi = mid
-        roots.append((lo + hi) / 2.0)
-    return tuple(roots)
+def _search(c: np.ndarray) -> tuple[list[float], float]:
+    """Maxima of ``p`` and the largest bound on ``p`` over the closed segments.
+
+    With ``v = cumsum(c)``, the payoffs, and their median ``k``, ``p - k = (1 -
+    beta) sum_(j<m) (v_j - k) beta**j + (v_m - k) beta**m``, so on ``[a, b]``
+    ``|p''| <= M = (1 - a) s(b) + t(b)`` with ``s = sum_j j (j-1) |v_j - k|
+    beta**(j-2)``, ``t = sum_j 2 j |v_j - k| beta**(j-1) + m (m-1) |v_m - k|
+    beta**(m-2)``, and ``p <= max(p(a), p(b)) + (b - a)**2 M / 8``.  A segment
+    is halved while that bound could beat the best value seen by more than
+    ``tol = 1e-12 max |v|``, or while it holds a maximum (``p'`` from ``>= 0``
+    to ``< 0``) within ``tol`` of the best, down to adjacent floats.
+    """
+    m, v = c.size - 1, np.cumsum(c)
+    tol, u = 1e-12 * float(np.abs(v).max()), np.abs(v - np.partition(v, m // 2)[m // 2])
+    rows = np.zeros((4, m + 1))
+    rows[0], rows[1, :-1] = c, npoly.polyder(c)
+    rows[2, :-3], rows[3, :-2] = npoly.polyder(u[:-1], 2), 2.0 * npoly.polyder(u[:-1])
+    rows[3, m - 2] += m * (m - 1) * u[-1]
+    terms = rows[:, ::-1].T.tolist()
+
+    def point(x: float) -> tuple[float, float, bool, float, float]:
+        """``(x, p(x), p'(x) >= 0, s(x), t(x))`` by Horner's rule."""
+        p = d = s = t = 0.0
+        for cj, dj, sj, tj in terms:
+            p = p * x + cj
+            d = d * x + dj
+            s = s * x + sj
+            t = t * x + tj
+        return x, p, d >= 0.0, s, t
+
+    lo, hi = point(0.0), point(1.0)
+    best, top, roots, todo = max(lo[1], hi[1]), -math.inf, [], [(lo, hi)]
+    while todo:
+        a, b = todo.pop()
+        bound = max(a[1], b[1]) + (b[0] - a[0]) ** 2 * ((1.0 - a[0]) * b[3] + b[4]) / 8.0
+        peak = a[2] and not b[2]
+        mid = (a[0] + b[0]) / 2.0
+        if (bound > best + tol or peak and bound >= best - tol) and a[0] < mid < b[0]:
+            x = point(mid)
+            best = max(best, x[1])
+            todo += [(a, x), (x, b)] if x[2] else [(x, b), (a, x)]  # uphill half first
+        else:
+            top = max(top, bound)
+            if peak:
+                roots.append(a[0])
+    return roots, top
 
 
 def maximize_polynomial(poly: PayoffPolynomial) -> OptimizationResult:
     """Global maximum of the polynomial over [0, 1].
 
-    The derivative is taken in ``beta``.  Derivatives of degree <= 2 are
-    solved in closed form; higher degrees fall back to sign-change bisection
-    over a fixed partition of the interval.  The derivative is taken on
-    ``PayoffPolynomial.scaled`` coefficients, so no ``j * c_j`` overflows,
-    and then scaled by a power of two to unit size, which does not move its
-    roots.  A candidate whose payoff is outside the float range is refused,
-    never skipped.
+    The ``beta`` coefficients are scaled by a power of two to a largest
+    magnitude in [1/2, 1), which moves no root, keeps every sum finite and
+    makes :func:`_search` scale-free.  A candidate whose payoff is outside
+    the float range is refused, never skipped.
     """
-    deriv = npoly.polyder(poly.scaled[0])
-    # roots are scale-free, but the quadratic formula squares coefficients
-    # and the sign tests need normal floats: bring the largest near 1
-    deriv = tuple(np.ldexp(deriv, -math.frexp(np.abs(deriv).max())[1]).tolist())
-    while len(deriv) > 1 and deriv[-1] == 0.0:
-        deriv = deriv[:-1]
+    exponent = math.frexp(max(map(abs, poly.beta_coeffs)))[1]
+    c = np.ldexp(poly.beta_coeffs, -exponent)
+    deriv = tuple(npoly.polytrim(npoly.polyder(c)).tolist())  # trailing zeros cut
     if len(deriv) <= 3:
-        interior = _closed_form_roots(deriv)
-        method = "closed_form"
+        interior, top, method = _closed_form_roots(deriv), -math.inf, "closed_form"
     else:
-        interior = _bisection_roots(deriv)
-        method = "numeric"
-    candidates = {0.0, 1.0}
-    candidates.update(1.0 - r for r in interior if 0.0 < r < 1.0)
-    xs = sorted(candidates)
+        interior, top, method = *_search(c), "numeric"
+    xs = sorted({0.0, 1.0, *(1.0 - r for r in interior if 0.0 < r < 1.0)})
     ys = [float(poly(x)) for x in xs]
     if not all(map(math.isfinite, ys)):
         raise ValueError("result is not finite")
     best = ys.index(max(ys))  # the first maximum: the smallest alpha
-    return OptimizationResult(xs[best], ys[best], method)
+    gap = max(0.0, top - math.ldexp(ys[best], -exponent))
+    return OptimizationResult(xs[best], ys[best], method, math.ldexp(gap, exponent))
 
 
 def optimize_stationary(problem: DriveProblem) -> OptimizationResult:

@@ -129,14 +129,19 @@ def build_state(terms, normalize: bool = False) -> StateVector:
     if any(len(t.bits) != m for t in parsed):
         raise ValueError("ragged terms: basis strings have mixed lengths")
     values = np.array([t.amplitude for t in parsed], dtype=complex)
-    norm = float(np.linalg.norm(values))
+    # the norm of amplitudes scaled exactly below 1 neither overflows nor underflows
+    shift = math.frexp(np.abs(values.view(float)).max())[1]
+    scaled = np.ldexp(values.view(float), -shift).view(complex)
+    scaled_norm = float(np.linalg.norm(scaled))
+    with np.errstate(over="ignore"):
+        norm = float(np.ldexp(scaled_norm, shift))
     if normalize:
-        if norm == 0.0:
+        if scaled_norm == 0.0:
             raise ValueError("not normalized: zero state cannot be rescaled")
     elif abs(norm - 1.0) > INPUT_NORM_TOL:
         raise ValueError(f"not normalized: state norm is {norm!r} (pass normalize to rescale)")
     if abs(norm - 1.0) > _RESCALE_SKIP:
-        values = values / norm
+        values = scaled / scaled_norm
     return StateVector(np.array([t.bits for t in parsed], dtype=np.bytes_), values)
 
 

@@ -21,6 +21,7 @@ not the first-zero map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,16 +78,13 @@ def estimate_payoff(
         tally[m] = left
         counts += tally
 
-    payoffs = np.asarray(problem.destination_payoffs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = float(counts @ payoffs)
-        total_sq = float(counts @ payoffs**2)
-    mean = total / trials
-    if trials > 1:
-        variance = max(total_sq - trials * mean * mean, 0.0) / (trials - 1)
-    else:
-        variance = 0.0
-    std_error = float(np.sqrt(variance / trials))
+    # payoffs scaled exactly, by a power of two, below 1: no sum of squares overflows
+    shift = math.frexp(max(map(abs, problem.destination_payoffs)))[1]
+    payoffs = np.ldexp(problem.destination_payoffs, -shift)
+    mean = float(counts @ payoffs) / trials
+    variance = max(float(counts @ payoffs**2) - trials * mean * mean, 0.0) / max(trials - 1, 1)
+    with np.errstate(over="ignore"):  # a mean rounded up past the largest float
+        mean, std_error = np.ldexp([mean, math.sqrt(variance / trials)], shift).tolist()
     if not np.isfinite([mean, std_error]).all():
         raise ValueError(f"simulation result is not finite: mean {mean!r}, std error {std_error!r}")
     return SimulationReport(

@@ -121,6 +121,18 @@ class TestEvalCommand:
         code, out, _ = run_cli(capsys, "eval", "--scenario", path, "--normalize-states")
         assert code == 0 and "[0.5, 0.5, 0]" in out
 
+    def test_normalize_at_extreme_amplitudes(self, capsys, scenario_file):
+        # the raw norm overflows to inf (exit 2, "state norm is 0.0", after a
+        # numpy warning) or underflows to 0 (exit 2, "zero state cannot be rescaled")
+        outputs = []
+        for amplitude in (1, 1e200, 1e-200):
+            terms = [{"bits": bits, "re": amplitude, "im": 0} for bits in ("01", "10")]
+            path = scenario_file(_plan_doc(terms))
+            code, out, err = run_cli(capsys, "eval", "--scenario", path)
+            assert (code, err) == (0, "")
+            outputs.append(out)
+        assert outputs[1:] == outputs[:1] * 2
+
 
 def _drive_doc(payoffs):
     return {
@@ -176,6 +188,25 @@ class TestOptimizeCommand:
         assert payoff == pytest.approx(at_alpha, rel=1e-9)
         grid = [expected_payoff(problem, Stationary(a)) for a in np.linspace(0.0, 1.0, 201)]
         assert payoff >= max(grid) - 1e-9
+
+    def test_maximum_inside_one_scan_segment(self, capsys, scenario_file):
+        # exit 1100 of 3300 pays 3300: the peak and the minimum after it lie in
+        # one of 1001 equal segments of beta, and a sign-change scan printed
+        # alpha* = 0, payoff = 1.05 (21/20)
+        payoffs = [0.0] * 3300 + [1.05]
+        payoffs[1099] = 3300.0
+        code, out, err = run_cli(capsys, "optimize", "--scenario", scenario_file(_drive_doc(payoffs)))
+        assert (code, err) == (0, "")
+        match = re.search(r"optimum: alpha\* = ([^\s,]+), payoff = ([^\s,]+), method = numeric", out)
+        assert match.group(2) == "1.17419454118"
+
+        def grid_argmax(a):
+            f = 3300.0 * a * (1.0 - a) ** 1099 + 1.05 * (1.0 - a) ** 3300
+            return a[np.argmax(f)]
+
+        coarse = grid_argmax(np.linspace(0.0, 1.0, 100_001))
+        fine = grid_argmax(np.linspace(coarse - 1e-5, coarse + 1e-5, 200_001))
+        assert abs(float(match.group(1)) - fine) <= 1e-9
 
     @pytest.mark.parametrize(
         "payoffs, optimum",
@@ -330,27 +361,36 @@ class TestSimulateCommand:
 
 
     @pytest.mark.parametrize(
-        "exits, strategy, mean",
+        "exits, strategy, trials",
         [
-            ([1e308, 1e308], {"kind": "stationary", "alpha": 0.5}, "inf"),
-            # mixed signs: inf + -inf, or inf where the dot product uses fused multiply-add
-            ([1e308, -1e308], {"kind": "stationary", "alpha": 0.5}, "(nan|inf)"),
-            # 0 * inf for the destinations that are never reached
-            ([1e200, 1e200], {"kind": "per_step", "exit_probs": [1, 0.5]}, r"1e\+200"),
+            ([1e308, 1e308], {"kind": "stationary", "alpha": 0.5}, 1000),
+            ([1e308, -1e308], {"kind": "stationary", "alpha": 0.5}, 1000),
+            # destinations that are never reached
+            ([1e200, 1e200], {"kind": "per_step", "exit_probs": [1, 0.5]}, 1000),
+            # unscaled, the sum of squares passes the float range at 1e5 trials
+            ([1e154, -3e153], {"kind": "stationary", "alpha": 0.4}, 100_000),
         ],
-        ids=["overflow", "mixed-signs", "unreached-destination"],
+        ids=["overflow", "mixed-signs", "unreached-destination", "squares"],
     )
-    def test_overflowing_result_is_runtime_error(self, capsys, scenario_file, exits, strategy, mean):
+    def test_payoffs_past_float_range_in_the_sums(
+        self, capsys, scenario_file, tmp_path, exits, strategy, trials
+    ):
         path = scenario_file(
             {
                 "problem": {"kind": "drive", "exit_payoffs": exits, "terminal_payoff": exits[0]},
                 "strategies": [{"name": "s", **strategy}],
-                "options": {"trials": 1000},
+                "options": {"trials": trials},
             }
         )
-        code, out, err = run_cli(capsys, "simulate", "--scenario", path)
-        assert (code, out) == (3, "")
-        assert re.fullmatch(f"runtime error: simulation result is not finite: mean {mean}, std error nan\n", err)
+        rows = {}
+        for command in ("eval", "simulate"):
+            csv_path = tmp_path / f"{command}.csv"
+            code, _, err = run_cli(capsys, command, "--scenario", path, "--csv", str(csv_path))
+            assert (code, err) == (0, "")
+            rows[command] = csv_path.read_text(encoding="utf-8").splitlines()[1].split(",")
+        exact = float(rows["eval"][1])
+        mean, std_error = float(rows["simulate"][3]), float(rows["simulate"][4])
+        assert abs(mean - exact) <= 4.0 * std_error + 1e-12 * abs(exact)
 
 
 def _plan_doc(terms):

@@ -50,14 +50,9 @@ class TestSelectionProblem:
         with pytest.raises(ValueError, match="degenerate problem"):
             SelectionProblem((1.0,))
 
-    def test_only_two_rounds(self):
-        with pytest.raises(ValueError, match="two-round"):
-            SelectionProblem((1.0, 2.0, 3.0), rounds=3)
-
     def test_example_payoffs(self):
         sel = SelectionProblem((0, 4, 1, 1))
         assert sel.num_destinations == 4
-        assert sel.rounds == 2
 
 
 class TestStrategyValidation:

@@ -32,6 +32,7 @@ class TestMaximizePolynomial:
         assert result.alpha_star == pytest.approx(1 / 3, abs=1e-12)
         assert result.payoff_star == pytest.approx(4 / 3, abs=1e-12)
         assert result.method == "closed_form"
+        assert result.gap == 0.0
 
     def test_constant_ties_break_to_zero(self):
         result = maximize_polynomial(PayoffPolynomial((5.0, 0.0)))
@@ -78,13 +79,13 @@ class TestMaximizePolynomial:
 
 def power(poly, k):
     """``poly ** k``: the same maximizer as ``poly`` wherever ``poly > 0``,
-    at a degree that takes the bisection route."""
+    at a degree that takes the numeric route."""
     return PayoffPolynomial(tuple(npoly.polypow(poly.beta_coeffs, k)))
 
 
 class TestNumericMaximize:
     """The ``method="numeric"`` route of ``maximize_polynomial``: objectives
-    above degree 3, maximized by bisecting the sign changes of the derivative."""
+    above degree 3, maximized by the halving loop over segments of [0, 1]."""
 
     def test_example1_objective(self):
         # (1 + 2a - 3a^2)^2, positive on [0, 1) with its peak at a = 1/3
@@ -119,6 +120,66 @@ class TestNumericMaximize:
         assert result.method == "numeric"
         _, best = grid_argmax(f, 1001)
         assert result.payoff_star >= best - 1e-6
+
+
+def spike_problem():
+    """Exit 1100 of 3300 pays 3300, the others 0, the terminal 1.05: the peak
+    near alpha = 7.085e-4 and the minimum after it both lie in beta > 1000/1001."""
+    exits = [0.0] * 3300
+    exits[1099] = 3300.0
+    return make_drive_problem(exits, 1.05)
+
+
+def payoff_family(kind, m, rng):
+    """``m + 1`` payoffs: uniform, an early spike on low noise, or oscillating."""
+    if kind == "uniform":
+        return rng.uniform(0.0, 10.0, size=m + 1)
+    if kind == "early-spike":
+        v = rng.uniform(0.0, 1.0, size=m + 1)
+        v[rng.integers(0, max(1, m // 10))] += 100.0
+        return v
+    phase = 2 * np.pi * np.arange(m + 1) / rng.uniform(2.0, 50.0) + rng.uniform(0.0, 2 * np.pi)
+    return 5.0 + 5.0 * np.cos(phase)
+
+
+FAMILIES = ("uniform", "early-spike", "oscillating")
+
+
+class TestCertifiedSearch:
+    """The numeric route bounds ``p`` on every segment it closes."""
+
+    def test_root_pair_inside_one_scan_segment(self):
+        # p' > 0 at both ends of the last of 1001 equal segments in beta, so a
+        # sign-change scan over them sees no root, yet the maximum lies inside
+        poly = stationary_payoff_polynomial(spike_problem())
+        deriv = npoly.polyder(poly.beta_coeffs)
+        assert npoly.polyval(1000 / 1001, deriv) > 0.0 and npoly.polyval(1.0, deriv) > 0.0
+        result = maximize_polynomial(poly)
+        assert result.method == "numeric"
+        assert result.alpha_star == pytest.approx(7.085e-4, abs=1e-7)
+        assert result.payoff_star == pytest.approx(1.17419454118, abs=1e-11)
+        assert 0.0 <= result.gap <= 1e-12 * 3300.0
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    @pytest.mark.parametrize("m", [30, 1000, 8192])
+    def test_gap_within_tolerance(self, m, kind):
+        v = payoff_family(kind, m, np.random.default_rng([m, FAMILIES.index(kind)]))
+        result = optimize_stationary(make_drive_problem(v[:-1], v[-1]))
+        assert result.method == "numeric"
+        assert 0.0 <= result.gap <= 1e-12 * np.abs(v).max()
+
+    def test_grid_never_beats_the_bound(self):
+        rng = np.random.default_rng(2026)
+        a = np.linspace(0.0, 1.0, 2001)[:, None]
+        for i in range(60):
+            m = int(rng.integers(4, 400))
+            v = payoff_family(FAMILIES[i % 3], m, rng)
+            result = optimize_stationary(make_drive_problem(v[:-1], v[-1]))
+            # product form: exit j at alpha (1 - alpha)^(j - 1), the terminal at (1 - alpha)^m
+            keep = (1.0 - a) ** np.arange(m + 1)
+            grid = np.hstack([a * keep[:, :-1], keep[:, -1:]]) @ v
+            rounding = 1e-15 * m * np.abs(v).max()
+            assert grid.max() <= result.payoff_star + result.gap + rounding
 
 
 class TestOptimizeStationary:
@@ -174,7 +235,7 @@ class TestOptimizerProperties:
 
     def test_closed_form_agrees_with_numeric(self):
         # A stationary payoff with positive payoffs is positive on [0, 1], so
-        # its fourth power has the same maximizer but takes the bisection route.
+        # its fourth power has the same maximizer but takes the numeric route.
         rng = np.random.default_rng(555)
         for _ in range(100):
             m = int(rng.integers(1, 4))

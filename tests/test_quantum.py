@@ -83,6 +83,13 @@ class TestBuildState:
         state = build_state([("0", 1.0), ("1", 1.0)], normalize=True)
         assert state.amplitudes == pytest.approx([INV_SQRT2, INV_SQRT2])
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1.7e308, 5e-324, 0.3j])
+    def test_normalize_at_any_magnitude(self, scale):
+        # the norm of the raw amplitudes overflows to inf or underflows to 0
+        state = build_state([("0", scale), ("1", scale)], normalize=True)
+        base = build_state([("0", 1.0), ("1", 1.0)], normalize=True)
+        assert state.values == pytest.approx(base.values * (scale / abs(scale)), rel=1e-15)
+
     def test_duplicate_term(self):
         with pytest.raises(ValueError, match="duplicate term"):
             build_state([("01", INV_SQRT2), ("01", INV_SQRT2)])
