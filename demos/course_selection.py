@@ -18,9 +18,10 @@ from absentdriver import (
 
 courses = SelectionProblem((0, 4, 1, 1))
 
-# (1/4)(10 + 6a - 6a^2) in alpha; 2.5 + 1.5b - 1.5b^2 in beta = 1 - alpha
-avg = two_round_average_polynomial(courses)
-print("uniform average polynomial in beta:", avg.beta_coeffs)
+# (1/4)(10 + 6a - 6a^2) in alpha: the first pick's mean 1.5 plus one averaged
+# second-round drive, 1 + 1.5b - 1.5b^2 in beta = 1 - alpha
+mean, second_round = two_round_average_polynomial(courses)
+print("first pick mean:", mean, "second round polynomial in beta:", second_round.beta_coeffs)
 
 best = optimize_two_round(courses)
 print(f"best stationary alpha: {best.alpha_star:g}, total payoff {best.payoff_star:g}")

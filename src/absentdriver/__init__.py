@@ -53,7 +53,6 @@ from .selection import (
     counting_round_values,
     first_choice_totals,
     optimize_two_round,
-    residual_problem,
     selection_improvement,
     two_round_average_polynomial,
     two_round_counting_total,
@@ -95,7 +94,6 @@ __all__ = [
     "preset_scenario",
     "product_state",
     "quantum_expected_payoff",
-    "residual_problem",
     "scenario_to_document",
     "selection_improvement",
     "stationary_payoff_polynomial",

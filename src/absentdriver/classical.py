@@ -7,18 +7,17 @@ Everything here is closed form.  With per-step exit probabilities
     P(terminal) = (1 - p_1) ... (1 - p_m)
 
 For the stationary strategy (all ``p_j = alpha``) the expected payoff is a
-polynomial, stored in ``beta = 1 - alpha``: collecting powers of ``beta``
-turns its coefficients into payoff differences, with none of the
-cancelling binomials of an expansion in ``alpha``.
+polynomial stored as the payoffs themselves.  Its basis, ``alpha *
+beta**(i-1)`` per exit and ``beta**m`` for the terminal with ``beta = 1 -
+alpha``, is non-negative and sums to 1, so the nested evaluation never
+subtracts one payoff from another.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .model import Counting, DriveProblem, PerStep, Quantum, Stationary, Strategy
 
@@ -59,52 +58,48 @@ class DestinationDistribution:
 
 @dataclass(frozen=True)
 class PayoffPolynomial:
-    """Expected payoff of the stationary strategy, as coefficients in ``beta``.
+    """Expected payoff of the stationary strategy, stored as its payoffs.
 
-    ``beta_coeffs[j]`` multiplies ``(1 - alpha)**j``.  Trailing zero
-    coefficients are kept as given (the degree-``m`` term of an
-    ``m``-intersection problem can cancel exactly).
-
-    ``scaled`` is ``(beta_coeffs * 2**-shift, shift)`` for the smallest
-    ``shift >= 0`` that keeps every Horner step of the polynomial and of its
-    derivative inside the float range for ``|beta| <= 1``: those steps are
-    bounded by ``sum_j j |c_j| < 2**(e + 2 b)``, with ``2**e > max |c_j|``
-    and ``2**b`` above the coefficient count.  Scaling by a power of two is
-    exact, and ordinary payoffs get ``shift = 0``.
+    ``payoffs`` are the exits' then the terminal's, ``v_1..v_k``, and the
+    value at ``alpha`` is ``sum_(i<k) v_i alpha beta**(i-1) + v_k
+    beta**(k-1)`` with ``beta = 1 - alpha``: a weighted mean of the payoffs,
+    so it lies between the smallest and the largest of them.
     """
 
-    beta_coeffs: tuple[float, ...]
-    scaled: tuple[np.ndarray, int] = field(init=False, repr=False, compare=False)
+    payoffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(float(c) for c in self.beta_coeffs)
-        if not coeffs:
-            raise ValueError("polynomial needs at least one coefficient")
-        if not np.isfinite(coeffs).all():
-            raise ValueError("polynomial coefficients must be finite")
-        object.__setattr__(self, "beta_coeffs", coeffs)
-        bound = math.frexp(max(map(abs, coeffs)))[1] + 2 * len(coeffs).bit_length()
-        shift = max(0, bound - 1023)
-        object.__setattr__(self, "scaled", (np.ldexp(coeffs, -shift), shift))
+        payoffs = tuple(float(v) for v in self.payoffs)
+        if not payoffs:
+            raise ValueError("polynomial needs at least one payoff")
+        if not np.isfinite(payoffs).all():
+            raise ValueError("polynomial payoffs must be finite")
+        object.__setattr__(self, "payoffs", payoffs)
 
     @property
     def degree(self) -> int:
-        return len(self.beta_coeffs) - 1
+        return len(self.payoffs) - 1
+
+    @property
+    def beta_coeffs(self) -> tuple[float, ...]:
+        """Coefficients in ``beta``: ``beta_coeffs[j]`` multiplies ``beta**j``.
+
+        Collecting powers of ``beta`` telescopes the sum, so they are the
+        payoff differences ``v_(j+1) - v_j`` (with ``v_0 = 0``), which
+        overflow where consecutive payoffs differ by more than the float
+        range.  Trailing zeros are kept: the degree-``m`` term can cancel.
+        """
+        return tuple(np.diff(self.payoffs, prepend=0.0).tolist())
 
     def __call__(self, alpha):
-        """Evaluate at a scalar or array of ``alpha`` values.
-
-        Evaluation runs on the scaled coefficients, so for ``alpha`` in
-        [0, 1] the result overflows only where the true value does.
-        """
-        coeffs, shift = self.scaled
-        return np.ldexp(npoly.polyval(1.0 - np.asarray(alpha), coeffs), shift)
-
-    def __add__(self, shift: float) -> "PayoffPolynomial":
-        """The same polynomial shifted by a constant payoff."""
-        if not isinstance(shift, (int, float)):
-            return NotImplemented
-        return PayoffPolynomial((self.beta_coeffs[0] + shift, *self.beta_coeffs[1:]))
+        """Evaluate at a scalar or array of ``alpha`` values, from the terminal
+        payoff outwards: ``acc = v_i alpha + beta acc``."""
+        a = float(alpha) if np.ndim(alpha) == 0 else np.asarray(alpha, dtype=float)
+        b = 1.0 - a
+        acc = self.payoffs[-1] + 0.0 * a  # shaped like alpha
+        for v in self.payoffs[-2::-1]:
+            acc = v * a + b * acc
+        return acc
 
 
 def step_exit_probabilities(problem: DriveProblem, strategy: Strategy) -> np.ndarray:
@@ -146,10 +141,9 @@ def expected_payoff(problem: DriveProblem, strategy: Strategy) -> float:
 
 
 def stationary_payoff_polynomial(problem: DriveProblem) -> PayoffPolynomial:
-    """``sum_i v_i a (1-a)^(i-1) + v_terminal (1-a)^m`` in powers of ``b = 1 - a``.
+    """``sum_i v_i a (1-a)^(i-1) + v_terminal (1-a)^m``, stored as its payoffs.
 
-    Substituting ``a = 1 - b`` telescopes the sum: the coefficient of
-    ``b^j`` is ``v_(j+1) - v_j`` (with ``v_0 = 0`` and ``v_(m+1)`` the
-    terminal payoff), so no expansion and no cancellation is involved.
+    The weights are the stationary destination distribution, so the
+    polynomial is exact in its coefficients: no expansion, no difference.
     """
-    return PayoffPolynomial(tuple(np.diff(problem.destination_payoffs, prepend=0.0)))
+    return PayoffPolynomial(problem.destination_payoffs)

@@ -175,7 +175,8 @@ def _run_optimize(scenario: Scenario) -> CommandOutput:
 def _run_select(scenario: Scenario) -> CommandOutput:
     sel = scenario.problem
     counting_values = counting_round_values(sel)
-    avg = two_round_average_polynomial(sel)
+    mean, second_round = two_round_average_polynomial(sel)
+    b0, *higher = second_round.beta_coeffs  # the first pick's mean joins b0 only
     best = optimize_two_round(sel)
     totals = first_choice_totals(sel, best.alpha_star)
     counting_total = two_round_counting_total(sel)
@@ -205,7 +206,7 @@ def _run_select(scenario: Scenario) -> CommandOutput:
     )
     text += "\n\n" + "\n".join(
         [
-            f"average stationary polynomial (beta = 1 - alpha): {fmt_poly(avg.beta_coeffs)}",
+            f"average stationary polynomial (beta = 1 - alpha): {fmt_poly((b0 + mean, *higher))}",
             f"stationary optimum: alpha* = {fmt_value(best.alpha_star)}, "
             f"payoff = {fmt_value(best.payoff_star)}",
             f"counting average total: {fmt_value(counting_total)}",
@@ -290,8 +291,8 @@ def run_command(command: str, scenario: Scenario) -> CommandOutput:
         raise ScenarioError(
             f"command/problem mismatch: '{command}' needs a drive problem, got selection"
         )
-    # A result past the float range overflows quietly here, and the
-    # polynomial's checks or fmt_num turn the inf or nan into a runtime error.
+    # A result past the float range overflows quietly here, and fmt_num
+    # turns the inf or nan into a runtime error.
     with np.errstate(over="ignore", invalid="ignore"):
         return _RUNNERS[command](scenario)
 

@@ -1,7 +1,8 @@
 """Maximizing expected payoff over the stationary exit probability.
 
-The work happens in ``beta = 1 - alpha``, where the payoff polynomial is
-stored.  Candidates are both endpoints of [0, 1] plus interior roots of the
+The search runs in ``beta = 1 - alpha`` on the payoffs themselves, with the
+value and its derivative from the nested loop that evaluates the polynomial.
+Candidates are both endpoints of [0, 1] plus interior roots of the
 derivative: every root of a derivative of degree <= 2, else the maxima that
 one halving loop locates while it bounds ``p`` on every segment (Lipschitz
 pruning, Hansen, Jaumard & Lu, Math. Programming 55, 1992).  Ties go to the
@@ -53,10 +54,10 @@ def _closed_form_roots(deriv: tuple[float, ...]) -> tuple[float, ...]:
     return _quadratic_roots(deriv[2], deriv[1], deriv[0])
 
 
-def _search(c: np.ndarray) -> tuple[list[float], float]:
+def _search(v: np.ndarray) -> tuple[list[float], float]:
     """Maxima of ``p`` and the largest bound on ``p`` over the closed segments.
 
-    With ``v = cumsum(c)``, the payoffs, and their median ``k``, ``p - k = (1 -
+    In ``beta``, with the payoffs ``v`` and their median ``k``, ``p - k = (1 -
     beta) sum_(j<m) (v_j - k) beta**j + (v_m - k) beta**m``, so on ``[a, b]``
     ``|p''| <= M = (1 - a) s(b) + t(b)`` with ``s = sum_j j (j-1) |v_j - k|
     beta**(j-2)``, ``t = sum_j 2 j |v_j - k| beta**(j-1) + m (m-1) |v_m - k|
@@ -65,20 +66,21 @@ def _search(c: np.ndarray) -> tuple[list[float], float]:
     ``tol = 1e-12 max |v|``, or while it holds a maximum (``p'`` from ``>= 0``
     to ``< 0``) within ``tol`` of the best, down to adjacent floats.
     """
-    m, v = c.size - 1, np.cumsum(c)
+    m = v.size - 1
     tol, u = 1e-12 * float(np.abs(v).max()), np.abs(v - np.partition(v, m // 2)[m // 2])
-    rows = np.zeros((4, m + 1))
-    rows[0], rows[1, :-1] = c, npoly.polyder(c)
-    rows[2, :-3], rows[3, :-2] = npoly.polyder(u[:-1], 2), 2.0 * npoly.polyder(u[:-1])
-    rows[3, m - 2] += m * (m - 1) * u[-1]
-    terms = rows[:, ::-1].T.tolist()
+    rows = np.zeros((3, m + 1))
+    rows[0], rows[1, :-3], rows[2, :-2] = v, npoly.polyder(u[:-1], 2), 2.0 * npoly.polyder(u[:-1])
+    rows[2, m - 2] += m * (m - 1) * u[-1]
+    last, terms = float(v[-1]), rows[:, -2::-1].T.tolist()  # s and t have no beta**m term
 
     def point(x: float) -> tuple[float, float, bool, float, float]:
-        """``(x, p(x), p'(x) >= 0, s(x), t(x))`` by Horner's rule."""
-        p = d = s = t = 0.0
-        for cj, dj, sj, tj in terms:
-            p = p * x + cj
-            d = d * x + dj
+        """``(x, p(x), p'(x) >= 0, s(x), t(x))``: ``p`` by the nested loop
+        from the terminal payoff, ``p'`` by its derivative, ``s`` and ``t`` by
+        Horner's rule."""
+        y, p, d, s, t = 1.0 - x, last, 0.0, 0.0, 0.0
+        for vj, sj, tj in terms:
+            d = x * d + p - vj
+            p = y * vj + x * p
             s = s * x + sj
             t = t * x + tj
         return x, p, d >= 0.0, s, t
@@ -104,22 +106,21 @@ def _search(c: np.ndarray) -> tuple[list[float], float]:
 def maximize_polynomial(poly: PayoffPolynomial) -> OptimizationResult:
     """Global maximum of the polynomial over [0, 1].
 
-    The ``beta`` coefficients are scaled by a power of two to a largest
-    magnitude in [1/2, 1), which moves no root, keeps every sum finite and
-    makes :func:`_search` scale-free.  A candidate whose payoff is outside
-    the float range is refused, never skipped.
+    The payoffs are scaled by a power of two to a largest magnitude in
+    [1/2, 1), which moves no root, keeps every difference and sum finite and
+    makes :func:`_search` scale-free.  The candidates are then evaluated on
+    the payoffs as given.
     """
-    exponent = math.frexp(max(map(abs, poly.beta_coeffs)))[1]
-    c = np.ldexp(poly.beta_coeffs, -exponent)
-    deriv = tuple(npoly.polytrim(npoly.polyder(c)).tolist())  # trailing zeros cut
+    exponent = math.frexp(max(map(abs, poly.payoffs)))[1]
+    v = np.ldexp(poly.payoffs, -exponent)
+    # the derivative in beta, trailing zeros cut
+    deriv = tuple(npoly.polytrim(npoly.polyder(np.diff(v, prepend=0.0))).tolist())
     if len(deriv) <= 3:
         interior, top, method = _closed_form_roots(deriv), -math.inf, "closed_form"
     else:
-        interior, top, method = *_search(c), "numeric"
+        interior, top, method = *_search(v), "numeric"
     xs = sorted({0.0, 1.0, *(1.0 - r for r in interior if 0.0 < r < 1.0)})
-    ys = [float(poly(x)) for x in xs]
-    if not all(map(math.isfinite, ys)):
-        raise ValueError("result is not finite")
+    ys = [poly(x) for x in xs]
     best = ys.index(max(ys))  # the first maximum: the smallest alpha
     gap = max(0.0, top - math.ldexp(ys[best], -exponent))
     return OptimizationResult(xs[best], ys[best], method, math.ldexp(gap, exponent))

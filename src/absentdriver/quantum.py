@@ -24,7 +24,7 @@ import numpy as np
 from .classical import DestinationDistribution
 from .model import DriveProblem
 
-# Caps only product_state and the dense amplitudes view, which hold all 2**m strings.
+# Caps only product_state, which holds all 2**m strings.
 MAX_QUBITS = 20
 
 # Unnormalized input is accepted up to this deviation of the norm from 1.
@@ -72,14 +72,15 @@ class StateVector:
             raise ValueError(f"bits {bits.shape} and values {values.shape} must match and be 1-d")
         if not np.isfinite(values).all():
             raise ValueError("amplitudes must be finite")
-        order = np.argsort(bits, kind="stable")
-        bits, values = bits[order], values[order]
         codes = bits.view(np.uint8)
-        if not ((codes == ord("0")) | (codes == ord("1"))).all():
+        if codes.size and not ord("0") <= codes.min() <= codes.max() <= ord("1"):
             raise ValueError(f"bad basis strings: each must be {bits.itemsize} characters of 0 and 1")
-        repeated = bits[1:][bits[1:] == bits[:-1]]
-        if repeated.size:
-            raise ValueError(f"duplicate term: {repeated[0].decode()!r}")
+        if not (bits[1:] > bits[:-1]).all():  # strictly ascending needs no sort and has no repeat
+            order = np.argsort(bits, kind="stable")
+            bits, values = bits[order], values[order]
+            repeated = bits[1:][bits[1:] == bits[:-1]]
+            if repeated.size:
+                raise ValueError(f"duplicate term: {repeated[0].decode()!r}")
         norm = float(np.linalg.norm(values))
         if abs(norm - 1.0) > STATE_NORM_TOL:
             raise ValueError(f"not normalized: state norm is {norm!r}")
@@ -101,17 +102,6 @@ class StateVector:
     def probabilities(self) -> np.ndarray:
         """``|amplitude|**2`` per stored term, aligned with ``bits``."""
         return np.abs(self.values) ** 2
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        """Read-only dense view over all ``2**m`` strings in index order, O(2**m) per read."""
-        m = self.num_qubits
-        if m > MAX_QUBITS:
-            raise ValueError(f"dense view needs a qubit count in 1..{MAX_QUBITS}, got {m}")
-        amps = np.zeros(2**m, dtype=complex)
-        amps[[int(b, 2) for b in self.bits.tolist()]] = self.values
-        amps.setflags(write=False)
-        return amps
 
 
 def build_state(terms, normalize: bool = False) -> StateVector:
@@ -156,12 +146,13 @@ def product_state(alpha: float, num_qubits: int) -> StateVector:
         raise ValueError(f"alpha must be a probability in [0, 1], got {alpha!r}")
     if not 1 <= num_qubits <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {num_qubits}")
-    single = np.array([math.sqrt(a), math.sqrt(1.0 - a)], dtype=complex)
-    digit = np.array([b"0", b"1"])
-    amps, bits = single, digit
-    for _ in range(num_qubits - 1):
-        amps = np.kron(amps, single)
-        bits = np.strings.add(bits[:, None], digit).ravel()
+    amps = np.ones(1)
+    for _ in range(num_qubits):  # one more qubit, in front: its 0 half, then its 1 half
+        amps = np.concatenate((math.sqrt(a) * amps, math.sqrt(1.0 - a) * amps))
+    # basis index i in 32 binary digits, most significant first: strings in index order
+    index = np.arange(2**num_qubits, dtype=">u4").view(np.uint8)
+    digits = np.unpackbits(index).reshape(-1, 32)[:, 32 - num_qubits:] + ord("0")
+    bits = digits.view(f"S{num_qubits}").ravel()
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > _RESCALE_SKIP:
         amps = amps / norm

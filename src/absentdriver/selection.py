@@ -11,27 +11,13 @@ the terminal role.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from .classical import PayoffPolynomial, destination_distribution, stationary_payoff_polynomial
+from .classical import PayoffPolynomial, destination_distribution
 from .model import DriveProblem, SelectionProblem, Stationary
 from .optimize import OptimizationResult, maximize_polynomial
-
-
-def residual_problem(problem: DriveProblem, removed: int) -> DriveProblem:
-    """The drive problem left after destination ``removed`` (1-based) is taken.
-
-    Remaining destinations keep their order; the last survivor becomes the
-    new terminal.  Removing one of only two destinations leaves a forced
-    single-destination problem with a constant payoff.
-    """
-    k = problem.num_destinations
-    if not 1 <= removed <= k:
-        raise ValueError(f"bad destination: {removed} not in 1..{k}")
-    remaining = list(problem.destination_payoffs)
-    del remaining[removed - 1]
-    return DriveProblem(tuple(remaining[:-1]), remaining[-1])
 
 
 def _sum_scale(payoffs) -> float:
@@ -56,24 +42,28 @@ def first_choice_totals(sel: SelectionProblem, alpha: float) -> np.ndarray:
     return v + ahead + after
 
 
-def two_round_average_polynomial(sel: SelectionProblem) -> PayoffPolynomial:
-    """Uniform average over first choices of the per-choice total polynomials.
+def two_round_average_polynomial(sel: SelectionProblem) -> tuple[float, PayoffPolynomial]:
+    """``(mean(v), p)``: the uniform average over first choices of the
+    per-choice totals is ``mean(v) + p(alpha)``.
 
-    The second round's stationary payoff is linear in the survivors' payoffs,
-    so the average is one drive: survivor ``j`` is ``v_j`` when the first
-    pick came later (probability ``1 - j/n``) and ``v_(j+1)`` otherwise.
+    The first pick pays ``mean(v)`` on average.  The second round's
+    stationary payoff is linear in the survivors' payoffs, so its average is
+    one drive ``p``: survivor ``j`` is ``v_j`` when the first pick came later
+    (probability ``1 - j/n``) and ``v_(j+1)`` otherwise.  The mean stays out
+    of ``p``'s payoffs, so its ``beta`` coefficients are differences of the
+    averaged payoffs alone.
     """
     v = np.asarray(sel.destination_payoffs)
     j = np.arange(1, v.size) / v.size
-    averaged = (1.0 - j) * v[:-1] + j * v[1:]
     scale = _sum_scale(sel.destination_payoffs)
-    drive = DriveProblem(averaged[:-1], averaged[-1])
-    return stationary_payoff_polynomial(drive) + (v / scale).mean() * scale
+    return float((v / scale).mean() * scale), PayoffPolynomial((1.0 - j) * v[:-1] + j * v[1:])
 
 
 def optimize_two_round(sel: SelectionProblem) -> OptimizationResult:
     """Best stationary ``alpha`` for the averaged two-round payoff."""
-    return maximize_polynomial(two_round_average_polynomial(sel))
+    mean, poly = two_round_average_polynomial(sel)
+    result = maximize_polynomial(poly)
+    return replace(result, payoff_star=mean + result.payoff_star)
 
 
 def counting_round_values(sel: SelectionProblem) -> tuple[tuple[float, float], ...]:

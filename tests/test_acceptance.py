@@ -102,9 +102,11 @@ def test_criterion_04_counting_beats_stationary_on_examples():
 
 def test_criterion_05_two_round_selection():
     with criterion(5, "selection (0,4,1,1): avg poly, optimum 23/8, counting 3, gain 1/8"):
-        avg = two_round_average_polynomial(SELECTION)
-        assert avg.beta_coeffs == pytest.approx((10 / 4, 6 / 4, -6 / 4), abs=1e-12)
-        assert_alpha_form(avg, (10 / 4, 6 / 4, -6 / 4))
+        # the mean of the first pick plus one averaged second-round drive
+        mean, second = two_round_average_polynomial(SELECTION)
+        b0, *higher = second.beta_coeffs
+        assert (b0 + mean, *higher) == pytest.approx((10 / 4, 6 / 4, -6 / 4), abs=1e-12)
+        assert_alpha_form(lambda a: mean + second(a), (10 / 4, 6 / 4, -6 / 4))
 
         # per first choice, 1 + 3a and 5 - a: degree 1, so two points each
         for a in (0.0, 0.5):

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from absentdriver import (
     Counting,
     DestinationDistribution,
-    PayoffPolynomial,
     PerStep,
     Quantum,
     Stationary,
@@ -15,6 +14,7 @@ from absentdriver import (
     make_drive_problem,
     stationary_payoff_polynomial,
 )
+from oracles import exact_payoff, from_beta, mixed_magnitude_payoffs
 
 EXAMPLE1 = make_drive_problem([0, 4], 1)
 EXAMPLE2 = make_drive_problem([0, 4, 1], 1)
@@ -165,42 +165,48 @@ class TestStationaryPayoffPolynomial:
 
 class TestPayoffPolynomial:
     def test_evaluates_in_one_minus_alpha(self):
-        poly = PayoffPolynomial((0.0, 4.0, -3.0))
+        poly = from_beta((0.0, 4.0, -3.0))
         assert poly(1.0) == 0.0
         assert poly(0.0) == 1.0
         assert poly(np.array([0.0, 1 / 3, 1.0])) == pytest.approx([1.0, 4 / 3, 0.0], abs=1e-15)
 
     def test_degree_zero_derivative_is_zero(self):
-        poly = PayoffPolynomial((4.0,))
+        poly = from_beta((4.0,))
         assert poly.degree == 0
         assert np.all(poly(np.linspace(0.0, 1.0, 101)) == 4.0)
 
     def test_rejects_non_finite_coefficients(self):
         with pytest.raises(ValueError, match="must be finite"):
-            PayoffPolynomial((1.0, float("nan")))
+            from_beta((1.0, float("nan")))
 
     def test_horner_steps_past_float_range_evaluate_exactly(self):
-        # unscaled, Horner's rule at alpha = 0 reaches -1e308 - 1e308 = -inf
-        poly = PayoffPolynomial((1e308, -1e308, -1e308))
-        assert poly.scaled[1] == 5
+        # in beta, Horner's rule at alpha = 0 reaches -1e308 - 1e308 = -inf;
+        # the payoffs 1e308, 0, -1e308 never leave the float range
+        poly = from_beta((1e308, -1e308, -1e308))
         assert poly(0.0) == -1e308
         assert poly(1.0) == 1e308
 
-    def test_ordinary_coefficients_are_not_scaled(self):
-        coeffs = (0.0, 4.0, -3.0, 0.0)
-        scaled, shift = PayoffPolynomial(coeffs).scaled
-        assert shift == 0
-        assert tuple(scaled) == coeffs
+    def test_stores_the_payoffs(self):
+        poly = stationary_payoff_polynomial(EXAMPLE2)
+        assert poly.payoffs == (0.0, 4.0, 1.0, 1.0)
+        assert poly == from_beta(poly.beta_coeffs)
 
-    def test_overflowing_value_is_infinite(self):
-        # 1e308 + 1e308 is past the float range itself
-        with np.errstate(over="ignore"):
-            assert PayoffPolynomial((1e308, 1e308))(0.0) == np.inf
 
-    def test_scalar_operations(self):
-        # a constant payoff shifts the beta^0 coefficient; nothing else is defined
-        assert (PayoffPolynomial((1.0, 2.0)) + 4.0).beta_coeffs == (5.0, 2.0)
-        with pytest.raises(TypeError):
-            PayoffPolynomial((1.0, 2.0)) + PayoffPolynomial((2.0,))
-        with pytest.raises(TypeError):
-            PayoffPolynomial((1.0, 2.0)) * 0.5
+class TestAgainstExactArithmetic:
+    """Mixed-magnitude payoffs, where differences of payoffs cancel: the
+    error must scale with ``E|v| = sum_i w_i |v_i|``, not with ``max |v|``."""
+
+    def test_evaluation_within_expected_magnitude(self):
+        rng = np.random.default_rng(2017)
+        for _ in range(1000):
+            v = mixed_magnitude_payoffs(rng, int(rng.integers(3, 14)))
+            poly = stationary_payoff_polynomial(make_drive_problem(v[:-1], v[-1]))
+            for alpha in (0.0, 1.0, 0.5, *rng.uniform(0.0, 1.0, size=3)):
+                scale = float(exact_payoff(np.abs(v), alpha))
+                assert abs(poly(alpha) - exact_payoff(v, alpha)) <= 1e-12 * scale
+
+    def test_array_evaluation_matches_scalar(self):
+        v = mixed_magnitude_payoffs(np.random.default_rng(5), 13)
+        poly = stationary_payoff_polynomial(make_drive_problem(v[:-1], v[-1]))
+        grid = np.linspace(0.0, 1.0, 11)
+        assert poly(grid).tolist() == [poly(a) for a in grid]

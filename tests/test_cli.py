@@ -5,15 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from absentdriver import (
-    Stationary,
-    expected_payoff,
-    make_drive_problem,
-    parse_scenario,
-    residual_problem,
-)
+from absentdriver import Stationary, expected_payoff, make_drive_problem, parse_scenario
 from absentdriver.cli import emit_csv, fmt_num, fmt_poly, fmt_value, main, run_command
 from absentdriver.scenario import MAX_TRIALS
+from oracles import residual_problem
 
 
 def run_cli(capsys, *argv):
@@ -227,10 +222,19 @@ class TestOptimizeCommand:
         assert f"optimum: {optimum}\n" in out
 
     def test_non_finite_coefficient_is_runtime_error(self, capsys, scenario_file):
-        # 1e308 - (-1e308): a payoff difference past the float range
+        # -1e308 - 1e308: a printed beta coefficient past the float range,
+        # though the optimum itself is finite
         path = scenario_file(_drive_doc([1e308, -1e308, 1e308]))
         code, out, err = run_cli(capsys, "optimize", "--scenario", path)
-        assert (code, out, err) == (3, "", "runtime error: polynomial coefficients must be finite\n")
+        assert (code, out, err) == (3, "", "runtime error: result is not finite\n")
+
+    def test_cancelling_coefficients_keep_the_small_payoffs(self, capsys, scenario_file):
+        # beta coefficients -1e16 and 1 - (-1e16) = 1e16 cancel; at alpha = 0
+        # the driver takes the terminal, which pays 2
+        path = scenario_file(_drive_doc([-1e16, 1, 0, 0, 2]))
+        code, out, err = run_cli(capsys, "optimize", "--scenario", path)
+        assert (code, err) == (0, "")
+        assert "optimum: alpha* = 0, payoff = 2, method = numeric\n" in out
 
 
 class TestSelectCommand:
@@ -324,7 +328,7 @@ class TestSelectCommand:
         import absentdriver.cli as cli
         import absentdriver.selection as selection
 
-        calls = {"residual_problem": 0, "optimize_two_round": 0}
+        calls = {"optimize_two_round": 0}
 
         def counted(module, name):
             original = getattr(module, name)
@@ -335,7 +339,6 @@ class TestSelectCommand:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(selection, "residual_problem")
         for module in (cli, selection):
             counted(module, "optimize_two_round")
         n = 64
@@ -347,7 +350,7 @@ class TestSelectCommand:
             }
         )
         assert run_cli(capsys, "select", "--scenario", path)[0] == 0
-        assert calls == {"residual_problem": 0, "optimize_two_round": 1}
+        assert calls == {"optimize_two_round": 1}
 
 
 class TestSimulateCommand:
@@ -472,10 +475,26 @@ class TestCurveCommand:
         code, out, err = run_cli(capsys, "curve", "--scenario", path, "--grid-step", "0.5")
         assert (code, out, err) == (0, "alpha,payoff\n0,-1e+308\n0.5,2.5e+307\n1,1e+308\n", "")
 
-    def test_non_finite_coefficient_is_runtime_error(self, capsys, scenario_file):
-        path = scenario_file(_drive_doc([1e308, -1e308, 1e308]))
-        code, out, err = run_cli(capsys, "curve", "--scenario", path)
-        assert (code, out, err) == (3, "", "runtime error: polynomial coefficients must be finite\n")
+    @pytest.mark.parametrize(
+        "payoffs, values",
+        [
+            ([1e308, -1e308, 1e308], "1e+308 6.25e+307 5e+307 6.25e+307 1e+308"),
+            ([1e308, 1e308, -1e308], "-1e+308 -1.25e+307 5e+307 8.75e+307 1e+308"),
+        ],
+    )
+    def test_payoff_differences_past_float_range(self, capsys, scenario_file, payoffs, values):
+        # a beta coefficient of 2e308 or -2e308, but every printed payoff is finite
+        path = scenario_file(_drive_doc(payoffs))
+        code, out, err = run_cli(capsys, "curve", "--scenario", path, "--grid-step", "0.25")
+        assert (code, err) == (0, "")
+        assert [row.split(",")[1] for row in out.split()[1:]] == values.split()
+
+    def test_cancelling_coefficients_keep_the_small_payoffs(self, capsys, scenario_file):
+        # the beta coefficient 1 - 1e16 rounds to -1e16, which cancelled the
+        # terminal payoff 1 at alpha = 0
+        path = scenario_file(_drive_doc([1e16, 1]))
+        code, out, err = run_cli(capsys, "curve", "--scenario", path, "--grid-step", "0.5")
+        assert (code, out, err) == (0, "alpha,payoff\n0,1\n0.5,5e+15\n1,1e+16\n", "")
 
     def test_csv_file_matches_stdout(self, capsys, tmp_path):
         csv_path = tmp_path / "curve.csv"

@@ -1,11 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
 from absentdriver import (
-    PayoffPolynomial,
     SelectionProblem,
     Stationary,
     expected_payoff,
@@ -13,9 +13,9 @@ from absentdriver import (
     maximize_polynomial,
     optimize_stationary,
     optimize_two_round,
-    residual_problem,
     stationary_payoff_polynomial,
 )
+from oracles import exact_payoff, from_beta, mixed_magnitude_payoffs, residual_problem
 
 
 def grid_argmax(f, points):
@@ -28,37 +28,37 @@ def grid_argmax(f, points):
 
 class TestMaximizePolynomial:
     def test_example1_polynomial(self):
-        result = maximize_polynomial(PayoffPolynomial((0.0, 4.0, -3.0)))
+        result = maximize_polynomial(from_beta((0.0, 4.0, -3.0)))
         assert result.alpha_star == pytest.approx(1 / 3, abs=1e-12)
         assert result.payoff_star == pytest.approx(4 / 3, abs=1e-12)
         assert result.method == "closed_form"
         assert result.gap == 0.0
 
     def test_constant_ties_break_to_zero(self):
-        result = maximize_polynomial(PayoffPolynomial((5.0, 0.0)))
+        result = maximize_polynomial(from_beta((5.0, 0.0)))
         assert result.alpha_star == 0.0
         assert result.payoff_star == 5.0
 
     def test_monotone_takes_endpoint(self):
-        result = maximize_polynomial(PayoffPolynomial((1.0, -1.0)))
+        result = maximize_polynomial(from_beta((1.0, -1.0)))
         assert result.alpha_star == 1.0
         assert result.payoff_star == 1.0
 
     def test_convex_interior_minimum_is_skipped(self):
         # (1/2 - b)^2 = (a - 1/2)^2 has its stationary point at a minimum; ends win.
-        result = maximize_polynomial(PayoffPolynomial((0.25, -1.0, 1.0)))
+        result = maximize_polynomial(from_beta((0.25, -1.0, 1.0)))
         assert result.alpha_star == 0.0
         assert result.payoff_star == pytest.approx(0.25)
 
     def test_trailing_zero_coefficients_ignored(self):
-        result = maximize_polynomial(PayoffPolynomial((0.0, 4.0, -3.0, 0.0)))
+        result = maximize_polynomial(from_beta((0.0, 4.0, -3.0, 0.0)))
         assert result.alpha_star == pytest.approx(1 / 3, abs=1e-12)
         assert result.method == "closed_form"
 
     def test_taller_of_two_interior_peaks(self):
         # Stationary points near b = 0.2, 0.5, 0.8: peaks at a ~ 0.8 and
         # a ~ 0.2, the first tilted higher; the minimum between them is skipped.
-        poly = PayoffPolynomial((0.0, 79.0, -330.0, 500.0, -250.0))
+        poly = from_beta((0.0, 79.0, -330.0, 500.0, -250.0))
         result = maximize_polynomial(poly)
         assert result.method == "numeric"
         assert result.alpha_star == pytest.approx(0.8, abs=0.01)
@@ -80,7 +80,7 @@ class TestMaximizePolynomial:
 def power(poly, k):
     """``poly ** k``: the same maximizer as ``poly`` wherever ``poly > 0``,
     at a degree that takes the numeric route."""
-    return PayoffPolynomial(tuple(npoly.polypow(poly.beta_coeffs, k)))
+    return from_beta(npoly.polypow(poly.beta_coeffs, k))
 
 
 class TestNumericMaximize:
@@ -89,20 +89,20 @@ class TestNumericMaximize:
 
     def test_example1_objective(self):
         # (1 + 2a - 3a^2)^2, positive on [0, 1) with its peak at a = 1/3
-        result = maximize_polynomial(power(PayoffPolynomial((0.0, 4.0, -3.0)), 2))
+        result = maximize_polynomial(power(from_beta((0.0, 4.0, -3.0)), 2))
         assert result.alpha_star == pytest.approx(1 / 3, abs=1e-9)
         assert result.payoff_star == pytest.approx(16 / 9, abs=1e-12)
         assert result.method == "numeric"
 
     def test_selection_average_objective(self):
         # ((10 + 6a - 6a^2) / 4)^2; in beta the quadratic is (10 + 6b - 6b^2) / 4
-        result = maximize_polynomial(power(PayoffPolynomial((2.5, 1.5, -1.5)), 2))
+        result = maximize_polynomial(power(from_beta((2.5, 1.5, -1.5)), 2))
         assert result.method == "numeric"
         assert result.alpha_star == pytest.approx(0.5, abs=1e-8)
         assert result.payoff_star == pytest.approx((23 / 8) ** 2, abs=1e-12)
 
     def test_constant_objective_ties_to_zero(self):
-        result = maximize_polynomial(PayoffPolynomial((2.0,)))
+        result = maximize_polynomial(from_beta((2.0,)))
         assert result.alpha_star == 0.0
         assert result.payoff_star == 2.0
 
@@ -113,7 +113,7 @@ class TestNumericMaximize:
         for j in range(2, 61):
             lead = math.sin(13.0) if j % 2 == 0 else -math.cos(13.0)
             coeffs.append((-1) ** (j // 2) * lead * 13.0**j / math.factorial(j))
-        poly = PayoffPolynomial(tuple(coeffs))
+        poly = from_beta(coeffs)
         grid = np.linspace(0.0, 1.0, 1001)
         assert poly(grid) == pytest.approx([f(a) for a in grid], abs=1e-9)
         result = maximize_polynomial(poly)
@@ -288,7 +288,8 @@ class TestLargeSizes:
 
 
 class TestPayoffMagnitude:
-    """Roots and values are computed on coefficients scaled by a power of two."""
+    """Roots are computed on payoffs scaled by a power of two; values on the
+    payoffs as given, a weighted mean that cannot overflow."""
 
     def test_payoffs_near_float_max(self):
         # unscaled, j * c_j overflows the derivative and the optimum falls
@@ -308,7 +309,7 @@ class TestPayoffMagnitude:
                 expected_payoff(problem, Stationary(result.alpha_star)), abs=tol
             )
 
-    # from 1010 on the polynomial scales its coefficients internally
+    # 1010 puts the largest payoffs near 2**1013, ten bits below the float limit
     @pytest.mark.parametrize("exponent", [-900, -40, 40, 900, 1010])
     def test_power_of_two_scaling_is_exact(self, exponent):
         payoffs = np.random.default_rng(31).uniform(0.0, 10.0, size=65)
@@ -337,8 +338,26 @@ class TestPayoffMagnitude:
         assert result.alpha_star == 0.0
         assert result.payoff_star == pytest.approx(-8.5e307, rel=1e-15)
 
-    def test_payoff_past_float_range_refused(self):
-        # payoff(0) = 2e308: the maximum itself is not a float
-        with np.errstate(over="ignore"):
-            with pytest.raises(ValueError, match="result is not finite"):
-                maximize_polynomial(PayoffPolynomial((1e308, 1e308)))
+    def test_optimum_past_float_range_differences(self):
+        # beta coefficients 1e308, -2e308, 2e308: the middle one is not a float
+        problem = make_drive_problem([1e308, -1e308], 1e308)
+        result = optimize_stationary(problem)
+        assert (result.alpha_star, result.payoff_star) == (0.0, 1e308)
+
+
+class TestAgainstExactArithmetic:
+    """The optimum for mixed-magnitude payoffs ``+-10**U(-3, 16)``, checked in
+    exact arithmetic: its value at ``alpha*`` within ``1e-12 E|v|``, and no
+    point of a 201-point grid above it by more than ``1e-12 max |v|``."""
+
+    def test_optimum_against_exact_grid(self):
+        rng = np.random.default_rng(1702)
+        grid = [Fraction(i, 200) for i in range(201)]
+        for _ in range(500):
+            v = mixed_magnitude_payoffs(rng, int(rng.integers(3, 14)))
+            result = optimize_stationary(make_drive_problem(v[:-1], v[-1]))
+            at_optimum = exact_payoff(v, result.alpha_star)
+            scale = float(exact_payoff(np.abs(v), result.alpha_star))
+            assert abs(result.payoff_star - at_optimum) <= 1e-12 * scale
+            best = max(exact_payoff(v, a) for a in grid)
+            assert result.payoff_star >= best - 1e-12 * np.abs(v).max()

@@ -19,6 +19,7 @@ from absentdriver import (
     scenario_to_document,
 )
 from absentdriver.scenario import MAX_TRIALS, PRESETS, NamedStrategy, ScenarioOptions
+from oracles import dense_amplitudes
 
 EXAMPLE1_DOC = """
 {
@@ -44,7 +45,7 @@ class TestParseScenario:
         assert isinstance(scenario.strategies[1].strategy, Counting)
         bell = scenario.strategies[2].strategy
         assert isinstance(bell, Quantum)
-        assert bell.state.amplitudes[1] == pytest.approx(1 / math.sqrt(2))
+        assert dense_amplitudes(bell.state)[1] == pytest.approx(1 / math.sqrt(2))
         assert scenario.options.trials == 5000
         assert scenario.options.seed == 99
 
@@ -178,7 +179,7 @@ class TestParseScenario:
             }
         )
         state = parse_scenario(doc).strategies[0].strategy.state
-        assert list(state.amplitudes) == [0, 1]
+        assert list(dense_amplitudes(state)) == [0, 1]
 
     def test_duplicate_names(self):
         doc = json.dumps(

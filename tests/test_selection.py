@@ -12,11 +12,11 @@ from absentdriver import (
     first_choice_totals,
     make_drive_problem,
     optimize_two_round,
-    residual_problem,
     selection_improvement,
     two_round_average_polynomial,
     two_round_counting_total,
 )
+from oracles import residual_problem
 
 SELECTION_EXAMPLE = SelectionProblem((0, 4, 1, 1))
 
@@ -83,19 +83,29 @@ class TestFirstChoiceTotals:
         assert best.payoff_star == pytest.approx(23 / 8, abs=1e-12)
 
 
+def average_beta_coeffs(sel):
+    """``beta`` coefficients of ``mean(v) + p``: the mean joins ``b0`` only."""
+    mean, poly = two_round_average_polynomial(sel)
+    b0, *higher = poly.beta_coeffs
+    return (b0 + mean, *higher)
+
+
 class TestTwoRoundAveragePolynomial:
     def test_example_coefficients(self):
         # 2.5 + 1.5b - 1.5b^2 with b = 1 - a is the paper's (1/4)(10 + 6a - 6a^2)
-        poly = two_round_average_polynomial(SELECTION_EXAMPLE)
-        assert poly.beta_coeffs == pytest.approx((10 / 4, 6 / 4, -6 / 4), abs=1e-12)
+        want = (10 / 4, 6 / 4, -6 / 4)
+        assert average_beta_coeffs(SELECTION_EXAMPLE) == pytest.approx(want, abs=1e-12)
 
     def test_all_zero_payoffs(self):
-        poly = two_round_average_polynomial(SelectionProblem((0.0, 0.0, 0.0)))
-        assert poly.beta_coeffs == pytest.approx((0.0, 0.0), abs=0)
+        assert average_beta_coeffs(SelectionProblem((0.0, 0.0, 0.0))) == (0.0, 0.0)
 
     def test_two_destination_edge(self):
-        poly = two_round_average_polynomial(SelectionProblem((3.0, 8.0)))
-        assert poly.beta_coeffs == pytest.approx((11.0,), abs=0)
+        assert average_beta_coeffs(SelectionProblem((3.0, 8.0))) == (11.0,)
+
+    def test_mean_stays_out_of_the_differences(self):
+        # folded into each payoff, the mean 7.5e15 would round the step 0.5 to 0
+        mean, poly = two_round_average_polynomial(SelectionProblem((0.0, 0.0, 1.0, 3e16)))
+        assert (mean, poly.beta_coeffs[:2]) == (7.5e15, (0.0, 0.5))
 
 
 @pytest.mark.parametrize("n", [2, 3, 50, 64, 200, 400])
@@ -119,9 +129,9 @@ class TestClosedFormsAgainstResidualDrives:
 
     def test_average_polynomial_is_mean_of_first_choice_totals(self, n):
         payoffs, sel, tol = self.case(n)
-        poly = two_round_average_polynomial(sel)
+        mean, poly = two_round_average_polynomial(sel)
         for a in ALPHAS:
-            assert abs(first_choice_totals(sel, a).mean() - float(poly(a))) <= tol
+            assert abs(first_choice_totals(sel, a).mean() - (mean + poly(a))) <= tol
 
     def test_counting_values_match_residual_drives(self, n):
         payoffs, sel, tol = self.case(n)
@@ -145,10 +155,10 @@ class TestOptimizeTwoRound:
 
     def test_against_grid_oracle(self):
         sel = SelectionProblem((3, 1, 0, 2))
-        poly = two_round_average_polynomial(sel)
+        mean, poly = two_round_average_polynomial(sel)
         result = optimize_two_round(sel)
         grid = np.linspace(0.0, 1.0, 100_001)
-        best = float(poly(grid).max())
+        best = mean + float(poly(grid).max())
         assert abs(result.payoff_star - best) <= 1e-6
         assert result.payoff_star >= best - 1e-9
 
