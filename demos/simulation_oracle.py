@@ -18,7 +18,6 @@ from absentdriver import (
     expected_payoff,
     first_zero_distribution,
     make_drive_problem,
-    quantum_expected_payoff,
 )
 
 problem = make_drive_problem([0, 4], 1)
@@ -29,7 +28,7 @@ SEED = 20260810
 cases = [
     ("stationary 1/3", Stationary(1 / 3), expected_payoff(problem, Stationary(1 / 3))),
     ("counting", Counting(), expected_payoff(problem, Counting())),
-    ("entangled pair", Quantum(bell), quantum_expected_payoff(problem, bell)),
+    ("entangled pair", Quantum(bell), expected_payoff(problem, Quantum(bell))),
 ]
 
 for label, strategy, analytic in cases:

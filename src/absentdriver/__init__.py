@@ -10,7 +10,6 @@ Carlo simulator.
 """
 
 from .classical import (
-    DestinationDistribution,
     PayoffPolynomial,
     destination_distribution,
     expected_payoff,
@@ -19,6 +18,7 @@ from .classical import (
 )
 from .model import (
     Counting,
+    DestinationDistribution,
     DriveProblem,
     PerStep,
     Quantum,
@@ -38,7 +38,6 @@ from .quantum import (
     build_state,
     first_zero_distribution,
     product_state,
-    quantum_expected_payoff,
 )
 from .scenario import (
     NamedStrategy,
@@ -93,7 +92,6 @@ __all__ = [
     "parse_scenario",
     "preset_scenario",
     "product_state",
-    "quantum_expected_payoff",
     "scenario_to_document",
     "selection_improvement",
     "stationary_payoff_polynomial",

@@ -1,10 +1,17 @@
-"""Exact evaluation of classical exit strategies.
+"""Exact evaluation of every exit strategy, classical or quantum.
 
 Everything here is closed form.  With per-step exit probabilities
 ``p_1..p_m`` the destination distribution is the product form
 
     P(exit i)   = (1 - p_1) ... (1 - p_{i-1}) * p_i
     P(terminal) = (1 - p_1) ... (1 - p_m)
+
+A quantum measurement plan's distribution ``d`` is its first-zero
+distribution, and its per-step exit probabilities are the hazards
+``h_j = d_j / (d_j + ... + d_(m+1))``: the chance that qubit ``j`` reads 0
+given that qubits ``1..j-1`` read 1.  Driven as a per-step plan, those
+hazards give ``d`` back through the product form, so every strategy is
+scored by the same two functions.
 
 For the stationary strategy (all ``p_j = alpha``) the expected payoff is a
 polynomial stored as the payoffs themselves.  Its basis, ``alpha *
@@ -19,41 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Counting, DriveProblem, PerStep, Quantum, Stationary, Strategy
-
-# Entries this close to 0 or 1 are treated as rounding and clamped; anything
-# further out is a logic bug, not noise.
-_CLAMP = 1e-15
-_SUM_TOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class DestinationDistribution:
-    """Probabilities over destinations ``1..k`` (exits in order, then terminal)."""
-
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        probs = np.array(self.probs, dtype=float)
-        if probs.ndim != 1 or probs.size == 0:
-            raise ValueError("distribution must be a non-empty 1-d probability vector")
-        probs[(probs >= -_CLAMP) & (probs < 0.0)] = 0.0
-        probs[(probs > 1.0) & (probs <= 1.0 + _CLAMP)] = 1.0
-        if ((probs < 0.0) | (probs > 1.0)).any():
-            raise ValueError("internal error: probability outside [0, 1] beyond rounding")
-        if abs(probs.sum() - 1.0) > _SUM_TOL:
-            raise ValueError(f"internal error: distribution sums to {probs.sum()!r}, not 1")
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
-
-    @property
-    def num_destinations(self) -> int:
-        return int(self.probs.size)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DestinationDistribution):
-            return NotImplemented
-        return np.array_equal(self.probs, other.probs)
+from .model import Counting, DestinationDistribution, DriveProblem, PerStep, Quantum, Stationary, Strategy
+from .quantum import first_zero_distribution
 
 
 @dataclass(frozen=True)
@@ -103,10 +77,12 @@ class PayoffPolynomial:
 
 
 def step_exit_probabilities(problem: DriveProblem, strategy: Strategy) -> np.ndarray:
-    """Per-intersection exit probabilities induced by a classical strategy.
+    """Per-intersection exit probabilities induced by any strategy.
 
-    Only classical strategies have a per-step marginal that is independent of
-    what happened earlier; quantum states are rejected.
+    Entry ``j`` is the probability of exiting at intersection ``j`` given
+    that the car reached it.  For a quantum plan these are the hazards of its
+    first-zero distribution, which a ``PerStep`` driver with a counter can
+    follow to land on the same distribution.
     """
     m = problem.num_intersections
     if isinstance(strategy, Stationary):
@@ -122,12 +98,22 @@ def step_exit_probabilities(problem: DriveProblem, strategy: Strategy) -> np.nda
             )
         return np.array(strategy.exit_probs, dtype=float)
     if isinstance(strategy, Quantum):
-        raise ValueError("no stepwise marginal: quantum strategies condition on earlier outcomes")
+        d = destination_distribution(problem, strategy).probs
+        tail = np.cumsum(d[::-1])[:0:-1]  # d_j + ... + d_(m+1) >= d_j in floats
+        # a one-term tail gives exactly 1; no car reaches a step of tail 0
+        return np.divide(d[:m], tail, out=np.ones(m), where=tail > 0.0)
     raise TypeError(f"unknown strategy type: {type(strategy).__name__}")
 
 
 def destination_distribution(problem: DriveProblem, strategy: Strategy) -> DestinationDistribution:
-    """Exact distribution over destinations for a classical strategy."""
+    """Exact distribution over destinations for any strategy."""
+    if isinstance(strategy, Quantum):
+        state, m = strategy.state, problem.num_intersections
+        if state.num_qubits != m:
+            raise ValueError(
+                f"strategy/problem mismatch: {state.num_qubits} qubits for {m} intersections"
+            )
+        return first_zero_distribution(state)
     steps = step_exit_probabilities(problem, strategy)
     # keep[i] = probability of still driving after the first i intersections
     keep = np.concatenate(([1.0], np.cumprod(1.0 - steps)))
@@ -135,7 +121,7 @@ def destination_distribution(problem: DriveProblem, strategy: Strategy) -> Desti
 
 
 def expected_payoff(problem: DriveProblem, strategy: Strategy) -> float:
-    """Expected payoff of a classical strategy: distribution dotted with payoffs."""
+    """Expected payoff of any strategy: distribution dotted with payoffs."""
     dist = destination_distribution(problem, strategy)
     return float(dist.probs @ np.asarray(problem.destination_payoffs))
 

@@ -27,7 +27,6 @@ import numpy as np
 from .classical import destination_distribution, stationary_payoff_polynomial
 from .model import Counting, PerStep, Quantum, SelectionProblem, Stationary
 from .optimize import optimize_stationary
-from .quantum import first_zero_distribution
 from .scenario import PRESETS, Scenario, ScenarioError, parse_scenario, preset_scenario
 from .selection import (
     counting_round_values,
@@ -137,10 +136,7 @@ def _run_eval(scenario: Scenario) -> CommandOutput:
     table_rows = []
     csv_rows = [("strategy", "expected_payoff", *(f"p{i}" for i in range(1, k + 1)))]
     for named in scenario.strategies:
-        if isinstance(named.strategy, Quantum):
-            dist = first_zero_distribution(named.strategy.state)
-        else:
-            dist = destination_distribution(problem, named.strategy)
+        dist = destination_distribution(problem, named.strategy)
         payoff = float(dist.probs @ problem.destination_payoffs)
         table_rows.append(
             (named.name, _strategy_label(named.strategy), fmt_value(payoff), fmt_dist(dist))
@@ -373,14 +369,14 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - boundary: report and set exit status
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
-    print(output.text)
-    if args.csv:
+    if args.csv:  # before any stdout, so a failed write leaves stdout empty
         try:
             with open(args.csv, "w", encoding="utf-8", newline="") as fh:
                 fh.write(emit_csv(output.rows))
         except OSError as exc:
             print(f"runtime error: cannot write {args.csv}: {exc}", file=sys.stderr)
             return 3
+    print(output.text)
     return 0
 
 

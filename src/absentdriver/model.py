@@ -1,4 +1,4 @@
-"""Problem instances and strategy descriptions for highway exit decisions.
+"""Problems, strategies and destination distributions for highway exit decisions.
 
 A drive problem is a row of ``m`` indistinguishable intersections followed by
 a forced end-of-highway outcome.  Destination ``i`` in ``1..m`` means "took
@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
+
+import numpy as np
 
 if TYPE_CHECKING:
     from .quantum import StateVector
@@ -72,6 +74,41 @@ def make_drive_problem(exit_payoffs, terminal_payoff) -> DriveProblem:
     if len(payoffs) == 0:
         raise ValueError("degenerate problem: at least one exit is required")
     return DriveProblem(payoffs, terminal_payoff)
+
+
+# Entries this close to 0 or 1 are treated as rounding and clamped; anything
+# further out is a logic bug, not noise.
+_CLAMP = 1e-15
+_SUM_TOL = 1e-12
+
+
+@dataclass(frozen=True, eq=False)
+class DestinationDistribution:
+    """Probabilities over destinations ``1..k`` (exits in order, then terminal)."""
+
+    probs: np.ndarray
+
+    def __post_init__(self) -> None:
+        probs = np.array(self.probs, dtype=float)
+        if probs.ndim != 1 or probs.size == 0:
+            raise ValueError("distribution must be a non-empty 1-d probability vector")
+        probs[(probs >= -_CLAMP) & (probs < 0.0)] = 0.0
+        probs[(probs > 1.0) & (probs <= 1.0 + _CLAMP)] = 1.0
+        if ((probs < 0.0) | (probs > 1.0)).any():
+            raise ValueError("internal error: probability outside [0, 1] beyond rounding")
+        if abs(probs.sum() - 1.0) > _SUM_TOL:
+            raise ValueError(f"internal error: distribution sums to {probs.sum()!r}, not 1")
+        probs.setflags(write=False)
+        object.__setattr__(self, "probs", probs)
+
+    @property
+    def num_destinations(self) -> int:
+        return int(self.probs.size)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DestinationDistribution):
+            return NotImplemented
+        return np.array_equal(self.probs, other.probs)
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import DestinationDistribution
-from .model import DriveProblem
+from .model import DestinationDistribution
 
 # Caps only product_state, which holds all 2**m strings.
 MAX_QUBITS = 20
@@ -170,19 +169,3 @@ def first_zero_distribution(state: StateVector) -> DestinationDistribution:
     if abs(total - 1.0) > 2 * STATE_NORM_TOL:
         raise ValueError(f"not normalized: probabilities sum to {total!r}")
     return DestinationDistribution(probs / total)
-
-
-def check_qubit_count(state: StateVector, num_intersections: int) -> None:
-    """Reject a plan that does not carry one qubit per intersection."""
-    if state.num_qubits != num_intersections:
-        raise ValueError(
-            "strategy/problem mismatch: "
-            f"{state.num_qubits} qubits for {num_intersections} intersections"
-        )
-
-
-def quantum_expected_payoff(problem: DriveProblem, state: StateVector) -> float:
-    """Expected payoff of driving ``problem`` with the measurement plan ``state``."""
-    check_qubit_count(state, problem.num_intersections)
-    dist = first_zero_distribution(state)
-    return float(dist.probs @ np.asarray(problem.destination_payoffs))

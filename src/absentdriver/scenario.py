@@ -38,7 +38,7 @@ from .model import (
     Strategy,
     make_drive_problem,
 )
-from .quantum import BasisTerm, build_state, check_qubit_count
+from .quantum import BasisTerm, build_state
 
 DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 12345
@@ -226,10 +226,7 @@ def _check_dimensions(problem, named: NamedStrategy, path: str) -> None:
                 path,
             )
         return
-    if isinstance(strategy, Quantum):
-        _wrap(path, check_qubit_count, strategy.state, problem.num_intersections)
-    else:
-        _wrap(path, step_exit_probabilities, problem, strategy)
+    _wrap(path, step_exit_probabilities, problem, strategy)
 
 
 def parse_scenario(text: str, normalize_states: bool = False) -> Scenario:

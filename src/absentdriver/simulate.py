@@ -11,12 +11,11 @@ binomial draw of the ``left`` cars still on the highway exits, with the
 step exit probability, and whoever is left at the end reaches the terminal.
 That is the conditional-binomial method for multinomial variates (Davis,
 Comput. Stat. Data Anal. 16(2), 1993): the counts have the distribution of
-``n`` separate drives, for O(m) draws, not ``n * m`` uniforms.  A classical
-strategy supplies its step probabilities, so its draws never use the product
-form they check.  A quantum plan exits at ``j`` when qubit ``j`` reads 0 given
-that qubits ``1..j-1`` read 1, with probability ``d_j / (d_j + ... + d_(m+1))``
-over the first-zero distribution ``d``: simulating a plan checks the sampler,
-not the first-zero map.
+``n`` separate drives, for O(m) draws, not ``n * m`` uniforms.  Every
+strategy supplies its step probabilities, so the draws never use the product
+form they check.  A quantum plan's steps are its exit hazards, ``d_j / (d_j +
+... + d_(m+1))`` over the first-zero distribution ``d``: simulating a plan
+checks the sampler and the hazards, not the first-zero map.
 """
 
 from __future__ import annotations
@@ -26,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import DestinationDistribution, step_exit_probabilities
-from .model import DriveProblem, Quantum, Strategy
-from .quantum import check_qubit_count, first_zero_distribution
+from .classical import step_exit_probabilities
+from .model import DestinationDistribution, DriveProblem, Strategy
 
 BLOCK_SIZE = 1 << 16
 _MAX_SEED = 2**64
@@ -56,14 +54,7 @@ def estimate_payoff(
 
     k = problem.num_destinations
     m = problem.num_intersections
-    if isinstance(strategy, Quantum):
-        check_qubit_count(strategy.state, m)
-        d = first_zero_distribution(strategy.state).probs
-        tail = np.cumsum(d[::-1])[:0:-1]  # d_j + ... + d_(m+1) >= d_j in floats
-        # a one-term tail gives exactly 1; no car reaches a step of tail 0
-        steps = np.divide(d[:m], tail, out=np.ones(m), where=tail > 0.0).tolist()
-    else:
-        steps = step_exit_probabilities(problem, strategy).tolist()
+    steps = step_exit_probabilities(problem, strategy).tolist()
 
     counts = np.zeros(k, dtype=np.int64)
     for block in range((trials + BLOCK_SIZE - 1) // BLOCK_SIZE):

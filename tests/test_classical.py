@@ -11,8 +11,10 @@ from absentdriver import (
     build_state,
     destination_distribution,
     expected_payoff,
+    first_zero_distribution,
     make_drive_problem,
     stationary_payoff_polynomial,
+    step_exit_probabilities,
 )
 from oracles import exact_payoff, from_beta, mixed_magnitude_payoffs
 
@@ -53,10 +55,11 @@ class TestDestinationDistribution:
         dist = destination_distribution(problem, PerStep(steps))
         assert dist.probs == pytest.approx(enumerate_distribution(steps), abs=1e-14)
 
-    def test_quantum_strategy_rejected(self):
+    def test_quantum_strategy_is_its_first_zero_distribution(self):
         bell = Quantum(build_state([("01", 1), ("10", 1)], normalize=True))
-        with pytest.raises(ValueError, match="no stepwise marginal"):
-            destination_distribution(EXAMPLE1, bell)
+        assert destination_distribution(EXAMPLE1, bell).probs == pytest.approx(
+            [0.5, 0.5, 0.0], abs=1e-15
+        )
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="strategy/problem mismatch"):
@@ -118,6 +121,30 @@ class TestExpectedPayoff:
         problem = make_drive_problem([10, 0], 0)
         assert expected_payoff(problem, Stationary(1.0)) == 10.0
         assert expected_payoff(problem, Counting()) == pytest.approx(10 / 3)
+
+
+def quantum_plans(rng: np.random.Generator, m: int):
+    """GHZ, W, a single ket and a random sparse plan on ``m`` qubits."""
+    yield build_state([("0" * m, 1), ("1" * m, 1)], normalize=True)
+    yield build_state([("0" * i + "1" + "0" * (m - i - 1), 1) for i in range(m)], normalize=True)
+    yield build_state([("".join(rng.choice(["0", "1"], size=m)), 1)])
+    # mostly ones, so the first zeros spread over the whole drive
+    rows = {"".join(row) for row in rng.choice(["0", "1"], size=(16, m), p=[0.1, 0.9])}
+    yield build_state([(bits, complex(*rng.normal(size=2))) for bits in rows], normalize=True)
+
+
+class TestQuantumHazards:
+    """A quantum plan is as good as the per-step plan of its exit hazards,
+    which a classical driver with a counter can follow."""
+
+    @pytest.mark.parametrize("m", [2, 8, 64, 1024])
+    def test_hazards_as_per_step_reproduce_first_zero(self, m):
+        problem = make_drive_problem([0.0] * m, 0.0)
+        for state in quantum_plans(np.random.default_rng(m), m):
+            hazards = step_exit_probabilities(problem, Quantum(state))
+            classical = destination_distribution(problem, PerStep(tuple(hazards)))
+            target = first_zero_distribution(state).probs
+            assert np.abs(classical.probs - target).max() <= 1e-12
 
 
 class TestStationaryPayoffPolynomial:

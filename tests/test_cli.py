@@ -84,6 +84,12 @@ class TestEvalCommand:
         assert lines[0] == "strategy,expected_payoff,p1,p2,p3"
         assert "bell,2,0.5,0.5,0" in lines
 
+    def test_csv_write_failure_leaves_stdout_empty(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "eval", "--preset", "example1", "--csv", str(tmp_path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("runtime error: cannot write")
+
     def test_scenario_file(self, capsys, scenario_file):
         path = scenario_file(
             {

@@ -92,10 +92,10 @@ class TestExitProbability:
         with pytest.raises(ValueError, match="strategy/problem mismatch"):
             steps(PerStep((0.1, 0.2)), 4)
 
-    def test_quantum_has_no_marginal(self):
+    def test_quantum_steps_are_exit_hazards(self):
+        # the Bell pair exits at 1 or 2, each half the time: exit 2 is certain once reached
         strategy = Quantum(build_state([("01", 1), ("10", 1)], normalize=True))
-        with pytest.raises(ValueError, match="no stepwise marginal"):
-            steps(strategy, 3)
+        assert steps(strategy, 3) == pytest.approx([0.5, 1.0], abs=1e-15)
 
     @pytest.mark.parametrize("k", [2, 3, 7, 40])
     def test_counting_values_are_reciprocals(self, k):

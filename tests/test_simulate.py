@@ -15,7 +15,6 @@ from absentdriver import (
     expected_payoff,
     first_zero_distribution,
     make_drive_problem,
-    quantum_expected_payoff,
 )
 from absentdriver.simulate import BLOCK_SIZE
 
@@ -277,7 +276,7 @@ class TestEstimatePayoff:
     def test_quantum_oracle_agreement_at_20_qubits(self, plan):
         state = PLANS_20[plan]
         report = estimate_payoff(PROBLEM_20, Quantum(state), 1_000_000, 20260810)
-        analytic = quantum_expected_payoff(PROBLEM_20, state)
+        analytic = expected_payoff(PROBLEM_20, Quantum(state))
         assert abs(report.mean_payoff - analytic) <= SIGMAS * report.std_error
 
     def test_quantum_oracle_agreement(self):
@@ -301,6 +300,6 @@ class TestEstimatePayoff:
         from absentdriver import product_state
 
         state = product_state(0.4, 3)
-        analytic = quantum_expected_payoff(EXAMPLE2, state)
+        analytic = expected_payoff(EXAMPLE2, Quantum(state))
         report = estimate_payoff(EXAMPLE2, Quantum(state), 200_000, 77)
         assert abs(report.mean_payoff - analytic) <= SIGMAS * report.std_error
