@@ -8,11 +8,12 @@
 
 from absentdriver import (
     SelectionProblem,
+    beta_coefficients,
     counting_round_values,
     first_choice_totals,
     optimize_two_round,
     selection_improvement,
-    two_round_average_polynomial,
+    two_round_average_drive,
     two_round_counting_total,
 )
 
@@ -20,8 +21,8 @@ courses = SelectionProblem((0, 4, 1, 1))
 
 # (1/4)(10 + 6a - 6a^2) in alpha: the first pick's mean 1.5 plus one averaged
 # second-round drive, 1 + 1.5b - 1.5b^2 in beta = 1 - alpha
-mean, second_round = two_round_average_polynomial(courses)
-print("first pick mean:", mean, "second round polynomial in beta:", second_round.beta_coeffs)
+mean, second_round = two_round_average_drive(courses)
+print("first pick mean:", mean, "second round polynomial in beta:", beta_coefficients(second_round))
 
 best = optimize_two_round(courses)
 print(f"best stationary alpha: {best.alpha_star:g}, total payoff {best.payoff_star:g}")

@@ -11,11 +11,12 @@ import numpy as np
 from absentdriver import (
     Counting,
     Stationary,
+    beta_coefficients,
     destination_distribution,
     expected_payoff,
     make_drive_problem,
     optimize_stationary,
-    stationary_payoff_polynomial,
+    stationary_payoff,
 )
 
 two_exits = make_drive_problem([0, 4], 1)
@@ -30,11 +31,12 @@ for alpha in (0.0, 0.25, 1 / 3, 0.5, 1.0):
         f"payoff={expected_payoff(two_exits, Stationary(alpha)):.6f}"
     )
 
-# The expected payoff is a polynomial in alpha, here 1 + 2a - 3a^2.  It is
-# stored in beta = 1 - alpha, where it reads 4b - 3b^2: each coefficient is
-# the difference of two consecutive payoffs.
-poly = stationary_payoff_polynomial(two_exits)
-print("\npolynomial coefficients in beta (b0, b1, ...):", poly.beta_coeffs)
+# The expected payoff is a polynomial in alpha, here 1 + 2a - 3a^2, whose
+# coefficients are the payoffs themselves: the problem is its own polynomial.
+# In beta = 1 - alpha it reads 4b - 3b^2: each coefficient is the difference
+# of two consecutive payoffs.
+print("\npayoff at alpha = 0, 1/3, 1:", stationary_payoff(two_exits, [0.0, 1 / 3, 1.0]))
+print("polynomial coefficients in beta (b0, b1, ...):", beta_coefficients(two_exits))
 
 best = optimize_stationary(two_exits)
 print(f"optimum: alpha*={best.alpha_star:.6f} payoff={best.payoff_star:.6f} ({best.method})")
@@ -42,7 +44,7 @@ print(f"optimum: alpha*={best.alpha_star:.6f} payoff={best.payoff_star:.6f} ({be
 # Growing the highway by one more payoff-1 exit changes nothing: the
 # polynomial's cubic term cancels and the optimum stays at (1/3, 4/3).
 three_exits = make_drive_problem([0, 4, 1], 1)
-print("\nlarger problem coefficients:", stationary_payoff_polynomial(three_exits).beta_coeffs)
+print("\nlarger problem coefficients:", beta_coefficients(three_exits))
 print("larger problem optimum:", optimize_stationary(three_exits))
 
 # Now give the car (not the driver) a counter.  Exiting with probability

@@ -10,10 +10,10 @@ Carlo simulator.
 """
 
 from .classical import (
-    PayoffPolynomial,
+    beta_coefficients,
     destination_distribution,
     expected_payoff,
-    stationary_payoff_polynomial,
+    stationary_payoff,
     step_exit_probabilities,
 )
 from .model import (
@@ -27,11 +27,7 @@ from .model import (
     Strategy,
     make_drive_problem,
 )
-from .optimize import (
-    OptimizationResult,
-    maximize_polynomial,
-    optimize_stationary,
-)
+from .optimize import OptimizationResult, optimize_stationary
 from .quantum import (
     BasisTerm,
     StateVector,
@@ -53,7 +49,7 @@ from .selection import (
     first_choice_totals,
     optimize_two_round,
     selection_improvement,
-    two_round_average_polynomial,
+    two_round_average_drive,
     two_round_counting_total,
 )
 from .simulate import SimulationReport, estimate_payoff
@@ -67,7 +63,6 @@ __all__ = [
     "DriveProblem",
     "NamedStrategy",
     "OptimizationResult",
-    "PayoffPolynomial",
     "PerStep",
     "Quantum",
     "Scenario",
@@ -78,6 +73,7 @@ __all__ = [
     "StateVector",
     "Stationary",
     "Strategy",
+    "beta_coefficients",
     "build_state",
     "counting_round_values",
     "destination_distribution",
@@ -86,7 +82,6 @@ __all__ = [
     "first_choice_totals",
     "first_zero_distribution",
     "make_drive_problem",
-    "maximize_polynomial",
     "optimize_stationary",
     "optimize_two_round",
     "parse_scenario",
@@ -94,8 +89,8 @@ __all__ = [
     "product_state",
     "scenario_to_document",
     "selection_improvement",
-    "stationary_payoff_polynomial",
+    "stationary_payoff",
     "step_exit_probabilities",
-    "two_round_average_polynomial",
+    "two_round_average_drive",
     "two_round_counting_total",
 ]

@@ -14,66 +14,20 @@ hazards give ``d`` back through the product form, so every strategy is
 scored by the same two functions.
 
 For the stationary strategy (all ``p_j = alpha``) the expected payoff is a
-polynomial stored as the payoffs themselves.  Its basis, ``alpha *
-beta**(i-1)`` per exit and ``beta**m`` for the terminal with ``beta = 1 -
-alpha``, is non-negative and sums to 1, so the nested evaluation never
-subtracts one payoff from another.
+polynomial whose coefficients are the payoffs themselves, so the drive
+problem is its own polynomial: :func:`stationary_payoff` evaluates it and
+:func:`beta_coefficients` expands it in ``beta = 1 - alpha``.  Its basis,
+``alpha * beta**(i-1)`` per exit and ``beta**m`` for the terminal, is
+non-negative and sums to 1, so the nested evaluation never subtracts one
+payoff from another.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Counting, DestinationDistribution, DriveProblem, PerStep, Quantum, Stationary, Strategy
 from .quantum import first_zero_distribution
-
-
-@dataclass(frozen=True)
-class PayoffPolynomial:
-    """Expected payoff of the stationary strategy, stored as its payoffs.
-
-    ``payoffs`` are the exits' then the terminal's, ``v_1..v_k``, and the
-    value at ``alpha`` is ``sum_(i<k) v_i alpha beta**(i-1) + v_k
-    beta**(k-1)`` with ``beta = 1 - alpha``: a weighted mean of the payoffs,
-    so it lies between the smallest and the largest of them.
-    """
-
-    payoffs: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        payoffs = tuple(float(v) for v in self.payoffs)
-        if not payoffs:
-            raise ValueError("polynomial needs at least one payoff")
-        if not np.isfinite(payoffs).all():
-            raise ValueError("polynomial payoffs must be finite")
-        object.__setattr__(self, "payoffs", payoffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.payoffs) - 1
-
-    @property
-    def beta_coeffs(self) -> tuple[float, ...]:
-        """Coefficients in ``beta``: ``beta_coeffs[j]`` multiplies ``beta**j``.
-
-        Collecting powers of ``beta`` telescopes the sum, so they are the
-        payoff differences ``v_(j+1) - v_j`` (with ``v_0 = 0``), which
-        overflow where consecutive payoffs differ by more than the float
-        range.  Trailing zeros are kept: the degree-``m`` term can cancel.
-        """
-        return tuple(np.diff(self.payoffs, prepend=0.0).tolist())
-
-    def __call__(self, alpha):
-        """Evaluate at a scalar or array of ``alpha`` values, from the terminal
-        payoff outwards: ``acc = v_i alpha + beta acc``."""
-        a = float(alpha) if np.ndim(alpha) == 0 else np.asarray(alpha, dtype=float)
-        b = 1.0 - a
-        acc = self.payoffs[-1] + 0.0 * a  # shaped like alpha
-        for v in self.payoffs[-2::-1]:
-            acc = v * a + b * acc
-        return acc
 
 
 def step_exit_probabilities(problem: DriveProblem, strategy: Strategy) -> np.ndarray:
@@ -126,10 +80,30 @@ def expected_payoff(problem: DriveProblem, strategy: Strategy) -> float:
     return float(dist.probs @ np.asarray(problem.destination_payoffs))
 
 
-def stationary_payoff_polynomial(problem: DriveProblem) -> PayoffPolynomial:
-    """``sum_i v_i a (1-a)^(i-1) + v_terminal (1-a)^m``, stored as its payoffs.
+def stationary_payoff(problem: DriveProblem, alpha):
+    """Expected payoff of ``Stationary(alpha)`` at a scalar or array of ``alpha``.
 
-    The weights are the stationary destination distribution, so the
-    polynomial is exact in its coefficients: no expansion, no difference.
+    With payoffs ``v_1..v_k`` (exits, then the terminal) this is ``sum_(i<k)
+    v_i alpha beta**(i-1) + v_k beta**(k-1)`` with ``beta = 1 - alpha``: a
+    weighted mean of the payoffs, so it lies between the smallest and the
+    largest of them.  It is evaluated from the terminal payoff outwards,
+    ``acc = v_i alpha + beta acc``.
     """
-    return PayoffPolynomial(problem.destination_payoffs)
+    a = float(alpha) if np.ndim(alpha) == 0 else np.asarray(alpha, dtype=float)
+    b = 1.0 - a
+    payoffs = problem.destination_payoffs
+    acc = payoffs[-1] + 0.0 * a  # shaped like alpha
+    for v in payoffs[-2::-1]:
+        acc = v * a + b * acc
+    return acc
+
+
+def beta_coefficients(problem: DriveProblem) -> tuple[float, ...]:
+    """The stationary payoff in ``beta``: entry ``j`` multiplies ``beta**j``.
+
+    Collecting powers of ``beta`` telescopes the sum, so they are the payoff
+    differences ``v_(j+1) - v_j`` (with ``v_0 = 0``), which overflow where
+    consecutive payoffs differ by more than the float range.  Trailing zeros
+    are kept: the degree-``m`` term can cancel.
+    """
+    return tuple(np.diff(problem.destination_payoffs, prepend=0.0).tolist())

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .classical import destination_distribution, stationary_payoff_polynomial
+from .classical import beta_coefficients, destination_distribution, stationary_payoff
 from .model import Counting, PerStep, Quantum, SelectionProblem, Stationary
 from .optimize import optimize_stationary
 from .scenario import PRESETS, Scenario, ScenarioError, parse_scenario, preset_scenario
@@ -32,7 +32,7 @@ from .selection import (
     counting_round_values,
     first_choice_totals,
     optimize_two_round,
-    two_round_average_polynomial,
+    two_round_average_drive,
     two_round_counting_total,
 )
 from .simulate import estimate_payoff
@@ -150,7 +150,7 @@ def _run_eval(scenario: Scenario) -> CommandOutput:
 
 def _run_optimize(scenario: Scenario) -> CommandOutput:
     problem = scenario.problem
-    coeffs = stationary_payoff_polynomial(problem).beta_coeffs
+    coeffs = beta_coefficients(problem)
     result = optimize_stationary(problem)
     text = "\n".join(
         [
@@ -171,8 +171,8 @@ def _run_optimize(scenario: Scenario) -> CommandOutput:
 def _run_select(scenario: Scenario) -> CommandOutput:
     sel = scenario.problem
     counting_values = counting_round_values(sel)
-    mean, second_round = two_round_average_polynomial(sel)
-    b0, *higher = second_round.beta_coeffs  # the first pick's mean joins b0 only
+    mean, second_round = two_round_average_drive(sel)
+    b0, *higher = beta_coefficients(second_round)  # the first pick's mean joins b0 only
     best = optimize_two_round(sel)
     totals = first_choice_totals(sel, best.alpha_star)
     counting_total = two_round_counting_total(sel)
@@ -256,14 +256,13 @@ def _run_simulate(scenario: Scenario) -> CommandOutput:
 def _run_curve(scenario: Scenario) -> CommandOutput:
     problem = scenario.problem
     step = scenario.options.grid_step
-    poly = stationary_payoff_polynomial(problem)
     grid = []
     i = 0
     while (alpha := i * step) < 1.0 - 1e-12:
         grid.append(alpha)
         i += 1
     grid.append(1.0)
-    rows = [("alpha", "payoff")] + list(zip(grid, poly(grid).tolist()))
+    rows = [("alpha", "payoff")] + list(zip(grid, stationary_payoff(problem, grid).tolist()))
     return CommandOutput(emit_csv(rows).rstrip("\n"), tuple(rows))
 
 

@@ -37,9 +37,13 @@ def _as_finite_floats(values, what: str) -> tuple[float, ...]:
 class DriveProblem:
     """Ordered exit payoffs plus the payoff for driving past every exit.
 
-    ``exit_payoffs`` may be empty only for the forced single-destination
-    problems that appear while shrinking a selection round; the public
-    factory :func:`make_drive_problem` rejects the empty case.
+    Its stationary payoff is a polynomial in ``alpha`` with the
+    :attr:`destination_payoffs` as coefficients of the stationary destination
+    probabilities, so the problem is also that polynomial.
+    ``exit_payoffs`` may be empty only for a forced single destination: the
+    survivor drive of a two-destination selection, whose averaged second
+    round has one destination.  The public factory :func:`make_drive_problem`
+    rejects the empty case.
     """
 
     exit_payoffs: tuple[float, ...]
@@ -89,21 +93,17 @@ class DestinationDistribution:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        probs = np.array(self.probs, dtype=float)
+        probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("distribution must be a non-empty 1-d probability vector")
-        probs[(probs >= -_CLAMP) & (probs < 0.0)] = 0.0
-        probs[(probs > 1.0) & (probs <= 1.0 + _CLAMP)] = 1.0
-        if ((probs < 0.0) | (probs > 1.0)).any():
+        # NaN fails every comparison, so it fails this test too
+        if not (probs.min() >= -_CLAMP and probs.max() <= 1.0 + _CLAMP):
             raise ValueError("internal error: probability outside [0, 1] beyond rounding")
+        probs = probs.clip(0.0, 1.0)
         if abs(probs.sum() - 1.0) > _SUM_TOL:
             raise ValueError(f"internal error: distribution sums to {probs.sum()!r}, not 1")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
-
-    @property
-    def num_destinations(self) -> int:
-        return int(self.probs.size)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DestinationDistribution):

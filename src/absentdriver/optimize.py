@@ -1,7 +1,9 @@
 """Maximizing expected payoff over the stationary exit probability.
 
-The search runs in ``beta = 1 - alpha`` on the payoffs themselves, with the
-value and its derivative from the nested loop that evaluates the polynomial.
+:func:`optimize_stationary` maximizes the stationary payoff of a drive
+problem, the polynomial whose coefficients are the problem's payoffs.  The
+search runs in ``beta = 1 - alpha`` on the payoffs themselves, with the value
+and its derivative from the nested loop that evaluates the polynomial.
 Candidates are both endpoints of [0, 1] plus interior roots of the
 derivative: every root of a derivative of degree <= 2, else the maxima that
 one halving loop locates while it bounds ``p`` on every segment (Lipschitz
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .classical import PayoffPolynomial, stationary_payoff_polynomial
+from .classical import stationary_payoff
 from .model import DriveProblem
 
 
@@ -103,16 +105,18 @@ def _search(v: np.ndarray) -> tuple[list[float], float]:
     return roots, top
 
 
-def maximize_polynomial(poly: PayoffPolynomial) -> OptimizationResult:
-    """Global maximum of the polynomial over [0, 1].
+def optimize_stationary(problem: DriveProblem) -> OptimizationResult:
+    """Best stationary exit probability: the global maximum over [0, 1] of
+    the stationary payoff.
 
     The payoffs are scaled by a power of two to a largest magnitude in
     [1/2, 1), which moves no root, keeps every difference and sum finite and
     makes :func:`_search` scale-free.  The candidates are then evaluated on
     the payoffs as given.
     """
-    exponent = math.frexp(max(map(abs, poly.payoffs)))[1]
-    v = np.ldexp(poly.payoffs, -exponent)
+    payoffs = problem.destination_payoffs
+    exponent = math.frexp(max(map(abs, payoffs)))[1]
+    v = np.ldexp(payoffs, -exponent)
     # the derivative in beta, trailing zeros cut
     deriv = tuple(npoly.polytrim(npoly.polyder(np.diff(v, prepend=0.0))).tolist())
     if len(deriv) <= 3:
@@ -120,12 +124,7 @@ def maximize_polynomial(poly: PayoffPolynomial) -> OptimizationResult:
     else:
         interior, top, method = *_search(v), "numeric"
     xs = sorted({0.0, 1.0, *(1.0 - r for r in interior if 0.0 < r < 1.0)})
-    ys = [poly(x) for x in xs]
+    ys = [stationary_payoff(problem, x) for x in xs]
     best = ys.index(max(ys))  # the first maximum: the smallest alpha
     gap = max(0.0, top - math.ldexp(ys[best], -exponent))
     return OptimizationResult(xs[best], ys[best], method, math.ldexp(gap, exponent))
-
-
-def optimize_stationary(problem: DriveProblem) -> OptimizationResult:
-    """Best stationary exit probability for a drive problem."""
-    return maximize_polynomial(stationary_payoff_polynomial(problem))

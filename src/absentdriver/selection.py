@@ -15,9 +15,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .classical import PayoffPolynomial, destination_distribution
+from .classical import destination_distribution
 from .model import DriveProblem, SelectionProblem, Stationary
-from .optimize import OptimizationResult, maximize_polynomial
+from .optimize import OptimizationResult, optimize_stationary
 
 
 def _sum_scale(payoffs) -> float:
@@ -42,27 +42,28 @@ def first_choice_totals(sel: SelectionProblem, alpha: float) -> np.ndarray:
     return v + ahead + after
 
 
-def two_round_average_polynomial(sel: SelectionProblem) -> tuple[float, PayoffPolynomial]:
+def two_round_average_drive(sel: SelectionProblem) -> tuple[float, DriveProblem]:
     """``(mean(v), p)``: the uniform average over first choices of the
-    per-choice totals is ``mean(v) + p(alpha)``.
+    per-choice totals is ``mean(v)`` plus ``p``'s stationary payoff.
 
     The first pick pays ``mean(v)`` on average.  The second round's
     stationary payoff is linear in the survivors' payoffs, so its average is
-    one drive ``p``: survivor ``j`` is ``v_j`` when the first pick came later
-    (probability ``1 - j/n``) and ``v_(j+1)`` otherwise.  The mean stays out
-    of ``p``'s payoffs, so its ``beta`` coefficients are differences of the
-    averaged payoffs alone.
+    one drive ``p`` over ``n - 1`` destinations: survivor ``j`` is ``v_j``
+    when the first pick came later (probability ``1 - j/n``) and
+    ``v_(j+1)`` otherwise.  The mean stays out of ``p``'s payoffs, so its
+    ``beta`` coefficients are differences of the averaged payoffs alone.
     """
     v = np.asarray(sel.destination_payoffs)
     j = np.arange(1, v.size) / v.size
     scale = _sum_scale(sel.destination_payoffs)
-    return float((v / scale).mean() * scale), PayoffPolynomial((1.0 - j) * v[:-1] + j * v[1:])
+    w = (1.0 - j) * v[:-1] + j * v[1:]
+    return float((v / scale).mean() * scale), DriveProblem(w[:-1], w[-1])
 
 
 def optimize_two_round(sel: SelectionProblem) -> OptimizationResult:
     """Best stationary ``alpha`` for the averaged two-round payoff."""
-    mean, poly = two_round_average_polynomial(sel)
-    result = maximize_polynomial(poly)
+    mean, drive = two_round_average_drive(sel)
+    result = optimize_stationary(drive)
     return replace(result, payoff_star=mean + result.payoff_star)
 
 

@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from absentdriver import DriveProblem, PayoffPolynomial
+from absentdriver import DriveProblem
 
 
-def from_beta(coeffs) -> PayoffPolynomial:
-    """The polynomial ``sum_j coeffs[j] beta**j``: its payoffs are the running
-    sums of its ``beta`` coefficients, a one-to-one map."""
-    return PayoffPolynomial(tuple(np.cumsum(coeffs)))
+def from_beta(coeffs) -> DriveProblem:
+    """The drive whose stationary payoff is ``sum_j coeffs[j] beta**j``: its
+    payoffs are the running sums of the ``beta`` coefficients, a one-to-one map."""
+    payoffs = np.cumsum(coeffs)
+    return DriveProblem(tuple(payoffs[:-1]), payoffs[-1])
 
 
 def exact_payoff(payoffs, alpha) -> Fraction:

@@ -16,6 +16,7 @@ from absentdriver import (
     Quantum,
     SelectionProblem,
     Stationary,
+    beta_coefficients,
     build_state,
     counting_round_values,
     destination_distribution,
@@ -24,13 +25,12 @@ from absentdriver import (
     first_choice_totals,
     first_zero_distribution,
     make_drive_problem,
-    maximize_polynomial,
     optimize_stationary,
     optimize_two_round,
     product_state,
     selection_improvement,
-    stationary_payoff_polynomial,
-    two_round_average_polynomial,
+    stationary_payoff,
+    two_round_average_drive,
     two_round_counting_total,
 )
 from absentdriver.cli import main
@@ -75,10 +75,9 @@ def test_criterion_01_example1_stationary_and_optimum():
 
 def test_criterion_02_example2_polynomial_and_optimum():
     with criterion(2, "example 2: 1 + 2a - 3a^2 (beta [0, 4, -3, 0]), optimum (1/3, 4/3)"):
-        poly = stationary_payoff_polynomial(EXAMPLE2)
-        assert poly.beta_coeffs == pytest.approx((0.0, 4.0, -3.0, 0.0), abs=TOL)
-        assert_alpha_form(poly, (1.0, 2.0, -3.0, 0.0))
-        result = maximize_polynomial(poly)
+        assert beta_coefficients(EXAMPLE2) == pytest.approx((0.0, 4.0, -3.0, 0.0), abs=TOL)
+        assert_alpha_form(lambda a: stationary_payoff(EXAMPLE2, a), (1.0, 2.0, -3.0, 0.0))
+        result = optimize_stationary(EXAMPLE2)
         assert result.alpha_star == pytest.approx(1 / 3, abs=TOL)
         assert result.payoff_star == pytest.approx(4 / 3, abs=TOL)
 
@@ -102,10 +101,10 @@ def test_criterion_04_counting_beats_stationary_on_examples():
 def test_criterion_05_two_round_selection():
     with criterion(5, "selection (0,4,1,1): avg poly, optimum 23/8, counting 3, gain 1/8"):
         # the mean of the first pick plus one averaged second-round drive
-        mean, second = two_round_average_polynomial(SELECTION)
-        b0, *higher = second.beta_coeffs
+        mean, second = two_round_average_drive(SELECTION)
+        b0, *higher = beta_coefficients(second)
         assert (b0 + mean, *higher) == pytest.approx((10 / 4, 6 / 4, -6 / 4), abs=1e-12)
-        assert_alpha_form(lambda a: mean + second(a), (10 / 4, 6 / 4, -6 / 4))
+        assert_alpha_form(lambda a: mean + stationary_payoff(second, a), (10 / 4, 6 / 4, -6 / 4))
 
         # per first choice, 1 + 3a and 5 - a: degree 1, so two points each
         for a in (0.0, 0.5):
@@ -185,9 +184,8 @@ def test_criterion_09_optimizer_property_suite():
         for _ in range(100):
             m = int(rng.integers(1, 5))
             problem = make_drive_problem(rng.uniform(0.0, 10.0, size=m), rng.uniform(0.0, 10.0))
-            poly = stationary_payoff_polynomial(problem)
             result = optimize_stationary(problem)
-            assert result.payoff_star >= float(poly(grid).max()) - 1e-9
+            assert result.payoff_star >= float(stationary_payoff(problem, grid).max()) - 1e-9
 
             scaled = make_drive_problem(
                 [3.0 * p for p in problem.exit_payoffs], 3.0 * problem.terminal_payoff

@@ -8,12 +8,13 @@ from absentdriver import (
     PerStep,
     Quantum,
     Stationary,
+    beta_coefficients,
     build_state,
     destination_distribution,
     expected_payoff,
     first_zero_distribution,
     make_drive_problem,
-    stationary_payoff_polynomial,
+    stationary_payoff,
     step_exit_probabilities,
 )
 from oracles import exact_payoff, from_beta, mixed_magnitude_payoffs
@@ -91,9 +92,14 @@ class TestDestinationDistribution:
         assert np.abs(dist.probs - 1.0 / k).max() <= 1e-12
 
     def test_clamps_only_rounding_noise(self):
-        DestinationDistribution([1.0 + 5e-16, -5e-16])
+        assert DestinationDistribution([1.0 + 5e-16, -5e-16]).probs.tolist() == [1.0, 0.0]
         with pytest.raises(ValueError, match="internal error"):
             DestinationDistribution([1.1, -0.1])
+
+    def test_rejects_nan(self):
+        # every comparison with NaN is false, so a test for values out of range misses it
+        with pytest.raises(ValueError, match="internal error"):
+            DestinationDistribution([float("nan"), 1.0])
 
 
 class TestExpectedPayoff:
@@ -147,16 +153,16 @@ class TestQuantumHazards:
             assert np.abs(classical.probs - target).max() <= 1e-12
 
 
-class TestStationaryPayoffPolynomial:
+class TestStationaryPayoff:
     def test_example1_coefficients(self):
         # 4b - 3b^2 with b = 1 - a is the paper's 1 + 2a - 3a^2
-        assert stationary_payoff_polynomial(EXAMPLE1).beta_coeffs == (0.0, 4.0, -3.0)
+        assert beta_coefficients(EXAMPLE1) == (0.0, 4.0, -3.0)
 
     def test_example2_cubic_term_cancels(self):
-        assert stationary_payoff_polynomial(EXAMPLE2).beta_coeffs == (0.0, 4.0, -3.0, 0.0)
+        assert beta_coefficients(EXAMPLE2) == (0.0, 4.0, -3.0, 0.0)
 
     def test_constant_payoff_problem(self):
-        assert stationary_payoff_polynomial(make_drive_problem([7.0], 7.0)).beta_coeffs == (7.0, 0.0)
+        assert beta_coefficients(make_drive_problem([7.0], 7.0)) == (7.0, 0.0)
 
     @given(
         alpha=st.floats(min_value=0, max_value=1),
@@ -166,8 +172,7 @@ class TestStationaryPayoffPolynomial:
     @settings(max_examples=200)
     def test_polynomial_matches_direct_evaluation(self, alpha, payoffs, terminal):
         problem = make_drive_problem(payoffs, terminal)
-        poly = stationary_payoff_polynomial(problem)
-        assert float(poly(alpha)) == pytest.approx(
+        assert float(stationary_payoff(problem, alpha)) == pytest.approx(
             expected_payoff(problem, Stationary(alpha)), abs=1e-12
         )
 
@@ -178,45 +183,43 @@ class TestStationaryPayoffPolynomial:
             payoffs = np.random.default_rng(m).uniform(0.0, 10.0, size=m + 1)
             problems.append(make_drive_problem(payoffs[:-1], payoffs[-1]))
         for problem in problems:
-            poly = stationary_payoff_polynomial(problem)
             direct = [expected_payoff(problem, Stationary(a)) for a in grid]
             scale = 1.0 + np.abs(problem.destination_payoffs).max()
-            assert np.abs(poly(grid) - direct).max() <= 1e-12 * scale
+            assert np.abs(stationary_payoff(problem, grid) - direct).max() <= 1e-12 * scale
 
     def test_bounded_by_payoff_range(self):
         problem = make_drive_problem([2, 5, 3, 1], 0)
-        poly = stationary_payoff_polynomial(problem)
-        values = poly(np.linspace(0, 1, 501))
+        values = stationary_payoff(problem, np.linspace(0, 1, 501))
         assert values.min() >= 0 - 1e-12 and values.max() <= 5 + 1e-12
 
 
-class TestPayoffPolynomial:
+class TestDriveAsPolynomial:
     def test_evaluates_in_one_minus_alpha(self):
-        poly = from_beta((0.0, 4.0, -3.0))
-        assert poly(1.0) == 0.0
-        assert poly(0.0) == 1.0
-        assert poly(np.array([0.0, 1 / 3, 1.0])) == pytest.approx([1.0, 4 / 3, 0.0], abs=1e-15)
+        problem = from_beta((0.0, 4.0, -3.0))
+        assert stationary_payoff(problem, 1.0) == 0.0
+        assert stationary_payoff(problem, 0.0) == 1.0
+        assert stationary_payoff(problem, np.array([0.0, 1 / 3, 1.0])) == pytest.approx(
+            [1.0, 4 / 3, 0.0], abs=1e-15
+        )
 
     def test_degree_zero_derivative_is_zero(self):
-        poly = from_beta((4.0,))
-        assert poly.degree == 0
-        assert np.all(poly(np.linspace(0.0, 1.0, 101)) == 4.0)
+        problem = from_beta((4.0,))
+        assert np.all(stationary_payoff(problem, np.linspace(0.0, 1.0, 101)) == 4.0)
 
     def test_rejects_non_finite_coefficients(self):
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match="invalid payoff"):
             from_beta((1.0, float("nan")))
 
     def test_horner_steps_past_float_range_evaluate_exactly(self):
         # in beta, Horner's rule at alpha = 0 reaches -1e308 - 1e308 = -inf;
         # the payoffs 1e308, 0, -1e308 never leave the float range
-        poly = from_beta((1e308, -1e308, -1e308))
-        assert poly(0.0) == -1e308
-        assert poly(1.0) == 1e308
+        problem = from_beta((1e308, -1e308, -1e308))
+        assert stationary_payoff(problem, 0.0) == -1e308
+        assert stationary_payoff(problem, 1.0) == 1e308
 
     def test_stores_the_payoffs(self):
-        poly = stationary_payoff_polynomial(EXAMPLE2)
-        assert poly.payoffs == (0.0, 4.0, 1.0, 1.0)
-        assert poly == from_beta(poly.beta_coeffs)
+        assert EXAMPLE2.destination_payoffs == (0.0, 4.0, 1.0, 1.0)
+        assert from_beta(beta_coefficients(EXAMPLE2)) == EXAMPLE2
 
 
 class TestAgainstExactArithmetic:
@@ -227,13 +230,15 @@ class TestAgainstExactArithmetic:
         rng = np.random.default_rng(2017)
         for _ in range(1000):
             v = mixed_magnitude_payoffs(rng, int(rng.integers(3, 14)))
-            poly = stationary_payoff_polynomial(make_drive_problem(v[:-1], v[-1]))
+            problem = make_drive_problem(v[:-1], v[-1])
             for alpha in (0.0, 1.0, 0.5, *rng.uniform(0.0, 1.0, size=3)):
                 scale = float(exact_payoff(np.abs(v), alpha))
-                assert abs(poly(alpha) - exact_payoff(v, alpha)) <= 1e-12 * scale
+                error = stationary_payoff(problem, alpha) - exact_payoff(v, alpha)
+                assert abs(error) <= 1e-12 * scale
 
     def test_array_evaluation_matches_scalar(self):
         v = mixed_magnitude_payoffs(np.random.default_rng(5), 13)
-        poly = stationary_payoff_polynomial(make_drive_problem(v[:-1], v[-1]))
+        problem = make_drive_problem(v[:-1], v[-1])
         grid = np.linspace(0.0, 1.0, 11)
-        assert poly(grid).tolist() == [poly(a) for a in grid]
+        scalars = [stationary_payoff(problem, a) for a in grid]
+        assert stationary_payoff(problem, grid).tolist() == scalars

@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from absentdriver import Stationary, expected_payoff, make_drive_problem, parse_
 from absentdriver.cli import emit_csv, fmt_num, fmt_poly, fmt_value, main, run_command
 from absentdriver.scenario import MAX_TRIALS
 from oracles import residual_problem
+
+SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "demos" / "scenarios").glob("*.json"))
 
 
 def run_cli(capsys, *argv):
@@ -595,3 +598,17 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "curve", "--preset", "example1", "--grid-step", step)
         assert (code, out) == (2, "")
         assert err == "scenario error: --grid-step must be a number in [1e-06, 1]\n"
+
+
+class TestDemoScenarios:
+    """Every shipped scenario file runs through every drive command."""
+
+    def test_scenarios_found(self):
+        assert SCENARIOS
+
+    @pytest.mark.parametrize("command", ["eval", "optimize", "simulate", "curve"])
+    @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+    def test_command_succeeds(self, capsys, path, command):
+        code, out, err = run_cli(capsys, command, "--scenario", str(path))
+        assert (code, err) == (0, "")
+        assert out

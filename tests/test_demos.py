@@ -1,5 +1,6 @@
-"""Every demo script runs to completion against the package in ``src/``,
-under the suite's warning policy: a ``RuntimeWarning`` is an error."""
+"""Every demo script, and the README's library quick start, runs to
+completion against the package in ``src/``, under the suite's warning policy:
+a ``RuntimeWarning`` is an error."""
 
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = ROOT / "README.md"
 
 
 def test_demos_found():
@@ -25,3 +27,10 @@ def test_demo_runs(demo, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs():
+    # the first python block after the heading, run as written
+    section = README.read_text(encoding="utf-8").split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, str(README), "exec"), {})

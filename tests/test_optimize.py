@@ -8,12 +8,12 @@ from numpy.polynomial import polynomial as npoly
 from absentdriver import (
     SelectionProblem,
     Stationary,
+    beta_coefficients,
     expected_payoff,
     make_drive_problem,
-    maximize_polynomial,
     optimize_stationary,
     optimize_two_round,
-    stationary_payoff_polynomial,
+    stationary_payoff,
 )
 from oracles import exact_payoff, from_beta, mixed_magnitude_payoffs, residual_problem
 
@@ -28,81 +28,80 @@ def grid_argmax(f, points):
 
 class TestMaximizePolynomial:
     def test_example1_polynomial(self):
-        result = maximize_polynomial(from_beta((0.0, 4.0, -3.0)))
+        result = optimize_stationary(from_beta((0.0, 4.0, -3.0)))
         assert result.alpha_star == pytest.approx(1 / 3, abs=1e-12)
         assert result.payoff_star == pytest.approx(4 / 3, abs=1e-12)
         assert result.method == "closed_form"
         assert result.gap == 0.0
 
     def test_constant_ties_break_to_zero(self):
-        result = maximize_polynomial(from_beta((5.0, 0.0)))
+        result = optimize_stationary(from_beta((5.0, 0.0)))
         assert result.alpha_star == 0.0
         assert result.payoff_star == 5.0
 
     def test_monotone_takes_endpoint(self):
-        result = maximize_polynomial(from_beta((1.0, -1.0)))
+        result = optimize_stationary(from_beta((1.0, -1.0)))
         assert result.alpha_star == 1.0
         assert result.payoff_star == 1.0
 
     def test_convex_interior_minimum_is_skipped(self):
         # (1/2 - b)^2 = (a - 1/2)^2 has its stationary point at a minimum; ends win.
-        result = maximize_polynomial(from_beta((0.25, -1.0, 1.0)))
+        result = optimize_stationary(from_beta((0.25, -1.0, 1.0)))
         assert result.alpha_star == 0.0
         assert result.payoff_star == pytest.approx(0.25)
 
     def test_trailing_zero_coefficients_ignored(self):
-        result = maximize_polynomial(from_beta((0.0, 4.0, -3.0, 0.0)))
+        result = optimize_stationary(from_beta((0.0, 4.0, -3.0, 0.0)))
         assert result.alpha_star == pytest.approx(1 / 3, abs=1e-12)
         assert result.method == "closed_form"
 
     def test_taller_of_two_interior_peaks(self):
         # Stationary points near b = 0.2, 0.5, 0.8: peaks at a ~ 0.8 and
         # a ~ 0.2, the first tilted higher; the minimum between them is skipped.
-        poly = from_beta((0.0, 79.0, -330.0, 500.0, -250.0))
-        result = maximize_polynomial(poly)
+        problem = from_beta((0.0, 79.0, -330.0, 500.0, -250.0))
+        result = optimize_stationary(problem)
         assert result.method == "numeric"
         assert result.alpha_star == pytest.approx(0.8, abs=0.01)
         assert type(result.alpha_star) is float
-        _, best = grid_argmax(lambda a: float(poly(a)), 100_001)
+        _, best = grid_argmax(lambda a: float(stationary_payoff(problem, a)), 100_001)
         assert best - 1e-9 <= result.payoff_star <= best + 1e-6
-        assert result.payoff_star == float(poly(result.alpha_star))
+        assert result.payoff_star == float(stationary_payoff(problem, result.alpha_star))
 
     def test_quartic_uses_bisection(self):
         problem = make_drive_problem([2, 5, 3, 1], 0)
-        poly = stationary_payoff_polynomial(problem)
-        assert poly.degree == 4
-        result = maximize_polynomial(poly)
+        result = optimize_stationary(problem)
         assert result.method == "numeric"
-        _, best = grid_argmax(lambda a: float(poly(a)), 100_001)
+        _, best = grid_argmax(lambda a: float(stationary_payoff(problem, a)), 100_001)
         assert result.payoff_star >= best - 1e-9
 
 
-def power(poly, k):
-    """``poly ** k``: the same maximizer as ``poly`` wherever ``poly > 0``,
-    at a degree that takes the numeric route."""
-    return from_beta(npoly.polypow(poly.beta_coeffs, k))
+def power(problem, k):
+    """The drive whose stationary payoff is ``problem``'s to the ``k``-th
+    power: the same maximizer wherever that payoff is ``> 0``, at a degree
+    that takes the numeric route."""
+    return from_beta(npoly.polypow(beta_coefficients(problem), k))
 
 
 class TestNumericMaximize:
-    """The ``method="numeric"`` route of ``maximize_polynomial``: objectives
+    """The ``method="numeric"`` route of ``optimize_stationary``: objectives
     above degree 3, maximized by the halving loop over segments of [0, 1]."""
 
     def test_example1_objective(self):
         # (1 + 2a - 3a^2)^2, positive on [0, 1) with its peak at a = 1/3
-        result = maximize_polynomial(power(from_beta((0.0, 4.0, -3.0)), 2))
+        result = optimize_stationary(power(from_beta((0.0, 4.0, -3.0)), 2))
         assert result.alpha_star == pytest.approx(1 / 3, abs=1e-9)
         assert result.payoff_star == pytest.approx(16 / 9, abs=1e-12)
         assert result.method == "numeric"
 
     def test_selection_average_objective(self):
         # ((10 + 6a - 6a^2) / 4)^2; in beta the quadratic is (10 + 6b - 6b^2) / 4
-        result = maximize_polynomial(power(from_beta((2.5, 1.5, -1.5)), 2))
+        result = optimize_stationary(power(from_beta((2.5, 1.5, -1.5)), 2))
         assert result.method == "numeric"
         assert result.alpha_star == pytest.approx(0.5, abs=1e-8)
         assert result.payoff_star == pytest.approx((23 / 8) ** 2, abs=1e-12)
 
     def test_constant_objective_ties_to_zero(self):
-        result = maximize_polynomial(from_beta((2.0,)))
+        result = optimize_stationary(from_beta((2.0,)))
         assert result.alpha_star == 0.0
         assert result.payoff_star == 2.0
 
@@ -113,10 +112,10 @@ class TestNumericMaximize:
         for j in range(2, 61):
             lead = math.sin(13.0) if j % 2 == 0 else -math.cos(13.0)
             coeffs.append((-1) ** (j // 2) * lead * 13.0**j / math.factorial(j))
-        poly = from_beta(coeffs)
+        problem = from_beta(coeffs)
         grid = np.linspace(0.0, 1.0, 1001)
-        assert poly(grid) == pytest.approx([f(a) for a in grid], abs=1e-9)
-        result = maximize_polynomial(poly)
+        assert stationary_payoff(problem, grid) == pytest.approx([f(a) for a in grid], abs=1e-9)
+        result = optimize_stationary(problem)
         assert result.method == "numeric"
         _, best = grid_argmax(f, 1001)
         assert result.payoff_star >= best - 1e-6
@@ -151,10 +150,10 @@ class TestCertifiedSearch:
     def test_root_pair_inside_one_scan_segment(self):
         # p' > 0 at both ends of the last of 1001 equal segments in beta, so a
         # sign-change scan over them sees no root, yet the maximum lies inside
-        poly = stationary_payoff_polynomial(spike_problem())
-        deriv = npoly.polyder(poly.beta_coeffs)
+        problem = spike_problem()
+        deriv = npoly.polyder(beta_coefficients(problem))
         assert npoly.polyval(1000 / 1001, deriv) > 0.0 and npoly.polyval(1.0, deriv) > 0.0
-        result = maximize_polynomial(poly)
+        result = optimize_stationary(problem)
         assert result.method == "numeric"
         assert result.alpha_star == pytest.approx(7.085e-4, abs=1e-7)
         assert result.payoff_star == pytest.approx(1.17419454118, abs=1e-11)
@@ -217,10 +216,9 @@ class TestOptimizerProperties:
         for _ in range(100):
             m = int(rng.integers(1, 5))
             problem = make_drive_problem(rng.uniform(0, 10, size=m), rng.uniform(0, 10))
-            poly = stationary_payoff_polynomial(problem)
-            result = maximize_polynomial(poly)
+            result = optimize_stationary(problem)
             assert 0.0 <= result.alpha_star <= 1.0
-            best = float(poly(grid).max())
+            best = float(stationary_payoff(problem, grid).max())
             assert best - 1e-9 <= result.payoff_star <= best + 1e-6
             assert result.payoff_star == pytest.approx(
                 expected_payoff(problem, Stationary(result.alpha_star)), abs=1e-12
@@ -240,12 +238,12 @@ class TestOptimizerProperties:
         for _ in range(100):
             m = int(rng.integers(1, 4))
             problem = make_drive_problem(rng.uniform(0, 10, size=m), rng.uniform(0, 10))
-            poly = stationary_payoff_polynomial(problem)
-            analytic = maximize_polynomial(poly)
-            numeric = maximize_polynomial(power(poly, 4))
+            analytic = optimize_stationary(problem)
+            numeric = optimize_stationary(power(problem, 4))
             assert (analytic.method, numeric.method) == ("closed_form", "numeric")
             close_alpha = abs(analytic.alpha_star - numeric.alpha_star) <= 1e-6
-            close_payoff = abs(analytic.payoff_star - float(poly(numeric.alpha_star))) <= 1e-9
+            at_numeric = float(stationary_payoff(problem, numeric.alpha_star))
+            close_payoff = abs(analytic.payoff_star - at_numeric) <= 1e-9
             assert close_alpha or close_payoff
 
 
@@ -301,10 +299,9 @@ class TestPayoffMagnitude:
             m = int(rng.integers(1, 401))
             payoffs = rng.uniform(-big, big, size=m + 1)
             problem = make_drive_problem(payoffs[:-1], payoffs[-1])
-            poly = stationary_payoff_polynomial(problem)
-            result = maximize_polynomial(poly)
+            result = optimize_stationary(problem)
             tol = 1e-9 * big
-            assert result.payoff_star >= float(poly(grid).max()) - tol
+            assert result.payoff_star >= float(stationary_payoff(problem, grid).max()) - tol
             assert result.payoff_star == pytest.approx(
                 expected_payoff(problem, Stationary(result.alpha_star)), abs=tol
             )

@@ -7,13 +7,15 @@ from absentdriver import (
     Counting,
     SelectionProblem,
     Stationary,
+    beta_coefficients,
     counting_round_values,
     expected_payoff,
     first_choice_totals,
     make_drive_problem,
     optimize_two_round,
     selection_improvement,
-    two_round_average_polynomial,
+    stationary_payoff,
+    two_round_average_drive,
     two_round_counting_total,
 )
 from oracles import residual_problem
@@ -85,8 +87,8 @@ class TestFirstChoiceTotals:
 
 def average_beta_coeffs(sel):
     """``beta`` coefficients of ``mean(v) + p``: the mean joins ``b0`` only."""
-    mean, poly = two_round_average_polynomial(sel)
-    b0, *higher = poly.beta_coeffs
+    mean, drive = two_round_average_drive(sel)
+    b0, *higher = beta_coefficients(drive)
     return (b0 + mean, *higher)
 
 
@@ -104,8 +106,8 @@ class TestTwoRoundAveragePolynomial:
 
     def test_mean_stays_out_of_the_differences(self):
         # folded into each payoff, the mean 7.5e15 would round the step 0.5 to 0
-        mean, poly = two_round_average_polynomial(SelectionProblem((0.0, 0.0, 1.0, 3e16)))
-        assert (mean, poly.beta_coeffs[:2]) == (7.5e15, (0.0, 0.5))
+        mean, drive = two_round_average_drive(SelectionProblem((0.0, 0.0, 1.0, 3e16)))
+        assert (mean, beta_coefficients(drive)[:2]) == (7.5e15, (0.0, 0.5))
 
 
 @pytest.mark.parametrize("n", [2, 3, 50, 64, 200, 400])
@@ -129,9 +131,10 @@ class TestClosedFormsAgainstResidualDrives:
 
     def test_average_polynomial_is_mean_of_first_choice_totals(self, n):
         payoffs, sel, tol = self.case(n)
-        mean, poly = two_round_average_polynomial(sel)
+        mean, drive = two_round_average_drive(sel)
         for a in ALPHAS:
-            assert abs(first_choice_totals(sel, a).mean() - (mean + poly(a))) <= tol
+            average = mean + stationary_payoff(drive, a)
+            assert abs(first_choice_totals(sel, a).mean() - average) <= tol
 
     def test_counting_values_match_residual_drives(self, n):
         payoffs, sel, tol = self.case(n)
@@ -155,10 +158,10 @@ class TestOptimizeTwoRound:
 
     def test_against_grid_oracle(self):
         sel = SelectionProblem((3, 1, 0, 2))
-        mean, poly = two_round_average_polynomial(sel)
+        mean, drive = two_round_average_drive(sel)
         result = optimize_two_round(sel)
         grid = np.linspace(0.0, 1.0, 100_001)
-        best = mean + float(poly(grid).max())
+        best = mean + float(stationary_payoff(drive, grid).max())
         assert abs(result.payoff_star - best) <= 1e-6
         assert result.payoff_star >= best - 1e-9
 
