@@ -29,7 +29,6 @@ from .model import (
 )
 from .optimize import OptimizationResult, optimize_stationary
 from .quantum import (
-    BasisTerm,
     StateVector,
     build_state,
     first_zero_distribution,
@@ -57,7 +56,6 @@ from .simulate import SimulationReport, estimate_payoff
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisTerm",
     "Counting",
     "DestinationDistribution",
     "DriveProblem",

@@ -318,10 +318,6 @@ def build_parser() -> _Parser:
             help="alpha grid step for 'curve'",
         )
         p.add_argument("--csv", metavar="PATH", help="also write the result table as CSV")
-        p.add_argument(
-            "--normalize-states", action="store_true",
-            help="rescale quantum states in the scenario to unit norm",
-        )
     return parser
 
 
@@ -334,7 +330,7 @@ def _load_scenario(args) -> Scenario:
         scenario = preset_scenario(args.preset)
     else:
         with open(args.scenario, encoding="utf-8") as fh:
-            scenario = parse_scenario(fh.read(), normalize_states=args.normalize_states)
+            scenario = parse_scenario(fh.read())
     overrides = {key: getattr(args, key) for key in _OVERRIDES if getattr(args, key) is not None}
     return scenario.with_options(_OVERRIDES, **overrides) if overrides else scenario
 

@@ -15,7 +15,6 @@ computational basis.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -33,22 +32,6 @@ STATE_NORM_TOL = 1e-9
 # Below this the stored amplitudes are left untouched, so emitting a state
 # and parsing it back reproduces the exact same floats.
 _RESCALE_SKIP = 1e-13
-
-
-@dataclass(frozen=True)
-class BasisTerm:
-    """One ket of a state: a bit string and its complex amplitude."""
-
-    bits: str
-    amplitude: complex
-
-    def __post_init__(self) -> None:
-        if not self.bits or self.bits.strip("01"):
-            raise ValueError(f"bad basis string: {self.bits!r}")
-        amp = complex(self.amplitude)
-        if not cmath.isfinite(amp):
-            raise ValueError(f"amplitude must be finite, got {self.amplitude!r}")
-        object.__setattr__(self, "amplitude", amp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,18 +89,18 @@ class StateVector:
 def build_state(terms, normalize: bool = False) -> StateVector:
     """Assemble a state from listed kets; amplitudes elsewhere are zero.
 
-    ``terms`` is an iterable of :class:`BasisTerm` or ``(bits, amplitude)``
-    pairs, all with the same bit-string length, in any order.  With
-    ``normalize`` the result is rescaled to unit norm; without it, norms
+    ``terms`` is an iterable of ``(bits, amplitude)`` pairs: ``0``/``1``
+    strings of one length, in any order, each checked by :class:`StateVector`.
+    With ``normalize`` the result is rescaled to unit norm; without it, norms
     further than ``INPUT_NORM_TOL`` from 1 are rejected.
     """
-    parsed = [t if isinstance(t, BasisTerm) else BasisTerm(*t) for t in terms]
-    if not parsed:
+    pairs = list(terms)
+    if not pairs:
         raise ValueError("empty state: at least one basis term is required")
-    m = len(parsed[0].bits)
-    if any(len(t.bits) != m for t in parsed):
+    bits, amplitudes = zip(*pairs)
+    if len(set(map(len, bits))) > 1:
         raise ValueError("ragged terms: basis strings have mixed lengths")
-    values = np.array([t.amplitude for t in parsed], dtype=complex)
+    values = np.array(amplitudes, dtype=complex)
     # the norm of amplitudes scaled exactly below 1 neither overflows nor underflows
     shift = math.frexp(np.abs(values.view(float)).max())[1]
     scaled = np.ldexp(values.view(float), -shift).view(complex)
@@ -131,7 +114,7 @@ def build_state(terms, normalize: bool = False) -> StateVector:
         raise ValueError(f"not normalized: state norm is {norm!r} (pass normalize to rescale)")
     if abs(norm - 1.0) > _RESCALE_SKIP:
         values = scaled / scaled_norm
-    return StateVector(np.array([t.bits for t in parsed], dtype=np.bytes_), values)
+    return StateVector(np.array(bits, dtype=np.bytes_), values)
 
 
 def product_state(alpha: float, num_qubits: int) -> StateVector:

@@ -16,9 +16,10 @@ Schema (top-level object)::
       "options": {"trials": 100000, "seed": 12345, "grid_step": 0.05}
     }
 
-``options`` and every one of its keys are optional.  All cross-dimension
-checks (step counts, qubit counts vs. intersections) run at parse time, and
-errors carry the JSON path of the offending field.
+A quantum plan's norm must be within 1e-6 of 1 unless ``"normalize": true``
+rescales it.  ``options`` and every one of its keys are optional.  All
+cross-dimension checks (step counts, qubit counts vs. intersections) run at
+parse time, and errors carry the JSON path of the offending field.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .model import (
     Strategy,
     make_drive_problem,
 )
-from .quantum import BasisTerm, build_state
+from .quantum import build_state
 
 DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 12345
@@ -174,7 +175,7 @@ def _parse_problem(doc, path="problem") -> DriveProblem | SelectionProblem:
     raise ScenarioError(f"unknown problem kind {kind!r} (expected 'drive' or 'selection')", path)
 
 
-def _parse_strategy(doc, path, force_normalize: bool) -> NamedStrategy:
+def _parse_strategy(doc, path) -> NamedStrategy:
     name = _require(doc, "name", path, str, "a string")
     kind = _require(doc, "kind", path, str, "a string")
     if kind == "stationary":
@@ -192,11 +193,13 @@ def _parse_strategy(doc, path, force_normalize: bool) -> NamedStrategy:
             bits = _require(term, "bits", term_path, str, "a string of 0s and 1s")
             re = _number(term, "re", term_path)
             im = _number(term, "im", term_path) if "im" in term else 0.0
-            terms.append(_wrap(term_path, BasisTerm, bits, complex(re, im)))
+            if not bits or bits.strip("01"):  # StateVector's own check cannot name the term
+                raise ScenarioError(f"bad basis string: {bits!r}", term_path)
+            terms.append((bits, complex(re, im)))
         normalize = doc.get("normalize", False)
         if not isinstance(normalize, bool):
             raise ScenarioError("field 'normalize' must be true or false", path)
-        state = _wrap(path, build_state, terms, normalize=normalize or force_normalize)
+        state = _wrap(path, build_state, terms, normalize=normalize)
         return NamedStrategy(name, Quantum(state))
     raise ScenarioError(
         f"unknown strategy kind {kind!r} "
@@ -229,12 +232,8 @@ def _check_dimensions(problem, named: NamedStrategy, path: str) -> None:
     _wrap(path, step_exit_probabilities, problem, strategy)
 
 
-def parse_scenario(text: str, normalize_states: bool = False) -> Scenario:
-    """Parse and fully validate a scenario document.
-
-    ``normalize_states`` forces quantum state normalization even when the
-    document does not set the per-strategy flag.
-    """
+def parse_scenario(text: str) -> Scenario:
+    """Parse and fully validate a scenario document."""
     try:
         doc = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
@@ -255,7 +254,7 @@ def parse_scenario(text: str, normalize_states: bool = False) -> Scenario:
         path = f"strategies[{j}]"
         if not isinstance(raw, dict):
             raise ScenarioError("expected an object", path)
-        named = _parse_strategy(raw, path, normalize_states)
+        named = _parse_strategy(raw, path)
         if named.name in names:
             raise ScenarioError(f"duplicate strategy name {named.name!r}", path)
         names.add(named.name)

@@ -20,9 +20,12 @@ from .model import DriveProblem, SelectionProblem, Stationary
 from .optimize import OptimizationResult, optimize_stationary
 
 
-def _sum_scale(payoffs) -> float:
-    """Power of two that keeps sums of ``payoffs`` divided by it in float range; 1 if ordinary."""
-    return 2.0 ** max(0, math.frexp(max(map(abs, payoffs)))[1] + len(payoffs).bit_length() - 1023)
+def _scaled_sum(payoffs) -> tuple[float, float]:
+    """``(total, scale)``: the correctly rounded sum of ``payoffs`` divided by
+    ``scale``, a power of two that is 1 unless ``total`` needs it to stay finite.
+    """
+    scale = 2.0 ** max(0, math.frexp(max(map(abs, payoffs)))[1] + len(payoffs).bit_length() - 1023)
+    return math.fsum(v / scale for v in payoffs), scale
 
 
 def first_choice_totals(sel: SelectionProblem, alpha: float) -> np.ndarray:
@@ -55,9 +58,9 @@ def two_round_average_drive(sel: SelectionProblem) -> tuple[float, DriveProblem]
     """
     v = np.asarray(sel.destination_payoffs)
     j = np.arange(1, v.size) / v.size
-    scale = _sum_scale(sel.destination_payoffs)
+    total, scale = _scaled_sum(sel.destination_payoffs)
     w = (1.0 - j) * v[:-1] + j * v[1:]
-    return float((v / scale).mean() * scale), DriveProblem(w[:-1], w[-1])
+    return total / v.size * scale, DriveProblem(w[:-1], w[-1])
 
 
 def optimize_two_round(sel: SelectionProblem) -> OptimizationResult:
@@ -75,8 +78,7 @@ def counting_round_values(sel: SelectionProblem) -> tuple[tuple[float, float], .
     """
     payoffs = sel.destination_payoffs
     n = len(payoffs)
-    scale = _sum_scale(payoffs)
-    total = sum(v / scale for v in payoffs)
+    total, scale = _scaled_sum(payoffs)
     return tuple((v, (total - v / scale) / (n - 1) * scale) for v in payoffs)
 
 
@@ -86,8 +88,8 @@ def two_round_counting_total(sel: SelectionProblem) -> float:
     Every destination is the first pick or the second with probability
     ``1/n`` each, so this is ``2 * mean(v)``.
     """
-    scale = _sum_scale(sel.destination_payoffs)
-    return 2.0 * (sum(v / scale for v in sel.destination_payoffs) / sel.num_destinations * scale)
+    total, scale = _scaled_sum(sel.destination_payoffs)
+    return 2.0 * (total / sel.num_destinations * scale)
 
 
 def selection_improvement(sel: SelectionProblem) -> float:

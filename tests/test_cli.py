@@ -104,25 +104,24 @@ class TestEvalCommand:
         assert code == 0
         assert "1.66666666667 (5/3)" in out
 
-    def test_normalize_states_flag(self, capsys, scenario_file):
-        path = scenario_file(
-            {
-                "problem": {"kind": "drive", "exit_payoffs": [0, 4], "terminal_payoff": 1},
-                "strategies": [
-                    {
-                        "name": "bell",
-                        "kind": "quantum",
-                        "terms": [
-                            {"bits": "01", "re": 1, "im": 0},
-                            {"bits": "10", "re": 1, "im": 0},
-                        ],
-                    }
-                ],
-            }
-        )
+    def test_normalize_field(self, capsys, scenario_file):
+        bell = {
+            "name": "bell",
+            "kind": "quantum",
+            "terms": [{"bits": "01", "re": 1, "im": 0}, {"bits": "10", "re": 1, "im": 0}],
+        }
+        doc = {
+            "problem": {"kind": "drive", "exit_payoffs": [0, 4], "terminal_payoff": 1},
+            "strategies": [bell],
+        }
+        path = scenario_file(doc)
         code, _, err = run_cli(capsys, "eval", "--scenario", path)
         assert code == 2 and "not normalized" in err
-        code, out, _ = run_cli(capsys, "eval", "--scenario", path, "--normalize-states")
+        # the document is the only place that asks for rescaling
+        code, out, err = run_cli(capsys, "eval", "--scenario", path, "--normalize-states")
+        assert (code, out) == (1, "") and err.startswith("usage error: unrecognized arguments")
+        bell["normalize"] = True
+        code, out, _ = run_cli(capsys, "eval", "--scenario", scenario_file(doc))
         assert code == 0 and "[0.5, 0.5, 0]" in out
 
     def test_normalize_at_extreme_amplitudes(self, capsys, scenario_file):
@@ -282,6 +281,15 @@ class TestSelectCommand:
         path = scenario_file(_selection_doc([1e308, -1e308, 1e308]))
         code, out, err = run_cli(capsys, "select", "--scenario", path)
         assert (code, out, err) == (3, "", "runtime error: result is not finite\n")
+
+    def test_cancelling_payoffs_are_summed_exactly(self, capsys, scenario_file):
+        # a float sum left to right loses the 1 between 1e16 and -1e16
+        path = scenario_file(_selection_doc([1e16, 1, -1e16]))
+        code, out, err = run_cli(capsys, "select", "--scenario", path)
+        assert (code, err) == (0, "")
+        rows = out.split("\n\n")[1].splitlines()[2:]
+        assert rows[1].split()[3:] == ["1", "+", "0", "1"]
+        assert "counting average total: 0.666666666667 (2/3)\n" in out
 
     def test_counting_round_past_float_range_in_the_sum(self, capsys, scenario_file):
         # the payoff sum minus 1.7e308 is -inf unscaled, though the mean of

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from absentdriver import (
-    BasisTerm,
     Counting,
     Quantum,
     Stationary,
@@ -72,10 +71,6 @@ class TestBuildState:
     def test_single_ket(self):
         state = build_state(THIRD_EXIT)
         assert dense_amplitudes(state) == pytest.approx([0, 0, 0, 0, 0, 0, 1, 0])
-
-    def test_accepts_basis_term_objects(self):
-        state = build_state([BasisTerm("0", 1.0)])
-        assert dense_amplitudes(state) == pytest.approx([1, 0])
 
     def test_unnormalized_without_flag(self):
         with pytest.raises(ValueError, match="not normalized"):

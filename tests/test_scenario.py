@@ -90,7 +90,7 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match="strategy/problem mismatch"):
             parse_scenario(doc)
 
-    def test_unnormalized_state_without_flag(self):
+    def test_unnormalized_state_rejected(self):
         doc = json.dumps(
             {
                 "problem": {"kind": "drive", "exit_payoffs": [0, 4], "terminal_payoff": 1},
@@ -106,10 +106,24 @@ class TestParseScenario:
                 ],
             }
         )
-        with pytest.raises(ScenarioError, match="not normalized"):
+        with pytest.raises(ScenarioError, match=r"^strategies\[0\]: not normalized"):
             parse_scenario(doc)
-        scenario = parse_scenario(doc, normalize_states=True)
-        assert isinstance(scenario.strategies[0].strategy, Quantum)
+
+    @pytest.mark.parametrize("bits", ["0x", "", "0\x00"])
+    def test_bad_basis_string_path(self, bits):
+        doc = json.dumps(
+            {
+                "problem": {"kind": "drive", "exit_payoffs": [0, 4], "terminal_payoff": 1},
+                "strategies": [
+                    {"name": "c", "kind": "counting"},
+                    {"name": "q", "kind": "quantum", "normalize": True,
+                     "terms": [{"bits": "01", "re": 1}, {"bits": bits, "re": 1}]},
+                ],
+            }
+        )
+        message = f"strategies[1].terms[1]: bad basis string: {bits!r}"
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            parse_scenario(doc)
 
     def test_missing_field_path(self):
         doc = json.dumps(

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -211,3 +212,24 @@ class TestSelectionImprovement:
         counting = brute_force_counting_total(payoffs)
         best = optimize_two_round(SelectionProblem(payoffs)).payoff_star
         assert improvement == pytest.approx(counting - best, abs=1e-12)
+
+
+class TestCorrectlyRoundedSums:
+    def test_against_exact_fractions(self):
+        # cancelling payoffs of mixed magnitude: a plain float sum or numpy's
+        # pairwise mean can lose the small ones, and Python 3.12's sum() differs
+        rng = np.random.default_rng(14)
+        ulp = Fraction(1, 2**51)
+        for _ in range(2000):
+            n = int(rng.integers(2, 13))
+            signs = rng.choice([-1.0, 1.0], size=n)
+            payoffs = (signs * 10.0 ** rng.uniform(-3.0, 16.0, size=n)).tolist()
+            sel = SelectionProblem(tuple(payoffs))
+            exact = [Fraction(v) for v in payoffs]
+            total = sum(exact)
+            mean = total / n
+            assert abs(Fraction(two_round_average_drive(sel)[0]) - mean) <= ulp * abs(mean)
+            assert abs(Fraction(two_round_counting_total(sel)) - 2 * mean) <= ulp * abs(2 * mean)
+            for (_, second), v in zip(counting_round_values(sel), exact):
+                bound = ulp * (abs(total) + abs(v)) / (n - 1)
+                assert abs(Fraction(second) - (total - v) / (n - 1)) <= bound
