@@ -2,9 +2,9 @@
 # mechanism simulation: walk the intersections, draw how many cars exit at
 # each, tally the destinations.  This script does exactly that and compares.
 #
-# Reports are reproducible: trials are split into fixed 65536-trial blocks
-# and block b draws from PCG64 seeded with SeedSequence([seed, b]), so the
-# same (seed, trials) always yields bit-identical results.
+# Reports are reproducible: a run draws from PCG64 seeded with
+# default_rng(seed), one binomial per intersection, so the same
+# (seed, trials) always yields bit-identical results.
 
 import numpy as np
 

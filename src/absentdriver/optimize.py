@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .classical import stationary_payoff
 from .model import DriveProblem
@@ -47,6 +46,11 @@ def _quadratic_roots(a: float, b: float, c: float) -> tuple[float, ...]:
     return (q / a, c / q)
 
 
+def _derivative(c: np.ndarray) -> np.ndarray:
+    """Coefficients of the derivative of ``sum_j c_j x**j``, lowest first: ``j c_j``."""
+    return (np.arange(c.size) * c)[1:]
+
+
 def _closed_form_roots(deriv: tuple[float, ...]) -> tuple[float, ...]:
     """Roots of a derivative of degree <= 2 (trailing zeros already trimmed)."""
     if len(deriv) == 1:
@@ -70,8 +74,8 @@ def _search(v: np.ndarray) -> tuple[list[float], float]:
     """
     m = v.size - 1
     tol, u = 1e-12 * float(np.abs(v).max()), np.abs(v - np.partition(v, m // 2)[m // 2])
-    rows = np.zeros((3, m + 1))
-    rows[0], rows[1, :-3], rows[2, :-2] = v, npoly.polyder(u[:-1], 2), 2.0 * npoly.polyder(u[:-1])
+    rows, slope = np.zeros((3, m + 1)), _derivative(u[:-1])
+    rows[0], rows[1, :-3], rows[2, :-2] = v, _derivative(slope), 2.0 * slope
     rows[2, m - 2] += m * (m - 1) * u[-1]
     last, terms = float(v[-1]), rows[:, -2::-1].T.tolist()  # s and t have no beta**m term
 
@@ -117,8 +121,8 @@ def optimize_stationary(problem: DriveProblem) -> OptimizationResult:
     payoffs = problem.destination_payoffs
     exponent = math.frexp(max(map(abs, payoffs)))[1]
     v = np.ldexp(payoffs, -exponent)
-    # the derivative in beta, trailing zeros cut
-    deriv = tuple(npoly.polytrim(npoly.polyder(np.diff(v, prepend=0.0))).tolist())
+    # the derivative in beta, trailing zeros cut; (0.0,) when it is zero
+    deriv = tuple(np.trim_zeros(_derivative(np.diff(v, prepend=0.0)), "b").tolist()) or (0.0,)
     if len(deriv) <= 3:
         interior, top, method = _closed_form_roots(deriv), -math.inf, "closed_form"
     else:

@@ -100,7 +100,11 @@ def build_state(terms, normalize: bool = False) -> StateVector:
     bits, amplitudes = zip(*pairs)
     if len(set(map(len, bits))) > 1:
         raise ValueError("ragged terms: basis strings have mixed lengths")
+    if not bits[0]:
+        raise ValueError("empty basis string: a ket needs one bit per intersection")
     values = np.array(amplitudes, dtype=complex)
+    if not np.isfinite(values).all():
+        raise ValueError("amplitudes must be finite")
     # the norm of amplitudes scaled exactly below 1 neither overflows nor underflows
     shift = math.frexp(np.abs(values.view(float)).max())[1]
     scaled = np.ldexp(values.view(float), -shift).view(complex)

@@ -44,9 +44,8 @@ from .quantum import build_state
 DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 12345
 DEFAULT_GRID_STEP = 0.05
-# Bounds on the work an accepted document can ask for: simulate runs
-# ceil(trials / 65536) blocks (15259 at MAX_TRIALS), and curve prints
-# ceil(1 / step) + 1 rows.
+# Bounds on what an accepted document can ask for: simulate counts at most
+# MAX_TRIALS cars per strategy, and curve prints ceil(1 / step) + 1 rows.
 MAX_TRIALS = 10**9
 MIN_GRID_STEP = 1e-6
 

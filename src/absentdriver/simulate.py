@@ -1,21 +1,19 @@
 """Seeded Monte Carlo runs of the drive, for cross-checking the closed forms.
 
 Determinism contract: a report depends only on ``(seed, trials, problem,
-strategy)``.  Trials are split into fixed blocks of 65536; block ``b`` draws
-from numpy's PCG64 generator seeded with ``SeedSequence([seed, b])``, and the
-per-block tallies are plain integer destination counts, so any execution
-order - serial or parallel - merges to bit-identical reports.
+strategy)``: a run draws from numpy's PCG64 generator, ``default_rng(seed)``.
 
-A block drives its ``n`` cars as one population: at intersection ``j`` a
+A run drives its ``trials`` cars as one population: at intersection ``j`` a
 binomial draw of the ``left`` cars still on the highway exits, with the
 step exit probability, and whoever is left at the end reaches the terminal.
 That is the conditional-binomial method for multinomial variates (Davis,
 Comput. Stat. Data Anal. 16(2), 1993): the counts have the distribution of
-``n`` separate drives, for O(m) draws, not ``n * m`` uniforms.  Every
-strategy supplies its step probabilities, so the draws never use the product
-form they check.  A quantum plan's steps are its exit hazards, ``d_j / (d_j +
-... + d_(m+1))`` over the first-zero distribution ``d``: simulating a plan
-checks the sampler and the hazards, not the first-zero map.
+``trials`` separate drives, for at most ``m`` draws and O(m) memory, not
+``trials * m`` uniforms.  Every strategy supplies its step probabilities, so
+the draws never use the product form they check.  A quantum plan's steps are
+its exit hazards, ``d_j / (d_j + ... + d_(m+1))`` over the first-zero
+distribution ``d``: simulating a plan checks the sampler and the hazards,
+not the first-zero map.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ import numpy as np
 from .classical import step_exit_probabilities
 from .model import DestinationDistribution, DriveProblem, Strategy
 
-BLOCK_SIZE = 1 << 16
 _MAX_SEED = 2**64
 
 
@@ -52,22 +49,16 @@ def estimate_payoff(
     if not 0 <= seed < _MAX_SEED:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
 
-    k = problem.num_destinations
-    m = problem.num_intersections
     steps = step_exit_probabilities(problem, strategy).tolist()
-
-    counts = np.zeros(k, dtype=np.int64)
-    for block in range((trials + BLOCK_SIZE - 1) // BLOCK_SIZE):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, block]))
-        tally = [0] * k
-        left = min(BLOCK_SIZE, trials - block * BLOCK_SIZE)
-        for j, p in enumerate(steps):
-            tally[j] = out = rng.binomial(left, p)
-            left -= out
-            if left == 0:
-                break
-        tally[m] = left
-        counts += tally
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(len(steps) + 1, dtype=np.int64)
+    left = trials
+    for j, p in enumerate(steps):
+        counts[j] = out = rng.binomial(left, p)
+        left -= out
+        if left == 0:
+            break
+    counts[-1] = left
 
     # payoffs scaled exactly, by a power of two, below 1: no sum of squares overflows
     shift = math.frexp(max(map(abs, problem.destination_payoffs)))[1]

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -11,7 +14,8 @@ from absentdriver.cli import emit_csv, fmt_num, fmt_poly, fmt_value, main, run_c
 from absentdriver.scenario import MAX_TRIALS
 from oracles import residual_problem
 
-SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "demos" / "scenarios").glob("*.json"))
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = sorted((ROOT / "demos" / "scenarios").glob("*.json"))
 
 
 def run_cli(capsys, *argv):
@@ -559,16 +563,19 @@ class TestExitCodes:
         assert code == 3 and "runtime error" in err
 
     def test_bad_trials_override(self, capsys):
-        # rejected before a single block runs
+        # rejected before a single trial runs
         for trials in ("0", "-5", str(MAX_TRIALS + 1), "1" + "0" * 30):
             code, out, err = run_cli(capsys, "simulate", "--preset", "example1", "--trials", trials)
             assert (code, out) == (2, "")
             assert err == "scenario error: --trials must be an integer in [1, 1000000000]\n"
 
     def test_largest_trials_override_accepted(self, capsys):
-        # eval runs no trials, so the cap itself is checked without a run
+        # eval runs no trials, so the cap itself is checked without a run; a
+        # simulate run at the cap is one chain of binomial draws, as quick
         code, out, _ = run_cli(capsys, "eval", "--preset", "example1", "--trials", str(MAX_TRIALS))
         assert code == 0 and out == run_cli(capsys, "eval", "--preset", "example1")[1]
+        code, out, err = run_cli(capsys, "simulate", "--preset", "example1", "--trials", str(MAX_TRIALS))
+        assert (code, err) == (0, "") and f"  {MAX_TRIALS}  " in out
 
     def test_bad_seed_override(self, capsys):
         for seed in ("-1", str(2**64)):
@@ -620,3 +627,13 @@ class TestDemoScenarios:
         code, out, err = run_cli(capsys, command, "--scenario", str(path))
         assert (code, err) == (0, "")
         assert out
+
+
+def test_cli_import_leaves_out_numpy_polynomial():
+    # every CLI process pays for what it imports: numpy.polynomial adds
+    # about 0.8 MB of resident memory and is not needed
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    probe = "import sys, absentdriver.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"

@@ -99,6 +99,16 @@ class TestBuildState:
         with pytest.raises(ValueError, match="bad basis string"):
             build_state([("0x1", 1.0)])
 
+    def test_empty_bits(self):
+        with pytest.raises(ValueError, match="empty basis string"):
+            build_state([("", 1.0)])
+
+    @pytest.mark.parametrize("amplitude", [math.inf, complex(0.0, -math.inf), math.nan])
+    def test_non_finite_amplitude_rejected_before_scaling(self, amplitude):
+        # scaling by an infinite norm would warn on inf / inf first
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            build_state([("0", amplitude), ("1", 1.0)], normalize=True)
+
     def test_zero_state_rejected(self):
         with pytest.raises(ValueError, match="not normalized"):
             build_state([("01", 0.0)], normalize=True)

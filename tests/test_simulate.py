@@ -16,7 +16,11 @@ from absentdriver import (
     first_zero_distribution,
     make_drive_problem,
 )
-from absentdriver.simulate import BLOCK_SIZE
+from absentdriver.scenario import MAX_TRIALS
+
+# Runs of up to 2**16 trials reproduce the reports of earlier releases, which
+# split longer runs into blocks of this size: tests run on both sides of it.
+TWO_16 = 1 << 16
 
 EXAMPLE1 = make_drive_problem([0, 4], 1)
 EXAMPLE2 = make_drive_problem([0, 4, 1], 1)
@@ -55,7 +59,7 @@ def landed(problem, strategy, trials, seed) -> set[int]:
 
 
 class TestSimulateDrive:
-    """Where single trips land, observed through the block simulator."""
+    """Where single trips land, observed through the binomial-chain simulator."""
 
     def test_always_exit_first(self):
         assert landed(EXAMPLE1, Stationary(1.0), 50, 0) == {1}
@@ -86,7 +90,7 @@ class TestSimulateDrive:
     def test_plan_never_lands_past_its_last_weighted_destination(self, problem, plan, reached):
         # As for Bell, the last destination with weight has step probability
         # d_j / d_j, exactly 1, so no car drives on to the zero-weight rest.
-        assert landed(problem, Quantum(plan), 2 * BLOCK_SIZE, 17) == reached
+        assert landed(problem, Quantum(plan), 2 * TWO_16, 17) == reached
 
     def test_quantum_sample_stream_pinned(self):
         # A change to the per-step binomial draws of a measurement plan that
@@ -114,14 +118,14 @@ class TestSimulateDrive:
 
     def test_classical_sample_stream_pinned(self):
         # A change to the per-step binomial draws that moves a single car
-        # changes these counts; the last case spans three blocks.
+        # changes these counts; the last case runs past 2**16 trials.
         cases = [
             (EXAMPLE2, Counting(), 20_000, [4957, 5110, 4888, 5045]),
             (EXAMPLE2, PerStep((0.2, 0.5, 0.9)), 20_000, [3961, 8125, 7162, 752]),
             (make_drive_problem([float(i) for i in range(20)], 0.5), Stationary(0.1),
-             2 * BLOCK_SIZE + 5,
-             [12946, 11853, 10628, 9435, 8576, 7876, 6864, 6342, 5743, 5209, 4508, 4085,
-              3731, 3381, 2980, 2610, 2458, 2221, 1975, 1778, 15878]),
+             2 * TWO_16 + 5,
+             [13030, 11976, 10453, 9554, 8602, 7855, 6858, 6336, 5589, 5277, 4589, 4080,
+              3627, 3345, 3028, 2606, 2470, 2246, 2002, 1742, 15812]),
         ]
         for problem, strategy, trials, expected in cases:
             report = estimate_payoff(problem, strategy, trials, 11)
@@ -130,7 +134,7 @@ class TestSimulateDrive:
 
     def test_certain_exit_lands_only_there(self):
         problem = make_drive_problem([1.0, 2.0, 3.0, 4.0, 5.0], 6.0)
-        assert landed(problem, PerStep((0.0, 0.0, 1.0, 0.5, 0.5)), 2 * BLOCK_SIZE, 3) == {3}
+        assert landed(problem, PerStep((0.0, 0.0, 1.0, 0.5, 0.5)), 2 * TWO_16, 3) == {3}
         assert landed(problem, PerStep((0.3, 0.2, 1.0, 0.5, 0.5)), 10_000, 3) == {1, 2, 3}
         assert landed(problem, PerStep((0.0,) * 4 + (1.0,)), 1000, 3) == {5}
 
@@ -201,8 +205,8 @@ class TestEstimatePayoff:
         assert report.std_error == 0.0
 
     def test_bit_identical_reports(self):
-        a = estimate_payoff(EXAMPLE1, Counting(), 3 * BLOCK_SIZE + 17, 123456789)
-        b = estimate_payoff(EXAMPLE1, Counting(), 3 * BLOCK_SIZE + 17, 123456789)
+        a = estimate_payoff(EXAMPLE1, Counting(), 3 * TWO_16 + 17, 123456789)
+        b = estimate_payoff(EXAMPLE1, Counting(), 3 * TWO_16 + 17, 123456789)
         assert a == b
         assert a.mean_payoff == b.mean_payoff
         assert np.array_equal(
@@ -215,7 +219,7 @@ class TestEstimatePayoff:
         assert a.mean_payoff != b.mean_payoff
 
     def test_block_boundaries_do_not_drop_trials(self):
-        for trials in (1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1):
+        for trials in (1, TWO_16 - 1, TWO_16, TWO_16 + 1):
             report = estimate_payoff(EXAMPLE1, Counting(), trials, 5)
             counts = report.empirical_distribution.probs * trials
             assert counts.sum() == pytest.approx(trials, abs=1e-6)
@@ -244,14 +248,14 @@ class TestEstimatePayoff:
         assert abs(report.mean_payoff - analytic) <= SIGMAS * report.std_error
 
     def test_classical_blocks_hold_no_per_trial_arrays(self):
-        # Two blocks at m = 1024: the per-step draws need O(m) memory, where a
-        # (65536, m) matrix of uniforms would take 512 MiB.
+        # 2**17 trials at m = 1024: the per-step draws need O(m) memory, where
+        # a (2**17, m) matrix of uniforms would take 1 GiB.
         problem = make_drive_problem([1.0] * 1024, 0.0)
         strategy = PerStep((0.001,) * 1024)
         estimate_payoff(problem, strategy, 10, 5)  # numpy's first-call setup is not counted
         tracemalloc.start()
         try:
-            estimate_payoff(problem, strategy, 2 * BLOCK_SIZE, 5)
+            estimate_payoff(problem, strategy, 2 * TWO_16, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -259,18 +263,26 @@ class TestEstimatePayoff:
 
     @pytest.mark.parametrize("m,bound", [(20, 64 << 10), (1024, 256 << 10)])
     def test_quantum_blocks_hold_no_per_trial_arrays(self, m, bound):
-        # Two blocks of a plan with one ket per destination: the per-step
+        # 2**17 trials of a plan with one ket per destination: the per-step
         # draws need O(m) memory (about 90 bytes a step), not a uniform and a
-        # destination per trial (512 KiB each as float64).
+        # destination per trial (1 MiB each as float64).
         problem, strategy = ramp_problem(m), Quantum(plans(m)["counting_state"])
         estimate_payoff(problem, strategy, 10, 5)  # numpy's first-call setup is not counted
         tracemalloc.start()
         try:
-            estimate_payoff(problem, strategy, 2 * BLOCK_SIZE, 5)
+            estimate_payoff(problem, strategy, 2 * TWO_16, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+    def test_largest_run_is_one_chain(self):
+        # 10**9 trials take at most m binomial draws: every car lands
+        # somewhere, and the mean sits within budget of the closed form.
+        report = estimate_payoff(EXAMPLE2, Counting(), MAX_TRIALS, 11)
+        counts = np.rint(report.empirical_distribution.probs * MAX_TRIALS).astype(np.int64)
+        assert counts.sum() == MAX_TRIALS
+        assert abs(report.mean_payoff - 1.5) <= SIGMAS * report.std_error
 
     @pytest.mark.parametrize("plan", sorted(PLANS_20))
     def test_quantum_oracle_agreement_at_20_qubits(self, plan):
