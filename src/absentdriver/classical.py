@@ -30,6 +30,18 @@ from .model import Counting, DestinationDistribution, DriveProblem, PerStep, Qua
 from .quantum import first_zero_distribution
 
 
+def check_fit(problem: DriveProblem, strategy: Strategy) -> None:
+    """Reject a per-step or quantum plan by its count of steps or qubits alone."""
+    m = problem.num_intersections
+    if isinstance(strategy, PerStep) and len(strategy.exit_probs) != m:
+        plan = f"{len(strategy.exit_probs)} step probabilities"
+    elif isinstance(strategy, Quantum) and strategy.state.num_qubits != m:
+        plan = f"{strategy.state.num_qubits} qubits"
+    else:
+        return
+    raise ValueError(f"strategy/problem mismatch: {plan} for {m} intersections")
+
+
 def step_exit_probabilities(problem: DriveProblem, strategy: Strategy) -> np.ndarray:
     """Per-intersection exit probabilities induced by any strategy.
 
@@ -38,6 +50,7 @@ def step_exit_probabilities(problem: DriveProblem, strategy: Strategy) -> np.nda
     first-zero distribution, which a ``PerStep`` driver with a counter can
     follow to land on the same distribution.
     """
+    check_fit(problem, strategy)
     m = problem.num_intersections
     if isinstance(strategy, Stationary):
         return np.full(m, strategy.alpha)
@@ -45,14 +58,9 @@ def step_exit_probabilities(problem: DriveProblem, strategy: Strategy) -> np.nda
         # 1 / (k - i + 1) at intersection i of k = m + 1 destinations
         return 1.0 / np.arange(m + 1, 1, -1)
     if isinstance(strategy, PerStep):
-        if len(strategy.exit_probs) != m:
-            raise ValueError(
-                "strategy/problem mismatch: "
-                f"{len(strategy.exit_probs)} step probabilities for {m} intersections"
-            )
         return np.array(strategy.exit_probs, dtype=float)
     if isinstance(strategy, Quantum):
-        d = destination_distribution(problem, strategy).probs
+        d = first_zero_distribution(strategy.state).probs
         tail = np.cumsum(d[::-1])[:0:-1]  # d_j + ... + d_(m+1) >= d_j in floats
         # a one-term tail gives exactly 1; no car reaches a step of tail 0
         return np.divide(d[:m], tail, out=np.ones(m), where=tail > 0.0)
@@ -62,12 +70,8 @@ def step_exit_probabilities(problem: DriveProblem, strategy: Strategy) -> np.nda
 def destination_distribution(problem: DriveProblem, strategy: Strategy) -> DestinationDistribution:
     """Exact distribution over destinations for any strategy."""
     if isinstance(strategy, Quantum):
-        state, m = strategy.state, problem.num_intersections
-        if state.num_qubits != m:
-            raise ValueError(
-                f"strategy/problem mismatch: {state.num_qubits} qubits for {m} intersections"
-            )
-        return first_zero_distribution(state)
+        check_fit(problem, strategy)
+        return first_zero_distribution(strategy.state)
     steps = step_exit_probabilities(problem, strategy)
     # keep[i] = probability of still driving after the first i intersections
     keep = np.concatenate(([1.0], np.cumprod(1.0 - steps)))
@@ -76,8 +80,7 @@ def destination_distribution(problem: DriveProblem, strategy: Strategy) -> Desti
 
 def expected_payoff(problem: DriveProblem, strategy: Strategy) -> float:
     """Expected payoff of any strategy: distribution dotted with payoffs."""
-    dist = destination_distribution(problem, strategy)
-    return float(dist.probs @ np.asarray(problem.destination_payoffs))
+    return destination_distribution(problem, strategy).mean(problem.destination_payoffs)
 
 
 def stationary_payoff(problem: DriveProblem, alpha):

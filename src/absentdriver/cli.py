@@ -137,7 +137,7 @@ def _run_eval(scenario: Scenario) -> CommandOutput:
     csv_rows = [("strategy", "expected_payoff", *(f"p{i}" for i in range(1, k + 1)))]
     for named in scenario.strategies:
         dist = destination_distribution(problem, named.strategy)
-        payoff = float(dist.probs @ problem.destination_payoffs)
+        payoff = dist.mean(problem.destination_payoffs)
         table_rows.append(
             (named.name, _strategy_label(named.strategy), fmt_value(payoff), fmt_dist(dist))
         )

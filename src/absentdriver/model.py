@@ -50,12 +50,8 @@ class DriveProblem:
     terminal_payoff: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "exit_payoffs", _as_finite_floats(self.exit_payoffs, "exit_payoffs")
-        )
-        terminal = float(self.terminal_payoff)
-        if not math.isfinite(terminal):
-            raise ValueError(f"invalid payoff: terminal payoff {self.terminal_payoff!r}")
+        object.__setattr__(self, "exit_payoffs", _as_finite_floats(self.exit_payoffs, "exit_payoffs"))
+        (terminal,) = _as_finite_floats((self.terminal_payoff,), "terminal_payoff")
         object.__setattr__(self, "terminal_payoff", terminal)
 
     @property
@@ -109,6 +105,10 @@ class DestinationDistribution:
         if not isinstance(other, DestinationDistribution):
             return NotImplemented
         return np.array_equal(self.probs, other.probs)
+
+    def mean(self, payoffs) -> float:
+        """Expected value of ``payoffs``, one per destination: the expected payoff."""
+        return float(self.probs @ np.asarray(payoffs))
 
 
 @dataclass(frozen=True)

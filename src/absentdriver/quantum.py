@@ -11,6 +11,9 @@ cost grows with those kets and not with ``2**m``.  Destination ``i`` collects
 ``i``, and the all-ones string feeds the terminal; this equals the
 sequential collapse computation because the measurements are all in the
 computational basis.
+
+:class:`StateVector` is the one place a norm is checked and divided out;
+:func:`build_state` with ``normalize`` first rescales amplitudes of any size.
 """
 
 from __future__ import annotations
@@ -20,18 +23,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DestinationDistribution
+from .model import DestinationDistribution, Stationary
 
 # Caps only product_state, which holds all 2**m strings.
 MAX_QUBITS = 20
 
-# Unnormalized input is accepted up to this deviation of the norm from 1.
+# A state's amplitudes are accepted up to this deviation of their norm from 1.
 INPUT_NORM_TOL = 1e-6
-# Stored states keep |norm - 1| within this bound.
-STATE_NORM_TOL = 1e-9
 # Below this the stored amplitudes are left untouched, so emitting a state
 # and parsing it back reproduces the exact same floats.
 _RESCALE_SKIP = 1e-13
+
+
+def _scaled(values: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """``(scaled, scaled_norm, norm)``: ``values`` scaled exactly below 1 by a power of
+    two, their norm, which cannot over- or underflow, and it scaled back (inf past the range)."""
+    parts = np.ascontiguousarray(values, dtype=complex).view(float)
+    shift = math.frexp(np.abs(parts).max(initial=0.0))[1]
+    scaled = np.ldexp(parts, -shift).view(complex)
+    scaled_norm = float(np.linalg.norm(scaled))
+    with np.errstate(over="ignore"):
+        return scaled, scaled_norm, float(np.ldexp(scaled_norm, shift))
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,7 +53,8 @@ class StateVector:
     ``bits`` is a numpy ``S{m}`` array of fixed-width ``0``/``1`` strings,
     the first intersection's qubit leftmost.  Terms are stored sorted by
     their strings, which for equal widths is basis-index order, exact zeros
-    dropped.
+    dropped.  A norm within ``INPUT_NORM_TOL`` of 1 is divided out (beyond
+    ``_RESCALE_SKIP``), and any other is rejected.
     """
 
     bits: np.ndarray
@@ -54,6 +67,14 @@ class StateVector:
             raise ValueError(f"bits {bits.shape} and values {values.shape} must match and be 1-d")
         if not np.isfinite(values).all():
             raise ValueError("amplitudes must be finite")
+        with np.errstate(over="ignore"):  # from about 1e154 the plain norm reads inf
+            norm = float(np.linalg.norm(values))
+        if abs(norm - 1.0) > INPUT_NORM_TOL:  # so report the scaled one
+            raise ValueError(
+                f"not normalized: state norm is {_scaled(values)[2]!r} (pass normalize to rescale)"
+            )
+        if abs(norm - 1.0) > _RESCALE_SKIP:
+            values = values / norm
         codes = bits.view(np.uint8)
         if codes.size and not ord("0") <= codes.min() <= codes.max() <= ord("1"):
             raise ValueError(f"bad basis strings: each must be {bits.itemsize} characters of 0 and 1")
@@ -63,9 +84,6 @@ class StateVector:
             repeated = bits[1:][bits[1:] == bits[:-1]]
             if repeated.size:
                 raise ValueError(f"duplicate term: {repeated[0].decode()!r}")
-        norm = float(np.linalg.norm(values))
-        if abs(norm - 1.0) > STATE_NORM_TOL:
-            raise ValueError(f"not normalized: state norm is {norm!r}")
         nonzero = values != 0
         for name, array in (("bits", bits[nonzero]), ("values", values[nonzero])):
             array.setflags(write=False)
@@ -80,19 +98,14 @@ class StateVector:
     def num_qubits(self) -> int:
         return self.bits.itemsize
 
-    @property
-    def probabilities(self) -> np.ndarray:
-        """``|amplitude|**2`` per stored term, aligned with ``bits``."""
-        return np.abs(self.values) ** 2
-
 
 def build_state(terms, normalize: bool = False) -> StateVector:
     """Assemble a state from listed kets; amplitudes elsewhere are zero.
 
     ``terms`` is an iterable of ``(bits, amplitude)`` pairs: ``0``/``1``
     strings of one length, in any order, each checked by :class:`StateVector`.
-    With ``normalize`` the result is rescaled to unit norm; without it, norms
-    further than ``INPUT_NORM_TOL`` from 1 are rejected.
+    With ``normalize`` the amplitudes are first divided by their norm, at any
+    magnitude; otherwise :class:`StateVector`'s norm rule takes them as given.
     """
     pairs = list(terms)
     if not pairs:
@@ -103,20 +116,12 @@ def build_state(terms, normalize: bool = False) -> StateVector:
     if not bits[0]:
         raise ValueError("empty basis string: a ket needs one bit per intersection")
     values = np.array(amplitudes, dtype=complex)
-    if not np.isfinite(values).all():
-        raise ValueError("amplitudes must be finite")
-    # the norm of amplitudes scaled exactly below 1 neither overflows nor underflows
-    shift = math.frexp(np.abs(values.view(float)).max())[1]
-    scaled = np.ldexp(values.view(float), -shift).view(complex)
-    scaled_norm = float(np.linalg.norm(scaled))
-    with np.errstate(over="ignore"):
-        norm = float(np.ldexp(scaled_norm, shift))
     if normalize:
+        if not np.isfinite(values).all():  # before inf / inf can warn
+            raise ValueError("amplitudes must be finite")
+        scaled, scaled_norm, _ = _scaled(values)
         if scaled_norm == 0.0:
             raise ValueError("not normalized: zero state cannot be rescaled")
-    elif abs(norm - 1.0) > INPUT_NORM_TOL:
-        raise ValueError(f"not normalized: state norm is {norm!r} (pass normalize to rescale)")
-    if abs(norm - 1.0) > _RESCALE_SKIP:
         values = scaled / scaled_norm
     return StateVector(np.array(bits, dtype=np.bytes_), values)
 
@@ -127,9 +132,7 @@ def product_state(alpha: float, num_qubits: int) -> StateVector:
     Under the first-zero rule this reproduces the classical stationary
     strategy with exit probability ``alpha`` exactly.
     """
-    a = float(alpha)
-    if not math.isfinite(a) or not 0.0 <= a <= 1.0:
-        raise ValueError(f"alpha must be a probability in [0, 1], got {alpha!r}")
+    a = Stationary(alpha).alpha
     if not 1 <= num_qubits <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {num_qubits}")
     amps = np.ones(1)
@@ -139,9 +142,6 @@ def product_state(alpha: float, num_qubits: int) -> StateVector:
     index = np.arange(2**num_qubits, dtype=">u4").view(np.uint8)
     digits = np.unpackbits(index).reshape(-1, 32)[:, 32 - num_qubits:] + ord("0")
     bits = digits.view(f"S{num_qubits}").ravel()
-    norm = float(np.linalg.norm(amps))
-    if abs(norm - 1.0) > _RESCALE_SKIP:
-        amps = amps / norm
     return StateVector(bits, amps)
 
 
@@ -151,8 +151,5 @@ def first_zero_distribution(state: StateVector) -> DestinationDistribution:
     # 0-based slot of each ket: its first 0, or the terminal slot m when it has none
     first_zero = np.strings.find(state.bits, b"0")
     slot = np.where(first_zero < 0, m, first_zero)
-    probs = np.bincount(slot, weights=state.probabilities, minlength=m + 1)
-    total = float(probs.sum())
-    if abs(total - 1.0) > 2 * STATE_NORM_TOL:
-        raise ValueError(f"not normalized: probabilities sum to {total!r}")
-    return DestinationDistribution(probs / total)
+    probs = np.bincount(slot, weights=np.abs(state.values) ** 2, minlength=m + 1)
+    return DestinationDistribution(probs / probs.sum())

@@ -18,8 +18,8 @@ Schema (top-level object)::
 
 A quantum plan's norm must be within 1e-6 of 1 unless ``"normalize": true``
 rescales it.  ``options`` and every one of its keys are optional.  All
-cross-dimension checks (step counts, qubit counts vs. intersections) run at
-parse time, and errors carry the JSON path of the offending field.
+cross-dimension checks compare counts (steps or qubits vs. intersections) at
+parse time, without reducing a plan, and errors carry the offending JSON path.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import json
 import sys
 from dataclasses import dataclass, replace
 
-from .classical import step_exit_probabilities
+from .classical import check_fit
 from .model import (
     Counting,
     DriveProblem,
@@ -132,13 +132,13 @@ _DECODER = json.JSONDecoder(parse_int=_parse_int)
 def _floats(values, where):
     """JSON numbers as floats; ``where(j)`` is the path of entry ``j`` in errors.
 
-    Huge integers and ``1e400`` (read as inf) are outside the float range.
+    Huge integers, ``1e400`` and the ``Infinity`` and ``NaN`` literals are outside the float range.
     """
     limit = sys.float_info.max
     for j, v in enumerate(values):
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise ScenarioError("must be a number", where(j))
-        if abs(v) > limit:
+        if not abs(v) <= limit:  # json reads NaN, which fails this too
             raise ScenarioError("number is outside the float range", where(j))
     return [float(v) for v in values]
 
@@ -219,16 +219,14 @@ def _parse_options(doc, path="options") -> ScenarioOptions:
 
 
 def _check_dimensions(problem, named: NamedStrategy, path: str) -> None:
-    strategy = named.strategy
-    if isinstance(problem, SelectionProblem):
-        if isinstance(strategy, (PerStep, Quantum)):
-            raise ScenarioError(
-                "strategy/problem mismatch: selection problems only take "
-                "stationary or counting strategies",
-                path,
-            )
-        return
-    _wrap(path, step_exit_probabilities, problem, strategy)
+    if not isinstance(problem, SelectionProblem):
+        _wrap(path, check_fit, problem, named.strategy)
+    elif isinstance(named.strategy, (PerStep, Quantum)):
+        raise ScenarioError(
+            "strategy/problem mismatch: selection problems only take "
+            "stationary or counting strategies",
+            path,
+        )
 
 
 def parse_scenario(text: str) -> Scenario:

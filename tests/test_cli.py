@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 
 from absentdriver import Stationary, expected_payoff, make_drive_problem, parse_scenario
-from absentdriver.cli import emit_csv, fmt_num, fmt_poly, fmt_value, main, run_command
-from absentdriver.scenario import MAX_TRIALS
+from absentdriver.cli import COMMANDS, emit_csv, fmt_num, fmt_poly, fmt_value, main, run_command
+from absentdriver.scenario import MAX_TRIALS, PRESETS
 from oracles import residual_problem
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -627,6 +628,39 @@ class TestDemoScenarios:
         code, out, err = run_cli(capsys, command, "--scenario", str(path))
         assert (code, err) == (0, "")
         assert out
+
+
+# sha256 of json.dumps([exit code, stdout, stderr]) for every preset run.  The
+# bytes must not change with a refactor, nor with the CPU's BLAS kernel (CI
+# runs these again under OPENBLAS_CORETYPE=Prescott).
+PRESET_RUN_SHA256 = {
+    ("example1", "eval"): "e5438f3ab9c39067c45294bd73a07b1748f09366784a3c12c978f719156d23e8",
+    ("example1", "optimize"): "238ef29c2c4cf9ac511e36f06b5b0facb2908ba9c9afe03dfcebf8dd2e53897d",
+    ("example1", "select"): "d710788f7d392715e582702ae587bb3488844929f89c2554edb08464c5825829",
+    ("example1", "simulate"): "ab8db700af15df26926028cd392f25bb2f3273b1791406c807c7e5f291082ba6",
+    ("example1", "curve"): "25054dea0ea762b8f7603da93355616c425a201e2ffbb8aee3318d38fe95f8f2",
+    ("example2", "eval"): "4a2a96fae2ebdbffe5112d1da4a42aa420c708704564abf5fb9d5ea32d9cae64",
+    ("example2", "optimize"): "3a539bbadbba8ef13bd4d4709d52ee49ab718107f37227331a3ed7cef95a4202",
+    ("example2", "select"): "d710788f7d392715e582702ae587bb3488844929f89c2554edb08464c5825829",
+    ("example2", "simulate"): "49c30727b8a6bc29ecd1d448a382f5ee990410495c04ef33e96e13bf68d3d2ef",
+    ("example2", "curve"): "25054dea0ea762b8f7603da93355616c425a201e2ffbb8aee3318d38fe95f8f2",
+    ("selection-example", "eval"): "5e3eb92f8d6c394ae9099e22d0ce740f7aa021adbb45292f879567adef8ed8ac",
+    ("selection-example", "optimize"): "4ad68c8658466c326d33a09097a8848846eb8f82adc0d2b74cd567cd736252e6",
+    ("selection-example", "select"): "d24326fec1fcd2f8a6dbb2a8e92428e431bb1f8e43dd92b2ae80b8fef09973e9",
+    ("selection-example", "simulate"): "2d384b5f5017bbe9347e839b97994989dfc1afb0e113235b74213815db12692a",
+    ("selection-example", "curve"): "907d9de0aab12a8b7dc5d4f931c4df63efd660cd999c4bab0ef92293d45f4782",
+}
+
+
+def test_every_preset_run_pinned():
+    assert set(PRESET_RUN_SHA256) == {(p, c) for p in PRESETS for c in COMMANDS}
+
+
+@pytest.mark.parametrize("preset,command", sorted(PRESET_RUN_SHA256))
+def test_preset_run_bytes_pinned(capsys, preset, command):
+    code, out, err = run_cli(capsys, command, "--preset", preset)
+    digest = hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
+    assert digest == PRESET_RUN_SHA256[preset, command]
 
 
 def test_cli_import_leaves_out_numpy_polynomial():

@@ -142,6 +142,17 @@ class TestStateVector:
         with pytest.raises(ValueError, match="not normalized"):
             StateVector(["0", "1"], [1.0, 1.0])
 
+    def test_near_unit_norm_rescaled(self):
+        # norm 1 + 2.7e-8: inside the 1e-6 rule that build_state applies too
+        state = StateVector(["0", "1"], [0.7071068] * 2)
+        assert state == build_state([("0", 0.7071068), ("1", 0.7071068)])
+        assert abs(np.linalg.norm(state.values) - 1.0) < 1e-15
+
+    def test_rejects_norm_past_tolerance(self):
+        # norm 1 + 2.0e-6
+        with pytest.raises(ValueError, match=r"^not normalized: state norm is .* \(pass normalize to rescale\)$"):
+            StateVector(["0", "1"], [0.7071082] * 2)
+
     @pytest.mark.parametrize(
         "bits",
         [["2"], ["0x"], ["01", "1"], [b"0\x001"], [""], [0.5, 2.7], [False, True], [1, 6]],

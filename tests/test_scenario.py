@@ -90,6 +90,25 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match="strategy/problem mismatch"):
             parse_scenario(doc)
 
+    def test_fit_checked_from_counts_alone(self, monkeypatch):
+        # parsing compares qubits with intersections and never reduces the plan
+        def reduce(state):
+            raise AssertionError("a plan was reduced while parsing")
+
+        monkeypatch.setattr("absentdriver.classical.first_zero_distribution", reduce)
+        plan = {"name": "q", "kind": "quantum", "normalize": True,
+                "terms": [{"bits": "01", "re": 1}, {"bits": "10", "re": 1}]}
+        for exits, error in (([0, 4], None), ([0, 4, 1], "2 qubits for 3 intersections")):
+            doc = json.dumps(
+                {"problem": {"kind": "drive", "exit_payoffs": exits, "terminal_payoff": 1},
+                 "strategies": [plan]}
+            )
+            if error is None:
+                assert parse_scenario(doc).strategies[0].strategy.state.num_qubits == 2
+            else:
+                with pytest.raises(ScenarioError, match=rf"^strategies\[0\]: strategy/problem mismatch: {error}$"):
+                    parse_scenario(doc)
+
     def test_unnormalized_state_rejected(self):
         doc = json.dumps(
             {
@@ -150,8 +169,10 @@ class TestParseScenario:
 
     @pytest.mark.parametrize(
         "literal",
-        ["1" + "0" * 400, "-" + "1" * 400, "9" * 5000, "-" + "9" * 5000, "1e400"],
-        ids=["int400", "negative_int400", "int5000", "negative_int5000", "float1e400"],
+        ["1" + "0" * 400, "-" + "1" * 400, "9" * 5000, "-" + "9" * 5000, "1e400",
+         "NaN", "Infinity", "-Infinity"],
+        ids=["int400", "negative_int400", "int5000", "negative_int5000", "float1e400",
+             "nan", "infinity", "negative_infinity"],
     )
     @pytest.mark.parametrize(
         "field,path",
