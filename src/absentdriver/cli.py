@@ -1,12 +1,14 @@
 """Command-line front end.
 
-Subcommands::
+Each subcommand reads ``--scenario PATH`` or ``--preset NAME`` (a built-in
+document, parsed like a file), writes ``--csv PATH`` if asked, and takes only
+the option overrides it reads::
 
     eval      per-strategy destination distributions and expected payoffs
     optimize  best stationary exit probability for the problem
     select    two-round selection breakdown, optimum, counting comparison
-    simulate  seeded Monte Carlo report per strategy
-    curve     CSV of (alpha, expected payoff) over a grid
+    simulate  seeded Monte Carlo report per strategy       [--trials N] [--seed S]
+    curve     CSV of (alpha, expected payoff) over a grid  [--grid-step H]
 
 Exit codes: 0 success, 1 usage error, 2 scenario validation error,
 3 runtime error.  Results go to stdout, diagnostics to stderr.
@@ -27,7 +29,7 @@ import numpy as np
 from .classical import beta_coefficients, destination_distribution, stationary_payoff
 from .model import Counting, PerStep, Quantum, SelectionProblem, Stationary
 from .optimize import optimize_stationary
-from .scenario import PRESETS, Scenario, ScenarioError, parse_scenario, preset_scenario
+from .scenario import PRESETS, Scenario, ScenarioError, parse_scenario
 from .selection import (
     counting_round_values,
     first_choice_totals,
@@ -311,12 +313,11 @@ def build_parser() -> _Parser:
         source.add_argument(
             "--preset", choices=sorted(PRESETS), help="built-in scenario, no file needed"
         )
-        p.add_argument("--trials", type=int, metavar="N", help="override simulation trials")
-        p.add_argument("--seed", type=int, metavar="S", help="override the 64-bit seed")
-        p.add_argument(
-            "--grid-step", type=float, metavar="H", dest="grid_step",
-            help="alpha grid step for 'curve'",
-        )
+        if command == "simulate":
+            p.add_argument("--trials", type=int, metavar="N", help="override simulation trials")
+            p.add_argument("--seed", type=int, metavar="S", help="override the 64-bit seed")
+        if command == "curve":
+            p.add_argument("--grid-step", type=float, metavar="H", help="override the alpha grid step")
         p.add_argument("--csv", metavar="PATH", help="also write the result table as CSV")
     return parser
 
@@ -327,11 +328,12 @@ _OVERRIDES = {"trials": "--trials", "seed": "--seed", "grid_step": "--grid-step"
 
 def _load_scenario(args) -> Scenario:
     if args.preset:
-        scenario = preset_scenario(args.preset)
+        text = PRESETS[args.preset]
     else:
         with open(args.scenario, encoding="utf-8") as fh:
-            scenario = parse_scenario(fh.read())
-    overrides = {key: getattr(args, key) for key in _OVERRIDES if getattr(args, key) is not None}
+            text = fh.read()
+    scenario = parse_scenario(text)
+    overrides = {k: v for k in _OVERRIDES if (v := getattr(args, k, None)) is not None}
     return scenario.with_options(_OVERRIDES, **overrides) if overrides else scenario
 
 

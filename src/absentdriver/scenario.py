@@ -17,9 +17,9 @@ Schema (top-level object)::
     }
 
 A quantum plan's norm must be within 1e-6 of 1 unless ``"normalize": true``
-rescales it.  ``options`` and every one of its keys are optional.  All
-cross-dimension checks compare counts (steps or qubits vs. intersections) at
-parse time, without reducing a plan, and errors carry the offending JSON path.
+rescales it.  ``options`` and its keys are optional; unknown fields are errors.
+All cross-dimension checks compare counts (steps or qubits vs. intersections)
+without reducing a plan, and errors carry the offending JSON path.
 """
 
 from __future__ import annotations
@@ -118,6 +118,13 @@ def _require(mapping, key, path, kind, type_name):
     return value
 
 
+def _known_fields(mapping, known, path, what="field(s)"):
+    """Reject keys outside ``known``: a misspelt field would otherwise be dropped."""
+    unknown = mapping.keys() - known
+    if unknown:
+        raise ScenarioError(f"unknown {what}: {sorted(unknown)}", path)
+
+
 def _parse_int(digits: str):
     """Integer literals past ``int``'s 4300-digit limit read as ``inf``, for ``_floats`` to reject."""
     try:
@@ -165,10 +172,12 @@ def _wrap(path: str, fn, *args, **kwargs):
 def _parse_problem(doc, path="problem") -> DriveProblem | SelectionProblem:
     kind = _require(doc, "kind", path, str, "a string")
     if kind == "drive":
+        _known_fields(doc, ("kind", "exit_payoffs", "terminal_payoff"), path)
         exits = _number_list(doc, "exit_payoffs", path)
         terminal = _number(doc, "terminal_payoff", path)
         return _wrap(path, make_drive_problem, exits, terminal)
     if kind == "selection":
+        _known_fields(doc, ("kind", "destination_payoffs"), path)
         payoffs = _number_list(doc, "destination_payoffs", path)
         return _wrap(path, SelectionProblem, tuple(payoffs))
     raise ScenarioError(f"unknown problem kind {kind!r} (expected 'drive' or 'selection')", path)
@@ -178,18 +187,23 @@ def _parse_strategy(doc, path) -> NamedStrategy:
     name = _require(doc, "name", path, str, "a string")
     kind = _require(doc, "kind", path, str, "a string")
     if kind == "stationary":
+        _known_fields(doc, ("name", "kind", "alpha"), path)
         return NamedStrategy(name, _wrap(path, Stationary, _number(doc, "alpha", path)))
     if kind == "counting":
+        _known_fields(doc, ("name", "kind"), path)
         return NamedStrategy(name, Counting())
     if kind == "per_step":
+        _known_fields(doc, ("name", "kind", "exit_probs"), path)
         probs = _number_list(doc, "exit_probs", path)
         return NamedStrategy(name, _wrap(path, PerStep, tuple(probs)))
     if kind == "quantum":
+        _known_fields(doc, ("name", "kind", "terms", "normalize"), path)
         raw_terms = _require(doc, "terms", path, list, "a list of term objects")
         terms = []
         for j, term in enumerate(raw_terms):
             term_path = f"{path}.terms[{j}]"
             bits = _require(term, "bits", term_path, str, "a string of 0s and 1s")
+            _known_fields(term, ("bits", "re", "im"), term_path)
             re = _number(term, "re", term_path)
             im = _number(term, "im", term_path) if "im" in term else 0.0
             if not bits or bits.strip("01"):  # StateVector's own check cannot name the term
@@ -212,9 +226,7 @@ def _parse_options(doc, path="options") -> ScenarioOptions:
         return ScenarioOptions()
     if not isinstance(doc, dict):
         raise ScenarioError("expected an object", path)
-    unknown = set(doc) - set(_OPTION_RULES)
-    if unknown:
-        raise ScenarioError(f"unknown option(s): {sorted(unknown)}", path)
+    _known_fields(doc, _OPTION_RULES, path, "option(s)")
     return _checked_options(ScenarioOptions(), doc, path=path)
 
 
@@ -235,11 +247,11 @@ def parse_scenario(text: str) -> Scenario:
         doc = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise ScenarioError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ScenarioError("top level must be an object")
-    unknown = set(doc) - {"problem", "strategies", "options"}
-    if unknown:
-        raise ScenarioError(f"unknown top-level field(s): {sorted(unknown)}")
+    _known_fields(doc, ("problem", "strategies", "options"), "", "top-level field(s)")
 
     problem = _parse_problem(_require(doc, "problem", "", dict, "an object"))
     raw_strategies = _require(doc, "strategies", "", list, "a list")
@@ -303,55 +315,27 @@ def scenario_to_document(scenario: Scenario) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _example1() -> Scenario:
-    problem = make_drive_problem([0.0, 4.0], 1.0)
-    bell = build_state([("01", 1.0), ("10", 1.0)], normalize=True)
-    return Scenario(
-        problem,
-        (
-            NamedStrategy("stationary", Stationary(1.0 / 3.0)),
-            NamedStrategy("counting", Counting()),
-            NamedStrategy("bell", Quantum(bell)),
-        ),
-    )
-
-
-def _example2() -> Scenario:
-    problem = make_drive_problem([0.0, 4.0, 1.0], 1.0)
-    third_exit = build_state([("110", 1.0)])
-    return Scenario(
-        problem,
-        (
-            NamedStrategy("stationary", Stationary(1.0 / 3.0)),
-            NamedStrategy("counting", Counting()),
-            NamedStrategy("third-exit", Quantum(third_exit)),
-        ),
-    )
-
-
-def _selection_example() -> Scenario:
-    return Scenario(
-        SelectionProblem((0.0, 4.0, 1.0, 1.0)),
-        (NamedStrategy("stationary", Stationary(0.5)),),
-    )
-
-
+# The paper's worked examples, checked like any file; 0.3333333333333333 parses to 1.0 / 3.0.
 PRESETS = {
-    "example1": _example1,
-    "example2": _example2,
-    "selection-example": _selection_example,
+    "example1": """{"problem": {"kind": "drive", "exit_payoffs": [0, 4], "terminal_payoff": 1},
+ "strategies": [{"name": "stationary", "kind": "stationary", "alpha": 0.3333333333333333},
+                {"name": "counting", "kind": "counting"},
+                {"name": "bell", "kind": "quantum", "normalize": true,
+                 "terms": [{"bits": "01", "re": 1}, {"bits": "10", "re": 1}]}]}""",
+    "example2": """{"problem": {"kind": "drive", "exit_payoffs": [0, 4, 1], "terminal_payoff": 1},
+ "strategies": [{"name": "stationary", "kind": "stationary", "alpha": 0.3333333333333333},
+                {"name": "counting", "kind": "counting"},
+                {"name": "third-exit", "kind": "quantum", "terms": [{"bits": "110", "re": 1}]}]}""",
+    "selection-example": """{"problem": {"kind": "selection", "destination_payoffs": [0, 4, 1, 1]},
+ "strategies": [{"name": "stationary", "kind": "stationary", "alpha": 0.5}]}""",
 }
 
 
 def preset_scenario(name: str) -> Scenario:
     """Built-in scenarios so the common cases need no file authoring."""
-    try:
-        factory = PRESETS[name]
-    except KeyError:
-        raise ScenarioError(
-            f"unknown preset {name!r} (available: {', '.join(sorted(PRESETS))})"
-        ) from None
-    return factory()
+    if name not in PRESETS:
+        raise ScenarioError(f"unknown preset {name!r} (available: {', '.join(sorted(PRESETS))})")
+    return parse_scenario(PRESETS[name])
 
 
 __all__ = [

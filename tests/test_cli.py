@@ -538,6 +538,19 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_lists_only_the_flags_a_command_reads(self, capsys, command):
+        own = {"simulate": {"--trials", "--seed"}, "curve": {"--grid-step"}}.get(command, set())
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0
+        assert set(re.findall(r"--[a-z][a-z-]*", out)) == {"--help", "--scenario", "--preset", "--csv"} | own
+
+    def test_deep_nesting_is_a_scenario_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"problem": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+        code, out, err = run_cli(capsys, "eval", "--scenario", str(path))
+        assert (code, out, err) == (2, "", "scenario error: invalid JSON: nested too deeply\n")
+
     def test_validation_errors(self, capsys, scenario_file):
         path = scenario_file(
             {
@@ -571,10 +584,13 @@ class TestExitCodes:
             assert err == "scenario error: --trials must be an integer in [1, 1000000000]\n"
 
     def test_largest_trials_override_accepted(self, capsys):
-        # eval runs no trials, so the cap itself is checked without a run; a
-        # simulate run at the cap is one chain of binomial draws, as quick
-        code, out, _ = run_cli(capsys, "eval", "--preset", "example1", "--trials", str(MAX_TRIALS))
-        assert code == 0 and out == run_cli(capsys, "eval", "--preset", "example1")[1]
+        # only simulate reads --trials and --seed, and only curve --grid-step
+        for command, *flag in (("eval", "--trials", "5"), ("curve", "--seed", "1"),
+                               ("simulate", "--grid-step", "0.5")):
+            code, out, err = run_cli(capsys, command, "--preset", "example1", *flag)
+            assert (code, out) == (1, "")
+            assert err == f"usage error: unrecognized arguments: {' '.join(flag)}\n"
+        # a simulate run at the cap is one chain of binomial draws, quick to run
         code, out, err = run_cli(capsys, "simulate", "--preset", "example1", "--trials", str(MAX_TRIALS))
         assert (code, err) == (0, "") and f"  {MAX_TRIALS}  " in out
 

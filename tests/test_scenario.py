@@ -154,6 +154,46 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match=r"strategies\[0\].*alpha"):
             parse_scenario(doc)
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda d: d.update(problems=[]), "unknown top-level field(s): ['problems']"),
+            (lambda d: d["options"].update(trails=10), "options: unknown option(s): ['trails']"),
+            (lambda d: d["problem"].update(terminal=1), "problem: unknown field(s): ['terminal']"),
+            (lambda d: d.update(problem={"kind": "selection", "destination_payoffs": [0, 4],
+                                         "exit_payoffs": [1]}),
+             "problem: unknown field(s): ['exit_payoffs']"),
+            (lambda d: d["strategies"][0].update(alfa=0.5, exit_probs=[1]),
+             "strategies[0]: unknown field(s): ['alfa', 'exit_probs']"),
+            (lambda d: d["strategies"][1].update(alpha=0.5), "strategies[1]: unknown field(s): ['alpha']"),
+            (lambda d: d["strategies"][2].update(exit_prob=[1]),
+             "strategies[2]: unknown field(s): ['exit_prob']"),
+            (lambda d: d["strategies"][3].update(normalise=True),
+             "strategies[3]: unknown field(s): ['normalise']"),
+            (lambda d: d["strategies"][3]["terms"][1].update(img=0.8),
+             "strategies[3].terms[1]: unknown field(s): ['img']"),
+        ],
+        ids=["top", "options", "drive", "selection", "stationary", "counting",
+             "per_step", "quantum", "term"],
+    )
+    def test_unknown_fields_rejected(self, edit, message):
+        # a misspelt field must not be dropped: "img" would lose a plan's imaginary part
+        doc = {
+            "problem": {"kind": "drive", "exit_payoffs": [0, 4], "terminal_payoff": 1},
+            "strategies": [
+                {"name": "s", "kind": "stationary", "alpha": 0.5},
+                {"name": "c", "kind": "counting"},
+                {"name": "p", "kind": "per_step", "exit_probs": [0.5, 0.5]},
+                {"name": "q", "kind": "quantum", "normalize": True,
+                 "terms": [{"bits": "01", "re": 1}, {"bits": "10", "re": 0.6, "im": 0.8}]},
+            ],
+            "options": {"seed": 1},
+        }
+        parse_scenario(json.dumps(doc))
+        edit(doc)
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            parse_scenario(json.dumps(doc))
+
     @pytest.mark.parametrize("field", ["re", "im"])
     @pytest.mark.parametrize("value", [True, "1", None])
     def test_amplitude_parts_must_be_numbers(self, field, value):
