@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import math
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -373,7 +374,13 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"runtime error: cannot write {args.csv}: {exc}", file=sys.stderr)
             return 3
-    print(output.text)
+    try:
+        print(output.text)
+        sys.stdout.flush()  # so a closed pipe fails here, not at exit
+    except OSError as exc:
+        print(f"runtime error: cannot write stdout: {exc}", file=sys.stderr)
+        sys.stdout = open(os.devnull, "w")  # the exit flush would fail again
+        return 3
     return 0
 
 

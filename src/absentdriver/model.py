@@ -77,9 +77,9 @@ def make_drive_problem(exit_payoffs, terminal_payoff) -> DriveProblem:
 
 
 # Entries this close to 0 or 1 are treated as rounding and clamped; anything
-# further out is a logic bug, not noise.
+# further out is a logic bug, not noise.  A sum's rounding grows with its length.
 _CLAMP = 1e-15
-_SUM_TOL = 1e-12
+_SUM_TOL = 1e-15  # per destination
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,8 +96,9 @@ class DestinationDistribution:
         if not (probs.min() >= -_CLAMP and probs.max() <= 1.0 + _CLAMP):
             raise ValueError("internal error: probability outside [0, 1] beyond rounding")
         probs = probs.clip(0.0, 1.0)
-        if abs(probs.sum() - 1.0) > _SUM_TOL:
-            raise ValueError(f"internal error: distribution sums to {probs.sum()!r}, not 1")
+        total = float(probs.sum())
+        if abs(total - 1.0) > probs.size * _SUM_TOL:
+            raise ValueError(f"internal error: distribution sums to {total!r}, not 1")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 

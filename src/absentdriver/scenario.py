@@ -1,32 +1,24 @@
 """Scenario documents: JSON descriptions of one problem plus named strategies.
 
-Schema (top-level object)::
-
-    {
-      "problem":   {"kind": "drive", "exit_payoffs": [0, 4], "terminal_payoff": 1}
-                 | {"kind": "selection", "destination_payoffs": [0, 4, 1, 1]},
-      "strategies": [
-        {"name": "plan",  "kind": "stationary", "alpha": 0.25},
-        {"name": "count", "kind": "counting"},
-        {"name": "steps", "kind": "per_step", "exit_probs": [0.5, 0.5]},
-        {"name": "bell",  "kind": "quantum", "normalize": true,
-         "terms": [{"bits": "01", "re": 1, "im": 0},
-                   {"bits": "10", "re": 1, "im": 0}]}
-      ],
-      "options": {"trials": 100000, "seed": 12345, "grid_step": 0.05}
-    }
+A document is ``{"problem": {...}, "strategies": [{...}, ...], "options": {...}}``
+(the README shows one in full).  The schema of a problem or strategy is its
+``kind``'s row in one of two tables, ``_PROBLEMS`` and ``_STRATEGIES``: the
+fields it takes, read in order and passed to its constructor.  Parsing, the
+unknown-field check and :func:`scenario_to_document` all read those rows, so
+each field is named once; a strategy also carries a ``name``.
 
 A quantum plan's norm must be within 1e-6 of 1 unless ``"normalize": true``
-rescales it.  ``options`` and its keys are optional; unknown fields are errors.
-All cross-dimension checks compare counts (steps or qubits vs. intersections)
-without reducing a plan, and errors carry the offending JSON path.
+rescales it.  ``options`` may be left out, but when present it is an object
+whose keys are each optional; unknown fields are errors.  All cross-dimension
+checks compare counts (steps or qubits vs. intersections) without reducing a
+plan, and errors carry the offending JSON path.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .classical import check_fit
 from .model import (
@@ -169,61 +161,68 @@ def _wrap(path: str, fn, *args, **kwargs):
         raise ScenarioError(str(exc), path) from exc
 
 
-def _parse_problem(doc, path="problem") -> DriveProblem | SelectionProblem:
-    kind = _require(doc, "kind", path, str, "a string")
-    if kind == "drive":
-        _known_fields(doc, ("kind", "exit_payoffs", "terminal_payoff"), path)
-        exits = _number_list(doc, "exit_payoffs", path)
-        terminal = _number(doc, "terminal_payoff", path)
-        return _wrap(path, make_drive_problem, exits, terminal)
-    if kind == "selection":
-        _known_fields(doc, ("kind", "destination_payoffs"), path)
-        payoffs = _number_list(doc, "destination_payoffs", path)
-        return _wrap(path, SelectionProblem, tuple(payoffs))
-    raise ScenarioError(f"unknown problem kind {kind!r} (expected 'drive' or 'selection')", path)
+def _terms(mapping, key, path):
+    terms = []
+    for j, term in enumerate(_require(mapping, key, path, list, "a list of term objects")):
+        term_path = f"{path}.{key}[{j}]"
+        bits = _require(term, "bits", term_path, str, "a string of 0s and 1s")
+        _known_fields(term, ("bits", "re", "im"), term_path)
+        re = _number(term, "re", term_path)
+        im = _number(term, "im", term_path) if "im" in term else 0.0
+        if not bits or bits.strip("01"):  # StateVector's own check cannot name the term
+            raise ScenarioError(f"bad basis string: {bits!r}", term_path)
+        terms.append((bits, complex(re, im)))
+    return terms
 
 
-def _parse_strategy(doc, path) -> NamedStrategy:
-    name = _require(doc, "name", path, str, "a string")
+def _flag(mapping, key, path):
+    value = mapping.get(key, False)
+    if not isinstance(value, bool):
+        raise ScenarioError(f"field '{key}' must be true or false", path)
+    return value
+
+
+# The schema: kind -> (type, constructor, {field: reader}).  Fields are read in
+# order and passed to the constructor; each is written back from its attribute.
+_PROBLEMS = {
+    "drive": (DriveProblem, make_drive_problem,
+              {"exit_payoffs": _number_list, "terminal_payoff": _number}),
+    "selection": (SelectionProblem, SelectionProblem, {"destination_payoffs": _number_list}),
+}
+_STRATEGIES = {
+    "stationary": (Stationary, Stationary, {"alpha": _number}),
+    "counting": (Counting, Counting, {}),
+    "per_step": (PerStep, PerStep, {"exit_probs": _number_list}),
+    "quantum": (Quantum, lambda terms, normalize: Quantum(build_state(terms, normalize)),
+                {"terms": _terms, "normalize": _flag}),
+}
+
+
+def _parse_kind(doc, path, table, what, *fixed):
+    """Build the ``table`` row named by ``doc["kind"]``; ``fixed`` fields are read by the caller."""
     kind = _require(doc, "kind", path, str, "a string")
-    if kind == "stationary":
-        _known_fields(doc, ("name", "kind", "alpha"), path)
-        return NamedStrategy(name, _wrap(path, Stationary, _number(doc, "alpha", path)))
-    if kind == "counting":
-        _known_fields(doc, ("name", "kind"), path)
-        return NamedStrategy(name, Counting())
-    if kind == "per_step":
-        _known_fields(doc, ("name", "kind", "exit_probs"), path)
-        probs = _number_list(doc, "exit_probs", path)
-        return NamedStrategy(name, _wrap(path, PerStep, tuple(probs)))
-    if kind == "quantum":
-        _known_fields(doc, ("name", "kind", "terms", "normalize"), path)
-        raw_terms = _require(doc, "terms", path, list, "a list of term objects")
-        terms = []
-        for j, term in enumerate(raw_terms):
-            term_path = f"{path}.terms[{j}]"
-            bits = _require(term, "bits", term_path, str, "a string of 0s and 1s")
-            _known_fields(term, ("bits", "re", "im"), term_path)
-            re = _number(term, "re", term_path)
-            im = _number(term, "im", term_path) if "im" in term else 0.0
-            if not bits or bits.strip("01"):  # StateVector's own check cannot name the term
-                raise ScenarioError(f"bad basis string: {bits!r}", term_path)
-            terms.append((bits, complex(re, im)))
-        normalize = doc.get("normalize", False)
-        if not isinstance(normalize, bool):
-            raise ScenarioError("field 'normalize' must be true or false", path)
-        state = _wrap(path, build_state, terms, normalize=normalize)
-        return NamedStrategy(name, Quantum(state))
-    raise ScenarioError(
-        f"unknown strategy kind {kind!r} "
-        "(expected 'stationary', 'counting', 'per_step' or 'quantum')",
-        path,
-    )
+    if kind not in table:
+        *others, last = map(repr, table)
+        raise ScenarioError(f"unknown {what} kind {kind!r} (expected {', '.join(others)} or {last})",
+                            path)
+    _, make, fields = table[kind]
+    _known_fields(doc, {"kind", *fixed, *fields}, path)
+    return _wrap(path, make, *(read(doc, key, path) for key, read in fields.items()))
+
+
+def _write_kind(obj, table, **doc) -> dict:
+    """``doc`` plus the kind and fields of ``obj``, the inverse of :func:`_parse_kind`."""
+    kind = next(k for k, (cls, _, _) in table.items() if isinstance(obj, cls))
+    fields = table[kind][2]
+    if isinstance(obj, Quantum):  # its state is stored normalized
+        values = ([{"bits": bits.decode(), "re": amp.real, "im": amp.imag}
+                   for bits, amp in zip(obj.state.bits.tolist(), obj.state.values.tolist())], False)
+    else:
+        values = [getattr(obj, key) for key in fields]
+    return {**doc, "kind": kind, **dict(zip(fields, values))}
 
 
 def _parse_options(doc, path="options") -> ScenarioOptions:
-    if doc is None:
-        return ScenarioOptions()
     if not isinstance(doc, dict):
         raise ScenarioError("expected an object", path)
     _known_fields(doc, _OPTION_RULES, path, "option(s)")
@@ -253,7 +252,8 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("top level must be an object")
     _known_fields(doc, ("problem", "strategies", "options"), "", "top-level field(s)")
 
-    problem = _parse_problem(_require(doc, "problem", "", dict, "an object"))
+    problem = _parse_kind(_require(doc, "problem", "", dict, "an object"), "problem",
+                          _PROBLEMS, "problem")
     raw_strategies = _require(doc, "strategies", "", list, "a list")
     if not raw_strategies:
         raise ScenarioError("at least one strategy is required", "strategies")
@@ -263,54 +263,24 @@ def parse_scenario(text: str) -> Scenario:
         path = f"strategies[{j}]"
         if not isinstance(raw, dict):
             raise ScenarioError("expected an object", path)
-        named = _parse_strategy(raw, path)
+        name = _require(raw, "name", path, str, "a string")
+        named = NamedStrategy(name, _parse_kind(raw, path, _STRATEGIES, "strategy", "name"))
         if named.name in names:
             raise ScenarioError(f"duplicate strategy name {named.name!r}", path)
         names.add(named.name)
         _check_dimensions(problem, named, path)
         strategies.append(named)
-    options = _parse_options(doc.get("options"))
+    options = _parse_options(doc["options"]) if "options" in doc else ScenarioOptions()
     return Scenario(problem, tuple(strategies), options)
-
-
-def _strategy_doc(named: NamedStrategy) -> dict:
-    s = named.strategy
-    if isinstance(s, Stationary):
-        return {"name": named.name, "kind": "stationary", "alpha": s.alpha}
-    if isinstance(s, Counting):
-        return {"name": named.name, "kind": "counting"}
-    if isinstance(s, PerStep):
-        return {"name": named.name, "kind": "per_step", "exit_probs": list(s.exit_probs)}
-    if isinstance(s, Quantum):
-        terms = [
-            {"bits": bits.decode(), "re": amp.real, "im": amp.imag}
-            for bits, amp in zip(s.state.bits.tolist(), s.state.values.tolist())
-        ]
-        return {"name": named.name, "kind": "quantum", "terms": terms, "normalize": False}
-    raise TypeError(f"unknown strategy type: {type(s).__name__}")
 
 
 def scenario_to_document(scenario: Scenario) -> str:
     """Canonical JSON for a scenario; parsing it back reproduces the scenario."""
-    if isinstance(scenario.problem, SelectionProblem):
-        problem = {
-            "kind": "selection",
-            "destination_payoffs": list(scenario.problem.destination_payoffs),
-        }
-    else:
-        problem = {
-            "kind": "drive",
-            "exit_payoffs": list(scenario.problem.exit_payoffs),
-            "terminal_payoff": scenario.problem.terminal_payoff,
-        }
     doc = {
-        "problem": problem,
-        "strategies": [_strategy_doc(s) for s in scenario.strategies],
-        "options": {
-            "trials": scenario.options.trials,
-            "seed": scenario.options.seed,
-            "grid_step": scenario.options.grid_step,
-        },
+        "problem": _write_kind(scenario.problem, _PROBLEMS),
+        "strategies": [_write_kind(s.strategy, _STRATEGIES, name=s.name)
+                       for s in scenario.strategies],
+        "options": asdict(scenario.options),
     }
     return json.dumps(doc, indent=2) + "\n"
 

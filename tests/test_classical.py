@@ -96,6 +96,20 @@ class TestDestinationDistribution:
         with pytest.raises(ValueError, match="internal error"):
             DestinationDistribution([1.1, -0.1])
 
+    @pytest.mark.parametrize("m, alpha", [(20_000, 1e-7), (100_000, 1e-6)])
+    @pytest.mark.parametrize("kind", ["stationary", "per_step"])
+    def test_long_drive_sum_within_tolerance(self, m, alpha, kind):
+        # the product form's sum error grows with m, past a fixed 1e-12 from m ~ 2e4
+        strategy = Stationary(alpha) if kind == "stationary" else PerStep((alpha,) * m)
+        probs = destination_distribution(make_drive_problem([0.0] * m, 0.0), strategy).probs
+        assert probs.size == m + 1
+        assert probs[-1] == pytest.approx((1 - alpha) ** m, rel=1e-9)
+        assert abs(probs.sum() - 1.0) <= (m + 1) * 1e-15
+
+    def test_sum_error_reads_as_a_plain_float(self):
+        with pytest.raises(ValueError, match=r"^internal error: distribution sums to 0\.5, not 1$"):
+            DestinationDistribution([0.25, 0.25])
+
     def test_rejects_nan(self):
         # every comparison with NaN is false, so a test for values out of range misses it
         with pytest.raises(ValueError, match="internal error"):

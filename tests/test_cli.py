@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import re
@@ -128,6 +129,16 @@ class TestEvalCommand:
         bell["normalize"] = True
         code, out, _ = run_cli(capsys, "eval", "--scenario", scenario_file(doc))
         assert code == 0 and "[0.5, 0.5, 0]" in out
+
+    @pytest.mark.parametrize("m, alpha", [(20_000, 1e-7), (100_000, 1e-6)])
+    def test_long_drive(self, capsys, scenario_file, m, alpha):
+        # its distribution sums to 1 within m rounding errors, not within a fixed 1e-12
+        doc = _drive_doc([0] * m + [0])
+        doc["strategies"] = [{"name": "s", "kind": "stationary", "alpha": alpha},
+                             {"name": "p", "kind": "per_step", "exit_probs": [alpha] * m}]
+        code, out, err = run_cli(capsys, "eval", "--scenario", scenario_file(doc))
+        assert (code, err) == (0, "")
+        assert [row.split()[0] for row in out.splitlines()[4:]] == ["s", "p"]
 
     def test_normalize_at_extreme_amplitudes(self, capsys, scenario_file):
         # the raw norm overflows to inf (exit 2, "state norm is 0.0", after a
@@ -575,6 +586,22 @@ class TestExitCodes:
         bad = tmp_path / "no-such-dir" / "out.csv"
         code, _, err = run_cli(capsys, "eval", "--preset", "example1", "--csv", str(bad))
         assert code == 3 and "runtime error" in err
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    @pytest.mark.parametrize("command", ["eval", "curve"])
+    def test_closed_stdout_is_a_runtime_error(self, capsys, monkeypatch, command, failing):
+        # a reader that quit early (`| head -1`) closes the pipe under a write or the final flush
+        def broken(*_):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        closed = io.StringIO()
+        monkeypatch.setattr(closed, failing, broken)
+        monkeypatch.setattr(sys, "stdout", closed)
+        code = main([command, "--preset", "example1"])
+        assert sys.stdout.name == os.devnull  # so the flush at exit does not fail again
+        sys.stdout.close()
+        message = "runtime error: cannot write stdout: [Errno 32] Broken pipe\n"
+        assert (code, capsys.readouterr().err) == (3, message)
 
     def test_bad_trials_override(self, capsys):
         # rejected before a single trial runs

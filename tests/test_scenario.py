@@ -35,6 +35,35 @@ EXAMPLE1_DOC = """
 """
 
 
+# One canonical document per kind, as scenario_to_document writes it.
+PROBLEM_KINDS = {
+    "drive": {"kind": "drive", "exit_payoffs": [0.0, 4.0], "terminal_payoff": 1.0},
+    "selection": {"kind": "selection", "destination_payoffs": [0.0, 4.0, 1.0, 1.0]},
+}
+STRATEGY_KINDS = {
+    "stationary": {"kind": "stationary", "alpha": 0.25},
+    "counting": {"kind": "counting"},
+    "per_step": {"kind": "per_step", "exit_probs": [0.5, 0.25]},
+    "quantum": {"kind": "quantum", "normalize": False,
+                "terms": [{"bits": "01", "re": 0.6, "im": 0.0},
+                          {"bits": "10", "re": 0.0, "im": 0.8}]},
+}
+
+
+def _unknown_kind_error(problem_kind, strategy_kind) -> str:
+    doc = {"problem": {**PROBLEM_KINDS["drive"], "kind": problem_kind},
+           "strategies": [{"name": "s", **STRATEGY_KINDS["counting"], "kind": strategy_kind}]}
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(json.dumps(doc))
+    return str(info.value)
+
+
+def _accepted_kinds(problem_kind, strategy_kind) -> list[str]:
+    """The kinds the parser names in its unknown-kind message, so a new one needs a sample here."""
+    expected = _unknown_kind_error(problem_kind, strategy_kind).split("(expected")[1]
+    return re.findall(r"'(\w+)'", expected)
+
+
 class TestParseScenario:
     def test_full_document(self):
         scenario = parse_scenario(EXAMPLE1_DOC)
@@ -194,6 +223,20 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
             parse_scenario(json.dumps(doc))
 
+    def test_unknown_kind_messages(self):
+        assert _unknown_kind_error("x", "counting") == (
+            "problem: unknown problem kind 'x' (expected 'drive' or 'selection')")
+        assert _unknown_kind_error("drive", "x") == (
+            "strategies[0]: unknown strategy kind 'x' "
+            "(expected 'stationary', 'counting', 'per_step' or 'quantum')")
+
+    def test_null_options_rejected(self):
+        # leaving options out takes the defaults; writing null is a mistake, as for any field
+        doc = {"problem": PROBLEM_KINDS["drive"], "strategies": [{"name": "c", "kind": "counting"}]}
+        assert parse_scenario(json.dumps(doc)).options == ScenarioOptions()
+        with pytest.raises(ScenarioError, match=r"^options: expected an object$"):
+            parse_scenario(json.dumps({**doc, "options": None}))
+
     @pytest.mark.parametrize("field", ["re", "im"])
     @pytest.mark.parametrize("value", [True, "1", None])
     def test_amplitude_parts_must_be_numbers(self, field, value):
@@ -352,6 +395,22 @@ class TestRoundTrip:
             bits for bits, _ in kets
         )
         assert parse_scenario(doc) == scenario
+
+    @pytest.mark.parametrize(
+        "problem_kind, strategy_kind",
+        [(kind, "stationary") for kind in _accepted_kinds("x", "counting")]
+        + [("drive", kind) for kind in _accepted_kinds("drive", "x")],
+    )
+    def test_every_kind_round_trips(self, problem_kind, strategy_kind):
+        doc = {
+            "problem": PROBLEM_KINDS[problem_kind],
+            "strategies": [{"name": "s", **STRATEGY_KINDS[strategy_kind]}],
+            "options": {"trials": 7, "seed": 3, "grid_step": 0.5},
+        }
+        scenario = parse_scenario(json.dumps(doc))
+        written = scenario_to_document(scenario)
+        assert json.loads(written) == doc
+        assert parse_scenario(written) == scenario
 
     def test_per_step_round_trip(self):
         scenario = Scenario(
