@@ -40,7 +40,6 @@ from .scenario import (
     ScenarioError,
     ScenarioOptions,
     parse_scenario,
-    preset_scenario,
     scenario_to_document,
 )
 from .selection import (
@@ -83,7 +82,6 @@ __all__ = [
     "optimize_stationary",
     "optimize_two_round",
     "parse_scenario",
-    "preset_scenario",
     "product_state",
     "scenario_to_document",
     "selection_improvement",

@@ -26,12 +26,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Counting, DestinationDistribution, DriveProblem, PerStep, Quantum, Stationary, Strategy
+from .model import (Counting, DestinationDistribution, DriveProblem, PerStep, Quantum,
+                    SelectionProblem, Stationary, Strategy)
 from .quantum import first_zero_distribution
 
 
-def check_fit(problem: DriveProblem, strategy: Strategy) -> None:
-    """Reject a per-step or quantum plan by its count of steps or qubits alone."""
+def check_fit(problem: DriveProblem | SelectionProblem, strategy: Strategy) -> None:
+    """Reject a strategy that does not fit the problem, from its kind and counts alone.
+
+    A selection takes only a stationary or counting strategy; on a drive a
+    per-step or quantum plan needs one step or qubit per intersection.
+    """
+    if isinstance(problem, SelectionProblem):
+        if isinstance(strategy, (PerStep, Quantum)):
+            raise ValueError("strategy/problem mismatch: selection problems only take "
+                             "stationary or counting strategies")
+        return
     m = problem.num_intersections
     if isinstance(strategy, PerStep) and len(strategy.exit_probs) != m:
         plan = f"{len(strategy.exit_probs)} step probabilities"

@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .classical import beta_coefficients, destination_distribution, stationary_payoff
-from .model import Counting, PerStep, Quantum, SelectionProblem, Stationary
+from .model import Counting, PerStep, SelectionProblem, Stationary
 from .optimize import optimize_stationary
 from .scenario import PRESETS, Scenario, ScenarioError, parse_scenario
 from .selection import (
@@ -39,8 +39,6 @@ from .selection import (
     two_round_counting_total,
 )
 from .simulate import estimate_payoff
-
-COMMANDS = ("eval", "optimize", "select", "simulate", "curve")
 
 
 def fmt_num(x) -> str:
@@ -111,9 +109,7 @@ def _strategy_label(strategy) -> str:
         return "counting"
     if isinstance(strategy, PerStep):
         return "per_step([" + ", ".join(fmt_num(p) for p in strategy.exit_probs) + "])"
-    if isinstance(strategy, Quantum):
-        return f"quantum({strategy.state.num_qubits} qubits)"
-    return type(strategy).__name__
+    return f"quantum({strategy.state.num_qubits} qubits)"
 
 
 def _problem_line(problem) -> str:
@@ -276,6 +272,7 @@ _RUNNERS = {
     "simulate": _run_simulate,
     "curve": _run_curve,
 }
+COMMANDS = tuple(_RUNNERS)
 
 
 def run_command(command: str, scenario: Scenario) -> CommandOutput:

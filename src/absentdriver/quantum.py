@@ -12,8 +12,8 @@ cost grows with those kets and not with ``2**m``.  Destination ``i`` collects
 sequential collapse computation because the measurements are all in the
 computational basis.
 
-:class:`StateVector` is the one place a norm is checked and divided out;
-:func:`build_state` with ``normalize`` first rescales amplitudes of any size.
+:class:`StateVector` is the one place a norm is checked and divided out.  It and
+:func:`build_state` with ``normalize`` take the norm at a power-of-two scale.
 """
 
 from __future__ import annotations
@@ -67,12 +67,9 @@ class StateVector:
             raise ValueError(f"bits {bits.shape} and values {values.shape} must match and be 1-d")
         if not np.isfinite(values).all():
             raise ValueError("amplitudes must be finite")
-        with np.errstate(over="ignore"):  # from about 1e154 the plain norm reads inf
-            norm = float(np.linalg.norm(values))
-        if abs(norm - 1.0) > INPUT_NORM_TOL:  # so report the scaled one
-            raise ValueError(
-                f"not normalized: state norm is {_scaled(values)[2]!r} (pass normalize to rescale)"
-            )
+        norm = _scaled(values)[2]
+        if abs(norm - 1.0) > INPUT_NORM_TOL:
+            raise ValueError(f"not normalized: state norm is {norm!r} (pass normalize to rescale)")
         if abs(norm - 1.0) > _RESCALE_SKIP:
             values = values / norm
         codes = bits.view(np.uint8)

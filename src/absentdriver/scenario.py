@@ -9,9 +9,9 @@ each field is named once; a strategy also carries a ``name``.
 
 A quantum plan's norm must be within 1e-6 of 1 unless ``"normalize": true``
 rescales it.  ``options`` may be left out, but when present it is an object
-whose keys are each optional; unknown fields are errors.  All cross-dimension
-checks compare counts (steps or qubits vs. intersections) without reducing a
-plan, and errors carry the offending JSON path.
+whose keys are each optional; unknown fields are errors.  Each strategy is
+fitted to the problem by :func:`~absentdriver.classical.check_fit`, from its
+kind and counts alone, and errors carry the offending JSON path.
 """
 
 from __future__ import annotations
@@ -153,10 +153,9 @@ def _number(mapping, key, path):
 
 
 def _wrap(path: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, its ``ValueError`` reported at ``path``; the args are read first."""
     try:
         return fn(*args, **kwargs)
-    except ScenarioError:
-        raise
     except ValueError as exc:
         raise ScenarioError(str(exc), path) from exc
 
@@ -229,17 +228,6 @@ def _parse_options(doc, path="options") -> ScenarioOptions:
     return _checked_options(ScenarioOptions(), doc, path=path)
 
 
-def _check_dimensions(problem, named: NamedStrategy, path: str) -> None:
-    if not isinstance(problem, SelectionProblem):
-        _wrap(path, check_fit, problem, named.strategy)
-    elif isinstance(named.strategy, (PerStep, Quantum)):
-        raise ScenarioError(
-            "strategy/problem mismatch: selection problems only take "
-            "stationary or counting strategies",
-            path,
-        )
-
-
 def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario document."""
     try:
@@ -268,7 +256,7 @@ def parse_scenario(text: str) -> Scenario:
         if named.name in names:
             raise ScenarioError(f"duplicate strategy name {named.name!r}", path)
         names.add(named.name)
-        _check_dimensions(problem, named, path)
+        _wrap(path, check_fit, problem, named.strategy)
         strategies.append(named)
     options = _parse_options(doc["options"]) if "options" in doc else ScenarioOptions()
     return Scenario(problem, tuple(strategies), options)
@@ -301,13 +289,6 @@ PRESETS = {
 }
 
 
-def preset_scenario(name: str) -> Scenario:
-    """Built-in scenarios so the common cases need no file authoring."""
-    if name not in PRESETS:
-        raise ScenarioError(f"unknown preset {name!r} (available: {', '.join(sorted(PRESETS))})")
-    return parse_scenario(PRESETS[name])
-
-
 __all__ = [
     "DEFAULT_GRID_STEP",
     "DEFAULT_SEED",
@@ -320,6 +301,5 @@ __all__ = [
     "ScenarioError",
     "ScenarioOptions",
     "parse_scenario",
-    "preset_scenario",
     "scenario_to_document",
 ]

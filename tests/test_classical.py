@@ -115,6 +115,17 @@ class TestDestinationDistribution:
         with pytest.raises(ValueError, match="internal error"):
             DestinationDistribution([float("nan"), 1.0])
 
+    @pytest.mark.parametrize("probs", [[], [[0.5, 0.5]]], ids=["empty", "2-d"])
+    def test_rejects_empty_or_2d(self, probs):
+        with pytest.raises(ValueError, match=r"^distribution must be a non-empty 1-d probability vector$"):
+            DestinationDistribution(probs)
+
+    def test_not_equal_to_a_foreign_type(self):
+        dist = DestinationDistribution([0.5, 0.5])
+        assert dist.__eq__(dist.probs) is NotImplemented
+        assert dist != [0.5, 0.5]
+        assert dist == DestinationDistribution([0.5, 0.5])
+
 
 class TestExpectedPayoff:
     def test_example1_stationary(self):

@@ -577,6 +577,10 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "eval", "--scenario", str(tmp_path / "missing.json"))
         assert code == 2 and "scenario error" in err
 
+    def test_run_command_rejects_unknown_command(self):
+        with pytest.raises(ValueError, match=r"^unknown command 'bogus'$"):
+            run_command("bogus", parse_scenario(PRESETS["example1"]))
+
     def test_command_problem_mismatch(self, capsys):
         assert run_cli(capsys, "select", "--preset", "example1")[0] == 2
         assert run_cli(capsys, "eval", "--preset", "selection-example")[0] == 2

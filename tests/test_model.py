@@ -92,6 +92,10 @@ class TestExitProbability:
         with pytest.raises(ValueError, match="strategy/problem mismatch"):
             steps(PerStep((0.1, 0.2)), 4)
 
+    def test_unknown_strategy_type(self):
+        with pytest.raises(TypeError, match=r"^unknown strategy type: str$"):
+            step_exit_probabilities(make_drive_problem([0, 4], 1), "stationary")
+
     def test_quantum_steps_are_exit_hazards(self):
         # the Bell pair exits at 1 or 2, each half the time: exit 2 is certain once reached
         strategy = Quantum(build_state([("01", 1), ("10", 1)], normalize=True))

@@ -194,6 +194,11 @@ class TestOptimizeStationary:
         assert result.alpha_star == pytest.approx(1 / 3, abs=1e-12)
         assert result.payoff_star == pytest.approx(4 / 3, abs=1e-12)
 
+    def test_derivative_double_root_at_origin(self):
+        # payoff 1 + beta**3: its derivative 3 beta**2 has a double root at beta = 0
+        result = optimize_stationary(make_drive_problem([1, 1, 1], 2))
+        assert (result.alpha_star, result.payoff_star, result.method) == (0.0, 2.0, "closed_form")
+
     def test_four_exit_problem_against_grid_oracle(self):
         problem = make_drive_problem([2, 5, 3, 1], 0)
         result = optimize_stationary(problem)

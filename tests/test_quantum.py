@@ -142,6 +142,16 @@ class TestStateVector:
         with pytest.raises(ValueError, match="not normalized"):
             StateVector(["0", "1"], [1.0, 1.0])
 
+    @pytest.mark.parametrize("amplitude", [math.inf, complex(0.0, -math.inf), math.nan])
+    def test_rejects_non_finite_amplitudes(self, amplitude):
+        with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+            StateVector(["0", "1"], [amplitude, 0.0])
+
+    def test_not_equal_to_a_foreign_type(self):
+        state = build_state(THIRD_EXIT)
+        assert state.__eq__(state.values) is NotImplemented
+        assert state != "110"
+
     def test_near_unit_norm_rescaled(self):
         # norm 1 + 2.7e-8: inside the 1e-6 rule that build_state applies too
         state = StateVector(["0", "1"], [0.7071068] * 2)

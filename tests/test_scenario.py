@@ -15,7 +15,6 @@ from absentdriver import (
     Stationary,
     build_state,
     parse_scenario,
-    preset_scenario,
     scenario_to_document,
 )
 from absentdriver.scenario import MAX_TRIALS, PRESETS, NamedStrategy, ScenarioOptions
@@ -223,6 +222,29 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
             parse_scenario(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda d: [], "top level must be an object"),
+            (lambda d: {**d, "strategies": [1]}, "strategies[0]: expected an object"),
+            (lambda d: {**d, "problem": {**d["problem"], "exit_payoffs": ["x"]}},
+             "problem.exit_payoffs[0]: must be a number"),
+            (lambda d: {**d, "strategies": [{**d["strategies"][0], "terms": [[1]]}]},
+             "strategies[0].terms[0]: expected an object, got list"),
+            (lambda d: {**d, "strategies": [{**d["strategies"][0], "terms": []}]},
+             "strategies[0]: empty state: at least one basis term is required"),
+            (lambda d: {**d, "strategies": [{**d["strategies"][0], "normalize": 1}]},
+             "strategies[0]: field 'normalize' must be true or false"),
+        ],
+        ids=["top", "strategy", "payoff", "term", "terms", "normalize"],
+    )
+    def test_wrong_shapes_rejected(self, edit, message):
+        doc = {"problem": PROBLEM_KINDS["drive"],
+               "strategies": [{"name": "q", **STRATEGY_KINDS["quantum"]}]}
+        parse_scenario(json.dumps(doc))
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            parse_scenario(json.dumps(edit(doc)))
+
     def test_unknown_kind_messages(self):
         assert _unknown_kind_error("x", "counting") == (
             "problem: unknown problem kind 'x' (expected 'drive' or 'selection')")
@@ -333,14 +355,18 @@ class TestParseScenario:
             parse_scenario(doc)
 
     def test_selection_rejects_dimensioned_strategies(self):
-        doc = json.dumps(
-            {
-                "problem": {"kind": "selection", "destination_payoffs": [0, 4, 1, 1]},
-                "strategies": [{"name": "s", "kind": "per_step", "exit_probs": [0.5]}],
-            }
-        )
-        with pytest.raises(ScenarioError, match="strategy/problem mismatch"):
-            parse_scenario(doc)
+        message = ("strategies[1]: strategy/problem mismatch: selection problems only take "
+                   "stationary or counting strategies")
+        for kind in ("per_step", "quantum"):
+            doc = json.dumps(
+                {
+                    "problem": {"kind": "selection", "destination_payoffs": [0, 4, 1, 1]},
+                    "strategies": [{"name": "c", "kind": "counting"},
+                                   {"name": "s", **STRATEGY_KINDS[kind]}],
+                }
+            )
+            with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+                parse_scenario(doc)
 
     def test_bad_options(self):
         base = {
@@ -365,7 +391,7 @@ class TestParseScenario:
         assert smallest.options.grid_step == 1e-6
 
     def test_overrides_take_the_option_checks(self):
-        scenario = preset_scenario("example1")
+        scenario = parse_scenario(PRESETS["example1"])
         assert scenario.with_options(trials=MAX_TRIALS, seed=0).options.trials == MAX_TRIALS
         with pytest.raises(ScenarioError, match=r"^'trials' must be an integer in"):
             scenario.with_options(trials=MAX_TRIALS + 1)
@@ -380,7 +406,7 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_presets_round_trip(self, name):
-        scenario = preset_scenario(name)
+        scenario = parse_scenario(PRESETS[name])
         assert parse_scenario(scenario_to_document(scenario)) == scenario
 
     @pytest.mark.parametrize("m", [20, 1024])
@@ -423,19 +449,15 @@ class TestRoundTrip:
 
 class TestPresets:
     def test_example1(self):
-        scenario = preset_scenario("example1")
+        scenario = parse_scenario(PRESETS["example1"])
         assert scenario.problem.exit_payoffs == (0.0, 4.0)
         assert {s.name for s in scenario.strategies} == {"stationary", "counting", "bell"}
 
     def test_example2(self):
-        scenario = preset_scenario("example2")
+        scenario = parse_scenario(PRESETS["example2"])
         assert scenario.problem.exit_payoffs == (0.0, 4.0, 1.0)
 
     def test_selection_example(self):
-        scenario = preset_scenario("selection-example")
+        scenario = parse_scenario(PRESETS["selection-example"])
         assert isinstance(scenario.problem, SelectionProblem)
         assert scenario.problem.destination_payoffs == (0.0, 4.0, 1.0, 1.0)
-
-    def test_unknown_preset(self):
-        with pytest.raises(ScenarioError, match="unknown preset"):
-            preset_scenario("example99")
