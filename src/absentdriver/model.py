@@ -8,7 +8,7 @@ probability of exiting at the intersection currently in front of them (plus,
 for the counting strategy, a counter kept by the car rather than the driver).
 
 All types here are immutable after construction and safe to share across
-threads.
+threads.  Every printed payoff sum is a :func:`_scaled_sum`; nothing calls BLAS.
 """
 
 from __future__ import annotations
@@ -31,6 +31,14 @@ def _as_finite_floats(values, what: str) -> tuple[float, ...]:
             raise ValueError(f"invalid payoff: {what} contains non-finite value {v!r}")
         out.append(x)
     return tuple(out)
+
+
+def _scaled_sum(payoffs) -> tuple[float, float]:
+    """``(total, scale)``: the correctly rounded sum of ``payoffs`` divided by
+    ``scale``, a power of two that is 1 unless ``total`` needs it to stay finite.
+    """
+    scale = 2.0 ** max(0, math.frexp(max(map(abs, payoffs)))[1] + len(payoffs).bit_length() - 1023)
+    return math.fsum(v / scale for v in payoffs), scale
 
 
 @dataclass(frozen=True)
@@ -108,8 +116,10 @@ class DestinationDistribution:
         return np.array_equal(self.probs, other.probs)
 
     def mean(self, payoffs) -> float:
-        """Expected value of ``payoffs``, one per destination: the expected payoff."""
-        return float(self.probs @ np.asarray(payoffs))
+        """Expected payoff: the correctly rounded sum, in any order, of the rounded
+        products ``probs * payoffs``, one payoff per destination."""
+        total, scale = _scaled_sum((self.probs * np.asarray(payoffs)).tolist())
+        return total * scale
 
 
 @dataclass(frozen=True)

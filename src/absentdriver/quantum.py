@@ -37,13 +37,16 @@ _RESCALE_SKIP = 1e-13
 
 def _scaled(values: np.ndarray) -> tuple[np.ndarray, float, float]:
     """``(scaled, scaled_norm, norm)``: ``values`` scaled exactly below 1 by a power of
-    two, their norm, which cannot over- or underflow, and it scaled back (inf past the range)."""
+    two, their norm, which cannot over- or underflow, and it scaled back (inf past the range).
+    The one check for non-finite amplitudes; the norm's sum is numpy's pairwise add, not BLAS."""
     parts = np.ascontiguousarray(values, dtype=complex).view(float)
-    shift = math.frexp(np.abs(parts).max(initial=0.0))[1]
-    scaled = np.ldexp(parts, -shift).view(complex)
-    scaled_norm = float(np.linalg.norm(scaled))
+    mantissa, shift = math.frexp(np.abs(parts).max(initial=0.0))
+    if not math.isfinite(mantissa):  # an inf or NaN part
+        raise ValueError("amplitudes must be finite")
+    scaled = np.ldexp(parts, -shift)
+    scaled_norm = math.sqrt(np.sum(scaled * scaled))
     with np.errstate(over="ignore"):
-        return scaled, scaled_norm, float(np.ldexp(scaled_norm, shift))
+        return scaled.view(complex), scaled_norm, float(np.ldexp(scaled_norm, shift))
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,8 +68,6 @@ class StateVector:
         values = np.asarray(self.values, dtype=complex)
         if bits.ndim != 1 or bits.shape != values.shape:
             raise ValueError(f"bits {bits.shape} and values {values.shape} must match and be 1-d")
-        if not np.isfinite(values).all():
-            raise ValueError("amplitudes must be finite")
         norm = _scaled(values)[2]
         if abs(norm - 1.0) > INPUT_NORM_TOL:
             raise ValueError(f"not normalized: state norm is {norm!r} (pass normalize to rescale)")
@@ -114,8 +115,6 @@ def build_state(terms, normalize: bool = False) -> StateVector:
         raise ValueError("empty basis string: a ket needs one bit per intersection")
     values = np.array(amplitudes, dtype=complex)
     if normalize:
-        if not np.isfinite(values).all():  # before inf / inf can warn
-            raise ValueError("amplitudes must be finite")
         scaled, scaled_norm, _ = _scaled(values)
         if scaled_norm == 0.0:
             raise ValueError("not normalized: zero state cannot be rescaled")

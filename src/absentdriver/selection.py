@@ -5,27 +5,18 @@ always averaged uniformly, weight ``1/n`` per destination, no matter which
 strategy is being scored.  Only the second round is driven with the strategy
 under study (stationary ``alpha`` or counting).  The second round is an
 ordinary drive problem over the ``n - 1`` survivors, whose last entry plays
-the terminal role.
+the terminal role.  Means and counting totals come from ``model._scaled_sum``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 import numpy as np
 
 from .classical import destination_distribution
-from .model import DriveProblem, SelectionProblem, Stationary
+from .model import DriveProblem, SelectionProblem, Stationary, _scaled_sum
 from .optimize import OptimizationResult, optimize_stationary
-
-
-def _scaled_sum(payoffs) -> tuple[float, float]:
-    """``(total, scale)``: the correctly rounded sum of ``payoffs`` divided by
-    ``scale``, a power of two that is 1 unless ``total`` needs it to stay finite.
-    """
-    scale = 2.0 ** max(0, math.frexp(max(map(abs, payoffs)))[1] + len(payoffs).bit_length() - 1023)
-    return math.fsum(v / scale for v in payoffs), scale
 
 
 def first_choice_totals(sel: SelectionProblem, alpha: float) -> np.ndarray:

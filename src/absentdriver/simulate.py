@@ -13,7 +13,7 @@ Comput. Stat. Data Anal. 16(2), 1993): the counts have the distribution of
 the draws never use the product form they check.  A quantum plan's steps are
 its exit hazards, ``d_j / (d_j + ... + d_(m+1))`` over the first-zero
 distribution ``d``: simulating a plan checks the sampler and the hazards,
-not the first-zero map.
+not the first-zero map.  Mean and variance sum with ``math.fsum``, not BLAS.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ def estimate_payoff(
     # payoffs scaled exactly, by a power of two, below 1: no sum of squares overflows
     shift = math.frexp(max(map(abs, problem.destination_payoffs)))[1]
     payoffs = np.ldexp(problem.destination_payoffs, -shift)
-    mean = float(counts @ payoffs) / trials
-    variance = max(float(counts @ payoffs**2) - trials * mean * mean, 0.0) / max(trials - 1, 1)
+    mean = math.fsum(counts * payoffs) / trials
+    variance = max(math.fsum(counts * payoffs**2) - trials * mean * mean, 0.0) / max(trials - 1, 1)
     with np.errstate(over="ignore"):  # a mean rounded up past the largest float
         mean, std_error = np.ldexp([mean, math.sqrt(variance / trials)], shift).tolist()
     if not np.isfinite([mean, std_error]).all():

@@ -710,6 +710,38 @@ def test_preset_run_bytes_pinned(capsys, preset, command):
     assert digest == PRESET_RUN_SHA256[preset, command]
 
 
+# Under a BLAS dot both printed a payoff that followed the CPU's kernel: the
+# tie drive's exact payoff, 6.7337402031249995..., sits on a 12-digit rounding
+# tie, and the cancel document's products near +-3.3e15 cancel.
+KERNEL_DOCS = {
+    "tie": ({"problem": {"kind": "drive", "exit_payoffs": [5.322, 0.426, 8.552], "terminal_payoff": 7.273},
+             "strategies": [{"name": "s", "kind": "stationary", "alpha": 0.075}]},
+            "6.73374020313 "),
+    "cancel": ({"problem": {"kind": "drive", "exit_payoffs": [1e16, 1], "terminal_payoff": -1e16},
+                "strategies": [{"name": "count", "kind": "counting"},
+                               {"name": "plan", "kind": "quantum", "normalize": True,
+                                "terms": [{"bits": b, "re": 1} for b in ("01", "10", "11")]}]},
+               None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_DOCS))
+def test_eval_bytes_do_not_follow_blas_kernel(tmp_path, name):
+    doc, payoff = KERNEL_DOCS[name]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    outs = []
+    for coretype in (None, "Prescott"):  # this CPU's default kernel, then a forced one
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        argv = [sys.executable, "-m", "absentdriver.cli", "eval", "--scenario", str(path)]
+        outs.append(subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout)
+    assert outs[0] == outs[1]
+    assert payoff is None or payoff in outs[0]
+
+
 def test_cli_import_leaves_out_numpy_polynomial():
     # every CLI process pays for what it imports: numpy.polynomial adds
     # about 0.8 MB of resident memory and is not needed

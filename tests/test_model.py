@@ -1,10 +1,15 @@
+import ast
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import absentdriver
 from absentdriver import (
     Counting,
+    DestinationDistribution,
     PerStep,
     Quantum,
     SelectionProblem,
@@ -116,3 +121,34 @@ class TestExitProbability:
 
     def test_deterministic(self):
         assert steps(Counting(), 7) == steps(Counting(), 7)
+
+
+class TestSummation:
+    def test_mean_independent_of_order(self):
+        # a correctly rounded sum of the rounded products, so any order of the
+        # (probability, payoff) pairs gives the same float
+        rng = np.random.default_rng(21)
+        for _ in range(3000):
+            k = int(rng.integers(2, 14))
+            probs = rng.random(k)
+            probs /= probs.sum()
+            payoffs = rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-3, 16, k)
+            want = DestinationDistribution(probs).mean(payoffs)
+            for _ in range(4):
+                order = rng.permutation(k)
+                assert DestinationDistribution(probs[order]).mean(payoffs[order]) == want
+
+    def test_package_makes_no_blas_call(self):
+        # OpenBLAS picks its kernels per CPU, so a BLAS sum can print other
+        # digits on another machine
+        blas = {"linalg", "dot", "vdot", "inner", "matmul", "einsum", "tensordot"}
+        found = []
+        for path in sorted(Path(absentdriver.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (
+                    isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+                    or isinstance(node, ast.Attribute) and node.attr in blas
+                    or isinstance(node, ast.alias) and blas & set(node.name.split("."))
+                ):
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
