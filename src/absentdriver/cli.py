@@ -66,7 +66,7 @@ def fmt_poly(coeffs) -> str:
     """Render c0 + c1*beta + c2*beta^2 + ... skipping zero terms."""
     parts = []
     for power, c in enumerate(coeffs):
-        if c == 0 and not (power == 0 and len(coeffs) == 1):
+        if c == 0:
             continue
         magnitude = fmt_num(abs(c))
         if power == 0:
@@ -332,7 +332,7 @@ def _load_scenario(args) -> Scenario:
             text = fh.read()
     scenario = parse_scenario(text)
     overrides = {k: v for k in _OVERRIDES if (v := getattr(args, k, None)) is not None}
-    return scenario.with_options(_OVERRIDES, **overrides) if overrides else scenario
+    return scenario.with_options(_OVERRIDES, **overrides)
 
 
 def main(argv=None) -> int:

@@ -84,10 +84,8 @@ def make_drive_problem(exit_payoffs, terminal_payoff) -> DriveProblem:
     return DriveProblem(payoffs, terminal_payoff)
 
 
-# Entries this close to 0 or 1 are treated as rounding and clamped; anything
-# further out is a logic bug, not noise.  A sum's rounding grows with its length.
-_CLAMP = 1e-15
-_SUM_TOL = 1e-15  # per destination
+# Rounding slack per destination, in an entry or a sum; beyond it is a logic bug.
+_ROUNDING = 1e-15
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,11 +99,11 @@ class DestinationDistribution:
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("distribution must be a non-empty 1-d probability vector")
         # NaN fails every comparison, so it fails this test too
-        if not (probs.min() >= -_CLAMP and probs.max() <= 1.0 + _CLAMP):
+        if not (probs.min() >= -_ROUNDING and probs.max() <= 1.0 + _ROUNDING):
             raise ValueError("internal error: probability outside [0, 1] beyond rounding")
         probs = probs.clip(0.0, 1.0)
         total = float(probs.sum())
-        if abs(total - 1.0) > probs.size * _SUM_TOL:
+        if abs(total - 1.0) > probs.size * _ROUNDING:
             raise ValueError(f"internal error: distribution sums to {total!r}, not 1")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)

@@ -33,9 +33,6 @@ from .model import (
 )
 from .quantum import build_state
 
-DEFAULT_TRIALS = 100_000
-DEFAULT_SEED = 12345
-DEFAULT_GRID_STEP = 0.05
 # Bounds on what an accepted document can ask for: simulate counts at most
 # MAX_TRIALS cars per strategy, and curve prints ceil(1 / step) + 1 rows.
 MAX_TRIALS = 10**9
@@ -58,9 +55,9 @@ class NamedStrategy:
 
 @dataclass(frozen=True)
 class ScenarioOptions:
-    trials: int = DEFAULT_TRIALS
-    seed: int = DEFAULT_SEED
-    grid_step: float = DEFAULT_GRID_STEP
+    trials: int = 100_000
+    seed: int = 12345
+    grid_step: float = 0.05
 
 
 @dataclass(frozen=True)
@@ -290,9 +287,6 @@ PRESETS = {
 
 
 __all__ = [
-    "DEFAULT_GRID_STEP",
-    "DEFAULT_SEED",
-    "DEFAULT_TRIALS",
     "MAX_TRIALS",
     "MIN_GRID_STEP",
     "NamedStrategy",

@@ -58,6 +58,8 @@ class TestFormatting:
         assert fmt_poly((5.0, -1.0, 0.0)) == "5 - beta"
         assert fmt_poly((2.5, 1.5, -1.5)) == "2.5 + 1.5*beta - 1.5*beta^2"
         assert fmt_poly((0.0,)) == "0"
+        assert fmt_poly((-0.0,)) == "0"
+        assert fmt_poly((0.0, 0.0)) == "0"
 
 
 class TestEmitCsv:
@@ -427,6 +429,19 @@ class TestSimulateCommand:
         exact = float(rows["eval"][1])
         mean, std_error = float(rows["simulate"][3]), float(rows["simulate"][4])
         assert abs(mean - exact) <= 4.0 * std_error + 1e-12 * abs(exact)
+
+    def test_std_error_of_the_largest_float(self, capsys, scenario_file):
+        # one car at each of +max and -max: the standard error is the largest float
+        top = sys.float_info.max
+        path = scenario_file(
+            {
+                "problem": {"kind": "drive", "exit_payoffs": [top], "terminal_payoff": -top},
+                "strategies": [{"name": "s", "kind": "per_step", "exit_probs": [0.5]}],
+            }
+        )
+        code, out, err = run_cli(capsys, "simulate", "--scenario", path, "--trials", "2", "--seed", "0")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1].split() == ["s", "2", "0", "1.79769313486e+308", "[0.5,", "0.5]"]
 
 
 def _plan_doc(terms):

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from absentdriver.scenario import MAX_TRIALS
 # Runs of up to 2**16 trials reproduce the reports of earlier releases, which
 # split longer runs into blocks of this size: tests run on both sides of it.
 TWO_16 = 1 << 16
+MAX = sys.float_info.max
 
 EXAMPLE1 = make_drive_problem([0, 4], 1)
 EXAMPLE2 = make_drive_problem([0, 4, 1], 1)
@@ -184,6 +186,26 @@ class TestEstimatePayoff:
             exact = expected_payoff(problem, strategy)
             assert abs(report.mean_payoff - exact) <= 4.0 * report.std_error + 1e-12 * abs(exact)
             assert report.std_error <= np.abs(problem.destination_payoffs).max()
+
+    @pytest.mark.parametrize("exits,terminal", [([MAX, -MAX], MAX), ([MAX] * 3, MAX)])
+    def test_statistics_at_the_largest_float_stay_in_range(self, exits, terminal):
+        # scaled below 1, every payoff, the mean and the standard error are at
+        # most 1 - 2**-53, so scaling back cannot pass the largest float
+        problem = make_drive_problem(exits, terminal)
+        strategies = (Stationary(0.5), Counting(), PerStep((0.5,) * len(exits)))
+        for strategy in strategies:
+            for trials in (1, 2, 3, 2**29, 2**29 + 1, MAX_TRIALS):
+                for seed in range(3):
+                    report = estimate_payoff(problem, strategy, trials, seed)
+                    # inf and nan fail both comparisons
+                    assert abs(report.mean_payoff) <= MAX and report.std_error <= MAX
+
+    def test_std_error_reaches_the_largest_float(self):
+        # one car at each of +MAX and -MAX: mean 0, standard error exactly MAX
+        report = estimate_payoff(make_drive_problem([MAX], -MAX), PerStep((0.5,)), 2, 0)
+        assert report.empirical_distribution.probs.tolist() == [0.5, 0.5]
+        assert report.mean_payoff == 0.0
+        assert report.std_error == MAX
 
     @pytest.mark.parametrize("exponent", [-900, 600, 1000])
     def test_power_of_two_scaling_is_exact(self, exponent):
