@@ -23,7 +23,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -53,12 +52,35 @@ def fmt_num(x) -> str:
     return f"{x:.12g}"
 
 
+def _fraction_hint(x: float) -> tuple[int, int]:
+    """``Fraction(x).limit_denominator(64)`` as (numerator, denominator).
+
+    The same continued-fraction steps on ``x.as_integer_ratio()``, and the
+    same choice between the last convergent and the semiconvergent (the
+    convergent on a tie), compared exactly by integer cross-multiplication.
+    """
+    n, d = x.as_integer_ratio()
+    if d <= 64:
+        return n, d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    num, den = n, d
+    while (q2 := q0 + (a := num // den) * q1) <= 64:
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        num, den = den, num - a * den
+    k = (64 - q0) // q1
+    pb, qb = p0 + k * p1, q0 + k * q1
+    if abs(p1 * d - n * q1) * qb <= abs(pb * d - n * qb) * q1:
+        return p1, q1
+    return pb, qb
+
+
 def fmt_value(x) -> str:
     """Decimal plus a fraction hint when the value is a simple rational."""
     decimal = fmt_num(x)
-    frac = Fraction(float(x)).limit_denominator(64)
-    if frac.denominator > 1 and abs(float(x) - frac.numerator / frac.denominator) <= 1e-12:
-        return f"{decimal} ({frac.numerator}/{frac.denominator})"
+    x = float(x)
+    p, q = _fraction_hint(x)
+    if q > 1 and abs(x - p / q) <= 1e-12:
+        return f"{decimal} ({p}/{q})"
     return decimal
 
 
@@ -301,22 +323,28 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# Each flag is declared once, in a parent parser that every subparser reading
+# it lists; argparse adds the parents' actions instead of building new ones.
+_SOURCE = argparse.ArgumentParser(add_help=False)
+_source = _SOURCE.add_mutually_exclusive_group(required=True)
+_source.add_argument("--scenario", metavar="PATH", help="scenario document to load")
+_source.add_argument("--preset", choices=sorted(PRESETS), help="built-in scenario, no file needed")
+_SIMULATE = argparse.ArgumentParser(add_help=False)
+_SIMULATE.add_argument("--trials", type=int, metavar="N", help="override simulation trials")
+_SIMULATE.add_argument("--seed", type=int, metavar="S", help="override the 64-bit seed")
+_CURVE = argparse.ArgumentParser(add_help=False)
+_CURVE.add_argument("--grid-step", type=float, metavar="H", help="override the alpha grid step")
+_CSV = argparse.ArgumentParser(add_help=False)
+_CSV.add_argument("--csv", metavar="PATH", help="also write the result table as CSV")
+# the overrides each command reads, between its source and --csv
+_OWN_FLAGS = {"simulate": (_SIMULATE,), "curve": (_CURVE,)}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="absentdriver", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="|".join(COMMANDS))
     for command in COMMANDS:
-        p = sub.add_parser(command, add_help=True)
-        source = p.add_mutually_exclusive_group(required=True)
-        source.add_argument("--scenario", metavar="PATH", help="scenario document to load")
-        source.add_argument(
-            "--preset", choices=sorted(PRESETS), help="built-in scenario, no file needed"
-        )
-        if command == "simulate":
-            p.add_argument("--trials", type=int, metavar="N", help="override simulation trials")
-            p.add_argument("--seed", type=int, metavar="S", help="override the 64-bit seed")
-        if command == "curve":
-            p.add_argument("--grid-step", type=float, metavar="H", help="override the alpha grid step")
-        p.add_argument("--csv", metavar="PATH", help="also write the result table as CSV")
+        sub.add_parser(command, parents=[_SOURCE, *_OWN_FLAGS.get(command, ()), _CSV])
     return parser
 
 
@@ -332,7 +360,7 @@ def _load_scenario(args) -> Scenario:
             text = fh.read()
     scenario = parse_scenario(text)
     overrides = {k: v for k in _OVERRIDES if (v := getattr(args, k, None)) is not None}
-    return scenario.with_options(_OVERRIDES, **overrides)
+    return scenario.with_options(_OVERRIDES, **overrides) if overrides else scenario
 
 
 def main(argv=None) -> int:

@@ -6,13 +6,24 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from absentdriver import Stationary, expected_payoff, make_drive_problem, parse_scenario
-from absentdriver.cli import COMMANDS, emit_csv, fmt_num, fmt_poly, fmt_value, main, run_command
+from absentdriver.cli import (
+    COMMANDS,
+    _fraction_hint,
+    build_parser,
+    emit_csv,
+    fmt_num,
+    fmt_poly,
+    fmt_value,
+    main,
+    run_command,
+)
 from absentdriver.scenario import MAX_TRIALS, PRESETS
 from oracles import residual_problem
 
@@ -60,6 +71,47 @@ class TestFormatting:
         assert fmt_poly((0.0,)) == "0"
         assert fmt_poly((-0.0,)) == "0"
         assert fmt_poly((0.0, 0.0)) == "0"
+
+
+def _hint_inputs(kind, rng, n):
+    """n seeded floats of one kind for the fraction-hint comparison."""
+    if kind == "random":
+        return rng.uniform(-1, 1, n) * 10.0 ** rng.integers(-20, 21, n)
+    if kind == "bit_patterns":  # every sign, exponent and mantissa, subnormals too
+        x = rng.integers(0, 2**64, 2 * n, dtype=np.uint64).view(np.float64)
+        return x[np.isfinite(x)][:n]
+    if kind == "near_ratios":  # p/q with q <= 64, moved by up to 1e-12 or a few ulps
+        q = rng.integers(1, 65, n)
+        x = rng.integers(-100 * q, 100 * q + 1) / q
+        half = n // 2
+        x[:half] += rng.uniform(-1e-12, 1e-12, half)
+        return np.concatenate([x[:half], x[half:] + rng.integers(-4, 5, n - half) * np.spacing(x[half:])])
+    if kind == "dyadic":  # j / 2^e: exact midpoints between candidates, so ties
+        return rng.integers(-4096, 4097, n) / 2.0 ** rng.integers(6, 14, n)
+    if kind == "huge":
+        return rng.choice([-1.0, 1.0], n) * np.ldexp(rng.uniform(1, 2, n), rng.integers(53, 1024, n))
+    if kind == "subnormal":
+        return rng.choice([-1.0, 1.0], n) * np.ldexp(rng.uniform(0, 4, n), -1024)
+    assert kind == "integers"
+    edge = [0.0, -0.0, 1.0, -1.0, 2.0**53, 2.0**53 + 2, -(2.0**63), 1e300]
+    return np.concatenate([edge, rng.integers(-(10**6), 10**6 + 1, n).astype(float)])
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [("random", 250_000), ("bit_patterns", 100_000), ("near_ratios", 350_000),
+     ("dyadic", 100_000), ("huge", 100_000), ("subnormal", 50_000), ("integers", 50_000)],
+)
+def test_fraction_hint_matches_limit_denominator(kind, n):
+    """The integer hint is Fraction(x).limit_denominator(64), value for value."""
+    values = _hint_inputs(kind, np.random.default_rng(2024), n).tolist()
+    assert len(values) >= n
+    mismatches = []
+    for x in values:
+        f = Fraction(x).limit_denominator(64)
+        if _fraction_hint(x) != (f.numerator, f.denominator):
+            mismatches.append(x)
+    assert mismatches == []
 
 
 class TestEmitCsv:
@@ -570,6 +622,36 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, command, "--help")
         assert code == 0
         assert set(re.findall(r"--[a-z][a-z-]*", out)) == {"--help", "--scenario", "--preset", "--csv"} | own
+
+    @pytest.mark.parametrize(
+        "command, own",
+        [("eval", ""), ("optimize", ""), ("select", ""),
+         ("simulate", " [--trials N] [--seed S]"), ("curve", " [--grid-step H]")],
+    )
+    def test_usage_line_in_flag_order(self, capsys, monkeypatch, command, own):
+        monkeypatch.setenv("COLUMNS", "200")
+        code, out, _ = run_cli(capsys, command, "--help")
+        presets = ",".join(sorted(PRESETS))
+        assert code == 0
+        assert out.splitlines()[0] == (
+            f"usage: absentdriver {command} [-h] (--scenario PATH | --preset {{{presets}}})"
+            f"{own} [--csv PATH]"
+        )
+
+    def test_parsers_share_no_values(self):
+        first, second = build_parser(), build_parser()
+        a = first.parse_args(["simulate", "--preset", "example1", "--trials", "5", "--csv", "a.csv"])
+        b = second.parse_args(["simulate", "--scenario", "b.json", "--seed", "7"])
+        c = first.parse_args(["curve", "--preset", "example2", "--grid-step", "0.5"])
+        d = first.parse_args(["simulate", "--preset", "example2"])
+        assert vars(a) == {"command": "simulate", "scenario": None, "preset": "example1",
+                           "trials": 5, "seed": None, "csv": "a.csv"}
+        assert vars(b) == {"command": "simulate", "scenario": "b.json", "preset": None,
+                           "trials": None, "seed": 7, "csv": None}
+        assert vars(c) == {"command": "curve", "scenario": None, "preset": "example2",
+                           "grid_step": 0.5, "csv": None}
+        assert vars(d) == {"command": "simulate", "scenario": None, "preset": "example2",
+                           "trials": None, "seed": None, "csv": None}
 
     def test_deep_nesting_is_a_scenario_error(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
