@@ -22,7 +22,6 @@ import io
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,8 +75,8 @@ def _fraction_hint(x: float) -> tuple[int, int]:
 
 def fmt_value(x) -> str:
     """Decimal plus a fraction hint when the value is a simple rational."""
-    decimal = fmt_num(x)
     x = float(x)
+    decimal = fmt_num(x)
     p, q = _fraction_hint(x)
     if q > 1 and abs(x - p / q) <= 1e-12:
         return f"{decimal} ({p}/{q})"
@@ -103,8 +102,9 @@ def fmt_poly(coeffs) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def fmt_dist(dist) -> str:
-    return "[" + ", ".join(fmt_num(p) for p in dist.probs) + "]"
+def fmt_list(values) -> str:
+    """``[v1, v2, ...]``, each value in the fmt_num format."""
+    return "[" + ", ".join(map(fmt_num, values)) + "]"
 
 
 def emit_csv(rows) -> str:
@@ -130,28 +130,21 @@ def _strategy_label(strategy) -> str:
     if isinstance(strategy, Counting):
         return "counting"
     if isinstance(strategy, PerStep):
-        return "per_step([" + ", ".join(fmt_num(p) for p in strategy.exit_probs) + "])"
+        return f"per_step({fmt_list(strategy.exit_probs)})"
     return f"quantum({strategy.state.num_qubits} qubits)"
 
 
 def _problem_line(problem) -> str:
     if isinstance(problem, SelectionProblem):
-        payoffs = ", ".join(fmt_num(p) for p in problem.destination_payoffs)
-        return f"problem: two-round selection over {problem.num_destinations} destinations [{payoffs}]"
-    exits = ", ".join(fmt_num(p) for p in problem.exit_payoffs)
+        return (f"problem: two-round selection over {problem.num_destinations} destinations "
+                f"{fmt_list(problem.destination_payoffs)}")
     return (
-        f"problem: drive with {problem.num_intersections} exits [{exits}], "
+        f"problem: drive with {problem.num_intersections} exits {fmt_list(problem.exit_payoffs)}, "
         f"terminal payoff {fmt_num(problem.terminal_payoff)}"
     )
 
 
-@dataclass(frozen=True)
-class CommandOutput:
-    text: str
-    rows: tuple  # rectangular table (header first) for --csv
-
-
-def _run_eval(scenario: Scenario) -> CommandOutput:
+def _run_eval(scenario: Scenario) -> tuple[str, list]:
     problem = scenario.problem
     k = problem.num_destinations
     table_rows = []
@@ -160,16 +153,16 @@ def _run_eval(scenario: Scenario) -> CommandOutput:
         dist = destination_distribution(problem, named.strategy)
         payoff = dist.mean(problem.destination_payoffs)
         table_rows.append(
-            (named.name, _strategy_label(named.strategy), fmt_value(payoff), fmt_dist(dist))
+            (named.name, _strategy_label(named.strategy), fmt_value(payoff), fmt_list(dist.probs))
         )
         csv_rows.append((named.name, payoff, *dist.probs))
     text = _problem_line(problem) + "\n\n"
     text += _render_table(("strategy", "kind", "expected payoff", "destination distribution"),
                           table_rows)
-    return CommandOutput(text, tuple(csv_rows))
+    return text, csv_rows
 
 
-def _run_optimize(scenario: Scenario) -> CommandOutput:
+def _run_optimize(scenario: Scenario) -> tuple[str, list]:
     problem = scenario.problem
     coeffs = beta_coefficients(problem)
     result = optimize_stationary(problem)
@@ -177,19 +170,19 @@ def _run_optimize(scenario: Scenario) -> CommandOutput:
         [
             _problem_line(problem),
             f"stationary payoff polynomial (beta = 1 - alpha): {fmt_poly(coeffs)}",
-            f"beta coefficients: [{', '.join(fmt_num(c) for c in coeffs)}]",
+            f"beta coefficients: {fmt_list(coeffs)}",
             f"optimum: alpha* = {fmt_value(result.alpha_star)}, "
             f"payoff = {fmt_value(result.payoff_star)}, method = {result.method}",
         ]
     )
-    rows = (
+    rows = [
         ("alpha_star", "payoff_star", "method", *(f"b{j}" for j in range(len(coeffs)))),
         (result.alpha_star, result.payoff_star, result.method, *coeffs),
-    )
-    return CommandOutput(text, rows)
+    ]
+    return text, rows
 
 
-def _run_select(scenario: Scenario) -> CommandOutput:
+def _run_select(scenario: Scenario) -> tuple[str, list]:
     sel = scenario.problem
     counting_values = counting_round_values(sel)
     mean, second_round = two_round_average_drive(sel)
@@ -205,12 +198,13 @@ def _run_select(scenario: Scenario) -> CommandOutput:
          "stationary_total")
     ]
     for choice, (total, (first, second)) in enumerate(zip(totals, counting_values), start=1):
+        first_text = fmt_num(first)
         table_rows.append(
             (
                 choice,
-                fmt_num(first),
+                first_text,
                 fmt_value(total),
-                f"{fmt_num(first)} + {fmt_value(second)}",
+                f"{first_text} + {fmt_value(second)}",
                 fmt_value(first + second),
             )
         )
@@ -230,10 +224,10 @@ def _run_select(scenario: Scenario) -> CommandOutput:
             f"counting improvement over optimized stationary: {fmt_value(improvement)}",
         ]
     )
-    return CommandOutput(text, tuple(csv_rows))
+    return text, csv_rows
 
 
-def _run_simulate(scenario: Scenario) -> CommandOutput:
+def _run_simulate(scenario: Scenario) -> tuple[str, list]:
     problem = scenario.problem
     options = scenario.options
     k = problem.num_destinations
@@ -250,7 +244,7 @@ def _run_simulate(scenario: Scenario) -> CommandOutput:
                 report.trials,
                 fmt_num(report.mean_payoff),
                 fmt_num(report.std_error),
-                fmt_dist(report.empirical_distribution),
+                fmt_list(report.empirical_distribution.probs),
             )
         )
         csv_rows.append(
@@ -271,10 +265,10 @@ def _run_simulate(scenario: Scenario) -> CommandOutput:
             table_rows,
         )
     )
-    return CommandOutput(text, tuple(csv_rows))
+    return text, csv_rows
 
 
-def _run_curve(scenario: Scenario) -> CommandOutput:
+def _run_curve(scenario: Scenario) -> tuple[str, list]:
     problem = scenario.problem
     step = scenario.options.grid_step
     grid = []
@@ -284,7 +278,7 @@ def _run_curve(scenario: Scenario) -> CommandOutput:
         i += 1
     grid.append(1.0)
     rows = [("alpha", "payoff")] + list(zip(grid, stationary_payoff(problem, grid).tolist()))
-    return CommandOutput(emit_csv(rows).rstrip("\n"), tuple(rows))
+    return emit_csv(rows).rstrip("\n"), rows
 
 
 _RUNNERS = {
@@ -297,8 +291,8 @@ _RUNNERS = {
 COMMANDS = tuple(_RUNNERS)
 
 
-def run_command(command: str, scenario: Scenario) -> CommandOutput:
-    """Dispatch a subcommand against a validated scenario."""
+def run_command(command: str, scenario: Scenario) -> tuple[str, list]:
+    """Dispatch a subcommand: its stdout text and its ``--csv`` rows, header first."""
     if command not in _RUNNERS:
         raise ValueError(f"unknown command {command!r}")
     is_selection = isinstance(scenario.problem, SelectionProblem)
@@ -385,7 +379,7 @@ def main(argv=None) -> int:
         print(f"scenario error: cannot read {args.scenario}: {exc}", file=sys.stderr)
         return 2
     try:
-        output = run_command(args.command, scenario)
+        text, rows = run_command(args.command, scenario)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
@@ -395,12 +389,12 @@ def main(argv=None) -> int:
     if args.csv:  # before any stdout, so a failed write leaves stdout empty
         try:
             with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-                fh.write(emit_csv(output.rows))
+                fh.write(emit_csv(rows))
         except OSError as exc:
             print(f"runtime error: cannot write {args.csv}: {exc}", file=sys.stderr)
             return 3
     try:
-        print(output.text)
+        print(text)
         sys.stdout.flush()  # so a closed pipe fails here, not at exit
     except OSError as exc:
         print(f"runtime error: cannot write stdout: {exc}", file=sys.stderr)

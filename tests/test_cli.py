@@ -184,6 +184,24 @@ class TestEvalCommand:
         code, out, _ = run_cli(capsys, "eval", "--scenario", scenario_file(doc))
         assert code == 0 and "[0.5, 0.5, 0]" in out
 
+    def test_per_step_bytes_pinned(self, capsys, scenario_file):
+        # the per_step([...]) label and both list columns, byte for byte
+        doc = {
+            "problem": {"kind": "drive", "exit_payoffs": [0, 4, -1.5], "terminal_payoff": 1},
+            "strategies": [{"name": "steps", "kind": "per_step", "exit_probs": [0.25, 0.5, 1e-13]},
+                           {"name": "sure", "kind": "per_step", "exit_probs": [0, 1, 0.3]}],
+        }
+        code, out, err = run_cli(capsys, "eval", "--scenario", scenario_file(doc))
+        assert (code, err) == (0, "")
+        assert out == (
+            "problem: drive with 3 exits [0, 4, -1.5], terminal payoff 1\n"
+            "\n"
+            "strategy  kind                          expected payoff  destination distribution\n"
+            "--------  ----------------------------  ---------------  ------------------------------\n"
+            "steps     per_step([0.25, 0.5, 1e-13])  1.875 (15/8)     [0.25, 0.375, 3.75e-14, 0.375]\n"
+            "sure      per_step([0, 1, 0.3])         4                [0, 1, 0, 0]\n"
+        )
+
     @pytest.mark.parametrize("m, alpha", [(20_000, 1e-7), (100_000, 1e-6)])
     def test_long_drive(self, capsys, scenario_file, m, alpha):
         # its distribution sums to 1 within m rounding errors, not within a fixed 1e-12
@@ -841,9 +859,11 @@ def test_eval_bytes_do_not_follow_blas_kernel(tmp_path, name):
 
 def test_cli_import_leaves_out_numpy_polynomial():
     # every CLI process pays for what it imports: numpy.polynomial adds
-    # about 0.8 MB of resident memory and is not needed
+    # about 0.8 MB of resident memory, fractions and decimal about 0.2 MB,
+    # and none of them is needed
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    probe = "import sys, absentdriver.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+    probe = ("import sys, absentdriver.cli; print(sorted(m for m in sys.modules"
+             " if m.startswith('numpy.polynomial') or m in ('fractions', 'decimal')))")
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
