@@ -42,13 +42,13 @@ report = estimate_payoff(problem, Counting(), TRIALS, SEED)
 analytic = destination_distribution(problem, Counting())
 print("\ncounting analytic dist: ", np.round(analytic.probs, 6))
 print("counting empirical dist:", np.round(report.empirical_distribution.probs, 6))
-tv = 0.5 * np.abs(report.empirical_distribution.probs - analytic.probs).sum()
+tv = 0.5 * np.abs(np.subtract(report.empirical_distribution.probs, analytic.probs)).sum()
 print(f"total variation distance: {tv:.6f}")
 
 # The entangled pair never reaches the terminal, simulated or not.
 report = estimate_payoff(problem, Quantum(bell), TRIALS, SEED)
-print("\nentangled empirical dist:", report.empirical_distribution.probs,
-      " analytic:", first_zero_distribution(bell).probs)
+print("\nentangled empirical dist:", np.array(report.empirical_distribution.probs),
+      " analytic:", np.array(first_zero_distribution(bell).probs))
 
 # Same seed, same report, bit for bit.
 again = estimate_payoff(problem, Quantum(bell), TRIALS, SEED)

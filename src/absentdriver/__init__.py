@@ -46,7 +46,6 @@ from .selection import (
     counting_round_values,
     first_choice_totals,
     optimize_two_round,
-    selection_improvement,
     two_round_average_drive,
     two_round_counting_total,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "parse_scenario",
     "product_state",
     "scenario_to_document",
-    "selection_improvement",
     "stationary_payoff",
     "step_exit_probabilities",
     "two_round_average_drive",

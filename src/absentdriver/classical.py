@@ -24,7 +24,7 @@ payoff from another.
 
 from __future__ import annotations
 
-import numpy as np
+from itertools import accumulate
 
 from .model import (Counting, DestinationDistribution, DriveProblem, PerStep, Quantum,
                     SelectionProblem, Stationary, Strategy)
@@ -52,7 +52,7 @@ def check_fit(problem: DriveProblem | SelectionProblem, strategy: Strategy) -> N
     raise ValueError(f"strategy/problem mismatch: {plan} for {m} intersections")
 
 
-def step_exit_probabilities(problem: DriveProblem, strategy: Strategy) -> np.ndarray:
+def step_exit_probabilities(problem: DriveProblem, strategy: Strategy) -> tuple[float, ...]:
     """Per-intersection exit probabilities induced by any strategy.
 
     Entry ``j`` is the probability of exiting at intersection ``j`` given
@@ -63,17 +63,17 @@ def step_exit_probabilities(problem: DriveProblem, strategy: Strategy) -> np.nda
     check_fit(problem, strategy)
     m = problem.num_intersections
     if isinstance(strategy, Stationary):
-        return np.full(m, strategy.alpha)
+        return (strategy.alpha,) * m
     if isinstance(strategy, Counting):
         # 1 / (k - i + 1) at intersection i of k = m + 1 destinations
-        return 1.0 / np.arange(m + 1, 1, -1)
+        return tuple(1.0 / n for n in range(m + 1, 1, -1))
     if isinstance(strategy, PerStep):
-        return np.array(strategy.exit_probs, dtype=float)
+        return strategy.exit_probs
     if isinstance(strategy, Quantum):
         d = first_zero_distribution(strategy.state).probs
-        tail = np.cumsum(d[::-1])[:0:-1]  # d_j + ... + d_(m+1) >= d_j in floats
+        tail = list(accumulate(reversed(d)))[:0:-1]  # d_j + ... + d_(m+1) >= d_j in floats
         # a one-term tail gives exactly 1; no car reaches a step of tail 0
-        return np.divide(d[:m], tail, out=np.ones(m), where=tail > 0.0)
+        return tuple(dj / t if t > 0.0 else 1.0 for dj, t in zip(d, tail))
     raise TypeError(f"unknown strategy type: {type(strategy).__name__}")
 
 
@@ -82,10 +82,11 @@ def destination_distribution(problem: DriveProblem, strategy: Strategy) -> Desti
     if isinstance(strategy, Quantum):
         check_fit(problem, strategy)
         return first_zero_distribution(strategy.state)
-    steps = step_exit_probabilities(problem, strategy)
-    # keep[i] = probability of still driving after the first i intersections
-    keep = np.concatenate(([1.0], np.cumprod(1.0 - steps)))
-    return DestinationDistribution(np.append(keep[:-1] * steps, keep[-1]))
+    probs, keep = [], 1.0  # keep: probability of still driving
+    for p in step_exit_probabilities(problem, strategy):
+        probs.append(keep * p)
+        keep *= 1.0 - p
+    return DestinationDistribution((*probs, keep))
 
 
 def expected_payoff(problem: DriveProblem, strategy: Strategy) -> float:
@@ -94,7 +95,7 @@ def expected_payoff(problem: DriveProblem, strategy: Strategy) -> float:
 
 
 def stationary_payoff(problem: DriveProblem, alpha):
-    """Expected payoff of ``Stationary(alpha)`` at a scalar or array of ``alpha``.
+    """Expected payoff of ``Stationary(alpha)`` at a float or a numpy array of ``alpha``.
 
     With payoffs ``v_1..v_k`` (exits, then the terminal) this is ``sum_(i<k)
     v_i alpha beta**(i-1) + v_k beta**(k-1)`` with ``beta = 1 - alpha``: a
@@ -102,7 +103,7 @@ def stationary_payoff(problem: DriveProblem, alpha):
     largest of them.  It is evaluated from the terminal payoff outwards,
     ``acc = v_i alpha + beta acc``.
     """
-    a = float(alpha) if np.ndim(alpha) == 0 else np.asarray(alpha, dtype=float)
+    a = float(alpha) if isinstance(alpha, (int, float)) else alpha
     b = 1.0 - a
     payoffs = problem.destination_payoffs
     acc = payoffs[-1] + 0.0 * a  # shaped like alpha
@@ -119,4 +120,5 @@ def beta_coefficients(problem: DriveProblem) -> tuple[float, ...]:
     consecutive payoffs differ by more than the float range.  Trailing zeros
     are kept: the degree-``m`` term can cancel.
     """
-    return tuple(np.diff(problem.destination_payoffs, prepend=0.0).tolist())
+    v = problem.destination_payoffs
+    return tuple(b - a for a, b in zip((0.0, *v), v))

@@ -22,8 +22,7 @@ import io
 import math
 import os
 import sys
-
-import numpy as np
+from itertools import count, takewhile
 
 from .classical import beta_coefficients, destination_distribution, stationary_payoff
 from .model import Counting, PerStep, SelectionProblem, Stationary
@@ -269,15 +268,13 @@ def _run_simulate(scenario: Scenario) -> tuple[str, list]:
 
 
 def _run_curve(scenario: Scenario) -> tuple[str, list]:
+    import numpy as np  # the only array path: one evaluation over the whole grid
     problem = scenario.problem
     step = scenario.options.grid_step
-    grid = []
-    i = 0
-    while (alpha := i * step) < 1.0 - 1e-12:
-        grid.append(alpha)
-        i += 1
-    grid.append(1.0)
-    rows = [("alpha", "payoff")] + list(zip(grid, stationary_payoff(problem, grid).tolist()))
+    grid = [*takewhile(lambda alpha: alpha < 1.0 - 1e-12, (i * step for i in count())), 1.0]
+    with np.errstate(over="ignore", invalid="ignore"):  # fmt_num refuses inf and nan
+        payoffs = stationary_payoff(problem, np.array(grid)).tolist()
+    rows = [("alpha", "payoff")] + list(zip(grid, payoffs))
     return emit_csv(rows).rstrip("\n"), rows
 
 
@@ -302,10 +299,7 @@ def run_command(command: str, scenario: Scenario) -> tuple[str, list]:
         raise ScenarioError(
             f"command/problem mismatch: '{command}' needs a drive problem, got selection"
         )
-    # A result past the float range overflows quietly here, and fmt_num
-    # turns the inf or nan into a runtime error.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _RUNNERS[command](scenario)
+    return _RUNNERS[command](scenario)
 
 
 class _UsageError(Exception):

@@ -8,7 +8,7 @@ probability of exiting at the intersection currently in front of them (plus,
 for the counting strategy, a counter kept by the car rather than the driver).
 
 All types here are immutable after construction and safe to share across
-threads.  Every printed payoff sum is a :func:`_scaled_sum`; nothing calls BLAS.
+threads.  Every printed payoff sum is a :func:`_scaled_sum`; nothing uses numpy.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
-
-import numpy as np
 
 if TYPE_CHECKING:
     from .quantum import StateVector
@@ -33,11 +31,15 @@ def _as_finite_floats(values, what: str) -> tuple[float, ...]:
     return tuple(out)
 
 
+def _exponent(values) -> int:
+    """Binary exponent ``e`` of the largest ``|x|``: ``x / 2**e`` is exact and below 1."""
+    return math.frexp(max(map(abs, values)))[1]
+
+
 def _scaled_sum(payoffs) -> tuple[float, float]:
     """``(total, scale)``: the correctly rounded sum of ``payoffs`` divided by
-    ``scale``, a power of two that is 1 unless ``total`` needs it to stay finite.
-    """
-    scale = 2.0 ** max(0, math.frexp(max(map(abs, payoffs)))[1] + len(payoffs).bit_length() - 1023)
+    ``scale``, a power of two that is 1 unless ``total`` needs it to stay finite."""
+    scale = 2.0 ** max(0, _exponent(payoffs) + len(payoffs).bit_length() - 1023)
     return math.fsum(v / scale for v in payoffs), scale
 
 
@@ -88,35 +90,34 @@ def make_drive_problem(exit_payoffs, terminal_payoff) -> DriveProblem:
 _ROUNDING = 1e-15
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DestinationDistribution:
     """Probabilities over destinations ``1..k`` (exits in order, then terminal)."""
 
-    probs: np.ndarray
+    probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 1 or probs.size == 0:
+        try:
+            probs = tuple(map(float, self.probs))
+        except TypeError:  # a nested sequence
+            probs = ()
+        if not probs:
             raise ValueError("distribution must be a non-empty 1-d probability vector")
-        # NaN fails every comparison, so it fails this test too
-        if not (probs.min() >= -_ROUNDING and probs.max() <= 1.0 + _ROUNDING):
+        low, high = min(probs), max(probs)
+        if not (low >= -_ROUNDING and high <= 1.0 + _ROUNDING):
             raise ValueError("internal error: probability outside [0, 1] beyond rounding")
-        probs = probs.clip(0.0, 1.0)
-        total = float(probs.sum())
-        if abs(total - 1.0) > probs.size * _ROUNDING:
+        if low < 0.0 or high > 1.0:  # clamp the rounding noise; -0.0 stays as it is
+            probs = tuple(0.0 if p < 0.0 else 1.0 if p > 1.0 else p for p in probs)
+        total = math.fsum(probs)
+        # min and max pass over a NaN unless it comes first, but the sum is NaN then
+        if not abs(total - 1.0) <= len(probs) * _ROUNDING:
             raise ValueError(f"internal error: distribution sums to {total!r}, not 1")
-        probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DestinationDistribution):
-            return NotImplemented
-        return np.array_equal(self.probs, other.probs)
 
     def mean(self, payoffs) -> float:
         """Expected payoff: the correctly rounded sum, in any order, of the rounded
         products ``probs * payoffs``, one payoff per destination."""
-        total, scale = _scaled_sum((self.probs * np.asarray(payoffs)).tolist())
+        total, scale = _scaled_sum([p * v for p, v in zip(self.probs, payoffs, strict=True)])
         return total * scale
 
 

@@ -16,10 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .classical import stationary_payoff
-from .model import DriveProblem
+from .classical import beta_coefficients, stationary_payoff
+from .model import DriveProblem, _exponent
 
 
 @dataclass(frozen=True)
@@ -46,21 +44,21 @@ def _quadratic_roots(a: float, b: float, c: float) -> tuple[float, ...]:
     return (q / a, c / q)
 
 
-def _derivative(c: np.ndarray) -> np.ndarray:
+def _derivative(c) -> list[float]:
     """Coefficients of the derivative of ``sum_j c_j x**j``, lowest first: ``j c_j``."""
-    return (np.arange(c.size) * c)[1:]
+    return [j * c[j] for j in range(1, len(c))]
 
 
-def _closed_form_roots(deriv: tuple[float, ...]) -> tuple[float, ...]:
+def _closed_form_roots(deriv: list[float]) -> tuple[float, ...]:
     """Roots of a derivative of degree <= 2 (trailing zeros already trimmed)."""
-    if len(deriv) == 1:
-        return ()  # constant, possibly the zero polynomial
+    if len(deriv) <= 1:
+        return ()  # constant, or the zero polynomial
     if len(deriv) == 2:
         return (-deriv[0] / deriv[1],)
     return _quadratic_roots(deriv[2], deriv[1], deriv[0])
 
 
-def _search(v: np.ndarray) -> tuple[list[float], float]:
+def _search(v: tuple[float, ...]) -> tuple[list[float], float]:
     """Maxima of ``p`` and the largest bound on ``p`` over the closed segments.
 
     In ``beta``, with the payoffs ``v`` and their median ``k``, ``p - k = (1 -
@@ -72,12 +70,13 @@ def _search(v: np.ndarray) -> tuple[list[float], float]:
     ``tol = 1e-12 max |v|``, or while it holds a maximum (``p'`` from ``>= 0``
     to ``< 0``) within ``tol`` of the best, down to adjacent floats.
     """
-    m = v.size - 1
-    tol, u = 1e-12 * float(np.abs(v).max()), np.abs(v - np.partition(v, m // 2)[m // 2])
-    rows, slope = np.zeros((3, m + 1)), _derivative(u[:-1])
-    rows[0], rows[1, :-3], rows[2, :-2] = v, _derivative(slope), 2.0 * slope
-    rows[2, m - 2] += m * (m - 1) * u[-1]
-    last, terms = float(v[-1]), rows[:, -2::-1].T.tolist()  # s and t have no beta**m term
+    m = len(v) - 1
+    k = sorted(v)[m // 2]
+    tol, u = 1e-12 * max(map(abs, v)), [abs(x - k) for x in v]
+    slope = _derivative(u[:-1])
+    s, t = [*_derivative(slope), 0.0, 0.0, 0.0], [2.0 * x for x in slope] + [0.0, 0.0]
+    t[m - 2] += m * (m - 1) * u[-1]
+    last, terms = v[-1], list(zip(v, s, t))[-2::-1]  # s and t have no beta**m term
 
     def point(x: float) -> tuple[float, float, bool, float, float]:
         """``(x, p(x), p'(x) >= 0, s(x), t(x))``: ``p`` by the nested loop
@@ -118,11 +117,12 @@ def optimize_stationary(problem: DriveProblem) -> OptimizationResult:
     makes :func:`_search` scale-free.  The candidates are then evaluated on
     the payoffs as given.
     """
-    payoffs = problem.destination_payoffs
-    exponent = math.frexp(max(map(abs, payoffs)))[1]
-    v = np.ldexp(payoffs, -exponent)
-    # the derivative in beta, trailing zeros cut; (0.0,) when it is zero
-    deriv = tuple(np.trim_zeros(_derivative(np.diff(v, prepend=0.0)), "b").tolist()) or (0.0,)
+    exponent = _exponent(problem.destination_payoffs)
+    v = tuple(math.ldexp(x, -exponent) for x in problem.destination_payoffs)
+    # the derivative in beta, trailing zeros cut; empty when it is zero
+    deriv = _derivative(beta_coefficients(DriveProblem(v[:-1], v[-1])))
+    while deriv and deriv[-1] == 0.0:
+        deriv.pop()
     if len(deriv) <= 3:
         interior, top, method = _closed_form_roots(deriv), -math.inf, "closed_form"
     else:

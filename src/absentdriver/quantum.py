@@ -14,16 +14,19 @@ computational basis.
 
 :class:`StateVector` is the one place a norm is checked and divided out.  It and
 :func:`build_state` with ``normalize`` take the norm at a power-of-two scale.
+Each function that handles its numpy arrays imports numpy, on the first quantum plan.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .model import DestinationDistribution, Stationary, _exponent
 
-from .model import DestinationDistribution, Stationary
+if TYPE_CHECKING:
+    import numpy as np
 
 # Caps only product_state, which holds all 2**m strings.
 MAX_QUBITS = 20
@@ -39,14 +42,18 @@ def _scaled(values: np.ndarray) -> tuple[np.ndarray, float, float]:
     """``(scaled, scaled_norm, norm)``: ``values`` scaled exactly below 1 by a power of
     two, their norm, which cannot over- or underflow, and it scaled back (inf past the range).
     The one check for non-finite amplitudes; the norm's sum is numpy's pairwise add, not BLAS."""
+    import numpy as np
     parts = np.ascontiguousarray(values, dtype=complex).view(float)
-    mantissa, shift = math.frexp(np.abs(parts).max(initial=0.0))
-    if not math.isfinite(mantissa):  # an inf or NaN part
+    largest = max(parts.max(initial=0.0), -parts.min(initial=0.0))  # NaN if a part is NaN
+    if not math.isfinite(largest):
         raise ValueError("amplitudes must be finite")
-    scaled = np.ldexp(parts, -shift)
+    shift = _exponent((largest,))
+    scaled = np.ldexp(parts, -shift) if shift else parts
     scaled_norm = math.sqrt(np.sum(scaled * scaled))
-    with np.errstate(over="ignore"):
-        return scaled.view(complex), scaled_norm, float(np.ldexp(scaled_norm, shift))
+    try:
+        return scaled.view(complex), scaled_norm, math.ldexp(scaled_norm, shift)
+    except OverflowError:
+        return scaled.view(complex), scaled_norm, math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,6 +71,7 @@ class StateVector:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
         bits = np.asarray(self.bits, dtype=np.bytes_)
         values = np.asarray(self.values, dtype=complex)
         if bits.ndim != 1 or bits.shape != values.shape:
@@ -90,6 +98,7 @@ class StateVector:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StateVector):
             return NotImplemented
+        import numpy as np
         return np.array_equal(self.bits, other.bits) and np.array_equal(self.values, other.values)
 
     @property
@@ -113,6 +122,7 @@ def build_state(terms, normalize: bool = False) -> StateVector:
         raise ValueError("ragged terms: basis strings have mixed lengths")
     if not bits[0]:
         raise ValueError("empty basis string: a ket needs one bit per intersection")
+    import numpy as np
     values = np.array(amplitudes, dtype=complex)
     if normalize:
         scaled, scaled_norm, _ = _scaled(values)
@@ -128,6 +138,7 @@ def product_state(alpha: float, num_qubits: int) -> StateVector:
     Under the first-zero rule this reproduces the classical stationary
     strategy with exit probability ``alpha`` exactly.
     """
+    import numpy as np
     a = Stationary(alpha).alpha
     if not 1 <= num_qubits <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {num_qubits}")
@@ -143,9 +154,10 @@ def product_state(alpha: float, num_qubits: int) -> StateVector:
 
 def first_zero_distribution(state: StateVector) -> DestinationDistribution:
     """Distribution over destinations induced by the first-zero exit rule."""
+    import numpy as np
     m = state.num_qubits
     # 0-based slot of each ket: its first 0, or the terminal slot m when it has none
     first_zero = np.strings.find(state.bits, b"0")
     slot = np.where(first_zero < 0, m, first_zero)
     probs = np.bincount(slot, weights=np.abs(state.values) ** 2, minlength=m + 1)
-    return DestinationDistribution(probs / probs.sum())
+    return DestinationDistribution((probs / probs.sum()).tolist())

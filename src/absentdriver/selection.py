@@ -11,15 +11,14 @@ the terminal role.  Means and counting totals come from ``model._scaled_sum``.
 from __future__ import annotations
 
 from dataclasses import replace
-
-import numpy as np
+from itertools import accumulate
 
 from .classical import destination_distribution
 from .model import DriveProblem, SelectionProblem, Stationary, _scaled_sum
 from .optimize import OptimizationResult, optimize_stationary
 
 
-def first_choice_totals(sel: SelectionProblem, alpha: float) -> np.ndarray:
+def first_choice_totals(sel: SelectionProblem, alpha: float) -> tuple[float, ...]:
     """Per first choice: its payoff plus the stationary second round at ``alpha``.
 
     The second-round distribution ``d`` over survivor slots is the same for
@@ -28,12 +27,12 @@ def first_choice_totals(sel: SelectionProblem, alpha: float) -> np.ndarray:
     ``sum_(j<c) d_j v_j + sum_(j>=c) d_j v_(j+1)``: a prefix sum plus a
     suffix sum, O(n) for all choices together.
     """
-    v = np.asarray(sel.destination_payoffs)
+    v = sel.destination_payoffs
     # any drive over the n - 1 survivors has this distribution
     d = destination_distribution(DriveProblem(v[:-2], v[-2]), Stationary(alpha)).probs
-    ahead = np.concatenate(([0.0], np.cumsum(d * v[:-1])))
-    after = np.concatenate((np.cumsum((d * v[1:])[::-1])[::-1], [0.0]))
-    return v + ahead + after
+    ahead = [0.0, *accumulate(dj * vj for dj, vj in zip(d, v))]
+    after = [*accumulate(dj * vj for dj, vj in zip(reversed(d), reversed(v)))][::-1] + [0.0]
+    return tuple(x + a + b for x, a, b in zip(v, ahead, after))
 
 
 def two_round_average_drive(sel: SelectionProblem) -> tuple[float, DriveProblem]:
@@ -47,11 +46,11 @@ def two_round_average_drive(sel: SelectionProblem) -> tuple[float, DriveProblem]
     ``v_(j+1)`` otherwise.  The mean stays out of ``p``'s payoffs, so its
     ``beta`` coefficients are differences of the averaged payoffs alone.
     """
-    v = np.asarray(sel.destination_payoffs)
-    j = np.arange(1, v.size) / v.size
-    total, scale = _scaled_sum(sel.destination_payoffs)
-    w = (1.0 - j) * v[:-1] + j * v[1:]
-    return total / v.size * scale, DriveProblem(w[:-1], w[-1])
+    v = sel.destination_payoffs
+    n = len(v)
+    total, scale = _scaled_sum(v)
+    w = [(1.0 - j / n) * v[j - 1] + j / n * v[j] for j in range(1, n)]
+    return total / n * scale, DriveProblem(w[:-1], w[-1])
 
 
 def optimize_two_round(sel: SelectionProblem) -> OptimizationResult:
@@ -81,8 +80,3 @@ def two_round_counting_total(sel: SelectionProblem) -> float:
     """
     total, scale = _scaled_sum(sel.destination_payoffs)
     return 2.0 * (total / sel.num_destinations * scale)
-
-
-def selection_improvement(sel: SelectionProblem) -> float:
-    """Counting total minus the optimized stationary total; can be negative."""
-    return two_round_counting_total(sel) - optimize_two_round(sel).payoff_star

@@ -21,10 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .classical import step_exit_probabilities
-from .model import DestinationDistribution, DriveProblem, Strategy
+from .model import DestinationDistribution, DriveProblem, Strategy, _exponent
 
 _MAX_SEED = 2**64
 
@@ -49,28 +47,29 @@ def estimate_payoff(
     if not 0 <= seed < _MAX_SEED:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
 
-    steps = step_exit_probabilities(problem, strategy).tolist()
+    import numpy as np
+    steps = step_exit_probabilities(problem, strategy)
     rng = np.random.default_rng(seed)
-    counts = np.zeros(len(steps) + 1, dtype=np.int64)
+    counts = [0] * (len(steps) + 1)
     left = trials
     for j, p in enumerate(steps):
-        counts[j] = out = rng.binomial(left, p)
+        counts[j] = out = int(rng.binomial(left, p))
         left -= out
         if left == 0:
             break
     counts[-1] = left
 
     # payoffs scaled exactly, by a power of two, below 1: no sum of squares overflows
-    shift = math.frexp(max(map(abs, problem.destination_payoffs)))[1]
-    payoffs = np.ldexp(problem.destination_payoffs, -shift)
-    mean = math.fsum(counts * payoffs) / trials
-    variance = max(math.fsum(counts * payoffs**2) - trials * mean * mean, 0.0) / max(trials - 1, 1)
+    shift = _exponent(problem.destination_payoffs)
+    payoffs = [math.ldexp(v, -shift) for v in problem.destination_payoffs]
+    mean = math.fsum(c * v for c, v in zip(counts, payoffs)) / trials
+    squares = math.fsum(c * (v * v) for c, v in zip(counts, payoffs))
+    variance = max(squares - trials * mean * mean, 0.0) / max(trials - 1, 1)
     # each scaled |payoff| <= 1 - 2**-53, so mean and std error are too: ldexp stays finite
-    mean, std_error = np.ldexp([mean, math.sqrt(variance / trials)], shift).tolist()
     return SimulationReport(
         trials=trials,
-        mean_payoff=mean,
-        std_error=std_error,
-        empirical_distribution=DestinationDistribution(counts / trials),
+        mean_payoff=math.ldexp(mean, shift),
+        std_error=math.ldexp(math.sqrt(variance / trials), shift),
+        empirical_distribution=DestinationDistribution([c / trials for c in counts]),
         seed=seed,
     )

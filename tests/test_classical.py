@@ -73,7 +73,7 @@ class TestDestinationDistribution:
     def test_normalization(self, alpha, m):
         problem = make_drive_problem(list(range(m)), -1)
         dist = destination_distribution(problem, Stationary(alpha))
-        assert abs(dist.probs.sum() - 1.0) <= 1e-12
+        assert abs(np.asarray(dist.probs).sum() - 1.0) <= 1e-12
 
     @given(
         alpha=st.floats(min_value=0, max_value=1),
@@ -89,10 +89,10 @@ class TestDestinationDistribution:
     def test_counting_uniform_for_all_sizes(self, k):
         problem = make_drive_problem(list(range(k - 1)), 9.0)
         dist = destination_distribution(problem, Counting())
-        assert np.abs(dist.probs - 1.0 / k).max() <= 1e-12
+        assert np.abs(np.asarray(dist.probs) - 1.0 / k).max() <= 1e-12
 
     def test_clamps_only_rounding_noise(self):
-        assert DestinationDistribution([1.0 + 5e-16, -5e-16]).probs.tolist() == [1.0, 0.0]
+        assert np.asarray(DestinationDistribution([1.0 + 5e-16, -5e-16]).probs).tolist() == [1.0, 0.0]
         with pytest.raises(ValueError, match="internal error"):
             DestinationDistribution([1.1, -0.1])
 
@@ -101,7 +101,7 @@ class TestDestinationDistribution:
     def test_long_drive_sum_within_tolerance(self, m, alpha, kind):
         # the product form's sum error grows with m, past a fixed 1e-12 from m ~ 2e4
         strategy = Stationary(alpha) if kind == "stationary" else PerStep((alpha,) * m)
-        probs = destination_distribution(make_drive_problem([0.0] * m, 0.0), strategy).probs
+        probs = np.asarray(destination_distribution(make_drive_problem([0.0] * m, 0.0), strategy).probs)
         assert probs.size == m + 1
         assert probs[-1] == pytest.approx((1 - alpha) ** m, rel=1e-9)
         assert abs(probs.sum() - 1.0) <= (m + 1) * 1e-15
@@ -175,7 +175,7 @@ class TestQuantumHazards:
             hazards = step_exit_probabilities(problem, Quantum(state))
             classical = destination_distribution(problem, PerStep(tuple(hazards)))
             target = first_zero_distribution(state).probs
-            assert np.abs(classical.probs - target).max() <= 1e-12
+            assert np.abs(np.asarray(classical.probs) - target).max() <= 1e-12
 
 
 class TestStationaryPayoff:

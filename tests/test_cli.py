@@ -867,3 +867,34 @@ def test_cli_import_leaves_out_numpy_polynomial():
              " if m.startswith('numpy.polynomial') or m in ('fractions', 'decimal')))")
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+def test_drive_and_selection_runs_leave_out_numpy(tmp_path):
+    # numpy is most of a CLI process's import time, and only quantum plans,
+    # simulate and curve need it; the first quantum plan loads it mid-process
+    doc = {"problem": {"kind": "drive", "exit_payoffs": [0, 4, 1], "terminal_payoff": 1},
+           "strategies": [{"name": "s", "kind": "stationary", "alpha": 0.25},
+                          {"name": "c", "kind": "counting"},
+                          {"name": "p", "kind": "per_step", "exit_probs": [0.5, 0.25, 1]}]}
+    drive = tmp_path / "drive.json"
+    drive.write_text(json.dumps(doc), encoding="utf-8")
+    runs = [["optimize", "--scenario", str(drive)], ["eval", "--scenario", str(drive)],
+            ["select", "--preset", "selection-example", "--csv", str(tmp_path / "select.csv")]]
+    probe = (
+        "import contextlib, io, sys\n"
+        "import absentdriver\n"
+        "from absentdriver.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {runs!r}]\n"
+        "print(codes, 'numpy' in sys.modules, file=sys.stderr)\n"
+        "main(['eval', '--preset', 'example1'])\n"
+        "print('numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert proc.stderr == "[0, 0, 0] False\nTrue\n"
+    fresh = subprocess.run([sys.executable, "-m", "absentdriver.cli", "eval", "--preset", "example1"],
+                           env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == fresh.stdout
+    assert "quantum(2 qubits)" in proc.stdout

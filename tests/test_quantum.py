@@ -255,7 +255,7 @@ class TestFirstZeroDistribution:
         problem = make_drive_problem([1.0] * m, 0.0)
         alphas = np.linspace(0.0, 1.0, 11) if m <= 4 else (0.3, 0.7)
         for alpha in alphas:
-            quantum = first_zero_distribution(product_state(alpha, m)).probs
+            quantum = np.asarray(first_zero_distribution(product_state(alpha, m)).probs)
             classical = destination_distribution(problem, Stationary(alpha)).probs
             assert np.abs(quantum - classical).max() <= 1e-12
 
@@ -264,7 +264,7 @@ class TestFirstZeroDistribution:
         for index in range(2**m):
             bits = format(index, f"0{m}b")
             expected = bits.find("0") + 1 if "0" in bits else m + 1
-            probs = first_zero_distribution(build_state([(bits, 1.0)])).probs
+            probs = np.asarray(first_zero_distribution(build_state([(bits, 1.0)])).probs)
             assert probs.tolist() == [float(d == expected) for d in range(1, m + 2)]
 
     @pytest.mark.parametrize("m", [64, 1024])
@@ -274,7 +274,7 @@ class TestFirstZeroDistribution:
         rng = np.random.default_rng(m)
         for first in (1, 2, 12, 53, 54, m - 1, m):
             tail = "".join(rng.choice(["0", "1"], m - first))
-            probs = first_zero_distribution(build_state([("1" * (first - 1) + "0" + tail, 1.0)])).probs
+            probs = np.asarray(first_zero_distribution(build_state([("1" * (first - 1) + "0" + tail, 1.0)])).probs)
             assert probs.tolist() == [float(d == first) for d in range(1, m + 2)]
         assert first_zero_distribution(build_state([("1" * m, 1.0)])).probs[-1] == 1.0
 
@@ -294,13 +294,13 @@ class TestFirstZeroDistribution:
         state = random_state(np.random.default_rng(seed), 3)
         rotated = StateVector(state.bits, state.values * np.exp(1j * theta))
         base = first_zero_distribution(state).probs
-        assert np.abs(first_zero_distribution(rotated).probs - base).max() <= 1e-12
+        assert np.abs(np.asarray(first_zero_distribution(rotated).probs) - base).max() <= 1e-12
 
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 5))
     @settings(max_examples=60)
     def test_normalization(self, seed, m):
         state = random_state(np.random.default_rng(seed), m)
-        assert abs(first_zero_distribution(state).probs.sum() - 1.0) <= 1e-9
+        assert abs(np.asarray(first_zero_distribution(state).probs).sum() - 1.0) <= 1e-9
 
 
 class TestQuantumExpectedPayoff:

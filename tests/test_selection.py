@@ -14,7 +14,6 @@ from absentdriver import (
     first_choice_totals,
     make_drive_problem,
     optimize_two_round,
-    selection_improvement,
     stationary_payoff,
     two_round_average_drive,
     two_round_counting_total,
@@ -82,7 +81,7 @@ class TestFirstChoiceTotals:
         best = optimize_two_round(SELECTION_EXAMPLE)
         totals = first_choice_totals(SELECTION_EXAMPLE, best.alpha_star)
         assert totals == pytest.approx((2.5, 4.5, 2.25, 2.25), abs=1e-12)
-        assert totals.mean() == pytest.approx(best.payoff_star, abs=1e-12)
+        assert np.asarray(totals).mean() == pytest.approx(best.payoff_star, abs=1e-12)
         assert best.payoff_star == pytest.approx(23 / 8, abs=1e-12)
 
 
@@ -128,14 +127,14 @@ class TestClosedFormsAgainstResidualDrives:
                 payoffs[c - 1] + expected_payoff(residual_problem(drive, c), Stationary(a))
                 for c in range(1, n + 1)
             ]
-            assert np.abs(first_choice_totals(sel, a) - want).max() <= tol
+            assert np.abs(np.asarray(first_choice_totals(sel, a)) - want).max() <= tol
 
     def test_average_polynomial_is_mean_of_first_choice_totals(self, n):
         payoffs, sel, tol = self.case(n)
         mean, drive = two_round_average_drive(sel)
         for a in ALPHAS:
             average = mean + stationary_payoff(drive, a)
-            assert abs(first_choice_totals(sel, a).mean() - average) <= tol
+            assert abs(np.asarray(first_choice_totals(sel, a)).mean() - average) <= tol
 
     def test_counting_values_match_residual_drives(self, n):
         payoffs, sel, tol = self.case(n)
@@ -198,19 +197,26 @@ class TestTwoRoundCountingTotal:
 
 
 class TestSelectionImprovement:
+    """The counting total minus the optimized stationary total; it can be negative."""
+
     def test_example_improvement(self):
-        assert selection_improvement(SELECTION_EXAMPLE) == pytest.approx(1 / 8, abs=1e-12)
+        sel = SELECTION_EXAMPLE
+        improvement = two_round_counting_total(sel) - optimize_two_round(sel).payoff_star
+        assert improvement == pytest.approx(1 / 8, abs=1e-12)
 
     def test_equal_payoffs_no_improvement(self):
-        assert selection_improvement(SelectionProblem((2.5,) * 4)) == pytest.approx(0.0, abs=1e-12)
+        sel = SelectionProblem((2.5,) * 4)
+        improvement = two_round_counting_total(sel) - optimize_two_round(sel).payoff_star
+        assert improvement == pytest.approx(0.0, abs=1e-12)
 
     def test_concentrated_payoffs_favor_stationary(self):
         # one valuable destination: exiting deterministically crushes uniform picks
         payoffs = (10.0, 0.0, 0.0, 0.0)
-        improvement = selection_improvement(SelectionProblem(payoffs))
+        sel = SelectionProblem(payoffs)
+        improvement = two_round_counting_total(sel) - optimize_two_round(sel).payoff_star
         assert improvement < 0.0
         counting = brute_force_counting_total(payoffs)
-        best = optimize_two_round(SelectionProblem(payoffs)).payoff_star
+        best = optimize_two_round(sel).payoff_star
         assert improvement == pytest.approx(counting - best, abs=1e-12)
 
 

@@ -98,7 +98,7 @@ class TestSimulateDrive:
         # A change to the per-step binomial draws of a measurement plan that
         # moves a single car changes these counts.
         report = estimate_payoff(EXAMPLE1, Quantum(BELL), 20_000, 11)
-        counts = np.rint(report.empirical_distribution.probs * 20_000).astype(int)
+        counts = np.rint(np.asarray(report.empirical_distribution.probs) * 20_000).astype(int)
         assert counts.tolist() == [9950, 10050, 0]
 
     @pytest.mark.parametrize(
@@ -115,7 +115,7 @@ class TestSimulateDrive:
         # to the step probabilities taken from the first-zero distribution, or
         # to the draws, that moves a single car changes them.
         report = estimate_payoff(PROBLEM_20, Quantum(PLANS_20[plan]), 20_000, 11)
-        counts = np.rint(report.empirical_distribution.probs * 20_000).astype(int)
+        counts = np.rint(np.asarray(report.empirical_distribution.probs) * 20_000).astype(int)
         assert counts.tolist() == expected
 
     def test_classical_sample_stream_pinned(self):
@@ -131,7 +131,7 @@ class TestSimulateDrive:
         ]
         for problem, strategy, trials, expected in cases:
             report = estimate_payoff(problem, strategy, trials, 11)
-            counts = np.rint(report.empirical_distribution.probs * trials).astype(int)
+            counts = np.rint(np.asarray(report.empirical_distribution.probs) * trials).astype(int)
             assert counts.tolist() == expected
 
     def test_certain_exit_lands_only_there(self):
@@ -168,7 +168,7 @@ class TestEstimatePayoff:
         assert report.trials == 1000
         assert report.seed == 7
         assert report.std_error >= 0.0
-        assert abs(report.empirical_distribution.probs.sum() - 1.0) <= 1e-12
+        assert abs(np.asarray(report.empirical_distribution.probs).sum() - 1.0) <= 1e-12
 
     def test_statistics_past_float_range_in_the_sums(self):
         # unscaled, payoffs**2 overflows from |v| ~ 1.34e154 and the sum of
@@ -203,7 +203,7 @@ class TestEstimatePayoff:
     def test_std_error_reaches_the_largest_float(self):
         # one car at each of +MAX and -MAX: mean 0, standard error exactly MAX
         report = estimate_payoff(make_drive_problem([MAX], -MAX), PerStep((0.5,)), 2, 0)
-        assert report.empirical_distribution.probs.tolist() == [0.5, 0.5]
+        assert np.asarray(report.empirical_distribution.probs).tolist() == [0.5, 0.5]
         assert report.mean_payoff == 0.0
         assert report.std_error == MAX
 
@@ -243,7 +243,7 @@ class TestEstimatePayoff:
     def test_block_boundaries_do_not_drop_trials(self):
         for trials in (1, TWO_16 - 1, TWO_16, TWO_16 + 1):
             report = estimate_payoff(EXAMPLE1, Counting(), trials, 5)
-            counts = report.empirical_distribution.probs * trials
+            counts = np.asarray(report.empirical_distribution.probs) * trials
             assert counts.sum() == pytest.approx(trials, abs=1e-6)
 
     @pytest.mark.parametrize(
@@ -302,7 +302,7 @@ class TestEstimatePayoff:
         # 10**9 trials take at most m binomial draws: every car lands
         # somewhere, and the mean sits within budget of the closed form.
         report = estimate_payoff(EXAMPLE2, Counting(), MAX_TRIALS, 11)
-        counts = np.rint(report.empirical_distribution.probs * MAX_TRIALS).astype(np.int64)
+        counts = np.rint(np.asarray(report.empirical_distribution.probs) * MAX_TRIALS).astype(np.int64)
         assert counts.sum() == MAX_TRIALS
         assert abs(report.mean_payoff - 1.5) <= SIGMAS * report.std_error
 
@@ -320,13 +320,13 @@ class TestEstimatePayoff:
     def test_empirical_distribution_close_to_analytic(self):
         report = estimate_payoff(EXAMPLE2, Counting(), 1_000_000, 8)
         analytic = destination_distribution(EXAMPLE2, Counting())
-        tv = 0.5 * np.abs(report.empirical_distribution.probs - analytic.probs).sum()
+        tv = 0.5 * np.abs(np.asarray(report.empirical_distribution.probs) - analytic.probs).sum()
         assert tv <= 0.005
 
     def test_quantum_empirical_distribution(self):
         report = estimate_payoff(EXAMPLE1, Quantum(BELL), 1_000_000, 8)
         analytic = first_zero_distribution(BELL)
-        tv = 0.5 * np.abs(report.empirical_distribution.probs - analytic.probs).sum()
+        tv = 0.5 * np.abs(np.asarray(report.empirical_distribution.probs) - analytic.probs).sum()
         assert tv <= 0.005
         assert report.empirical_distribution.probs[2] == 0.0  # terminal never sampled
 
