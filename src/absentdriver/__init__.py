@@ -40,7 +40,6 @@ from .scenario import (
     ScenarioError,
     ScenarioOptions,
     parse_scenario,
-    scenario_to_document,
 )
 from .selection import (
     counting_round_values,
@@ -82,7 +81,6 @@ __all__ = [
     "optimize_two_round",
     "parse_scenario",
     "product_state",
-    "scenario_to_document",
     "stationary_payoff",
     "step_exit_probabilities",
     "two_round_average_drive",

@@ -33,8 +33,9 @@ MAX_QUBITS = 20
 
 # A state's amplitudes are accepted up to this deviation of their norm from 1.
 INPUT_NORM_TOL = 1e-6
-# Below this the stored amplitudes are left untouched, so emitting a state
-# and parsing it back reproduces the exact same floats.
+# Below this the stored amplitudes are left untouched: a state normalized once,
+# by build_state(normalize=True) or by its author, is not divided again, so its
+# floats and the numbers printed from them stay as given.
 _RESCALE_SKIP = 1e-13
 
 

@@ -3,9 +3,9 @@
 A document is ``{"problem": {...}, "strategies": [{...}, ...], "options": {...}}``
 (the README shows one in full).  The schema of a problem or strategy is its
 ``kind``'s row in one of two tables, ``_PROBLEMS`` and ``_STRATEGIES``: the
-fields it takes, read in order and passed to its constructor.  Parsing, the
-unknown-field check and :func:`scenario_to_document` all read those rows, so
-each field is named once; a strategy also carries a ``name``.
+fields it takes, read in order and passed to its constructor.  Parsing and the
+unknown-field check are the only readers of those rows, so each field is named
+once; a strategy also carries a ``name``.
 
 A quantum plan's norm must be within 1e-6 of 1 unless ``"normalize": true``
 rescales it.  ``options`` may be left out, but when present it is an object
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 from .classical import check_fit
 from .model import (
@@ -178,18 +178,17 @@ def _flag(mapping, key, path):
     return value
 
 
-# The schema: kind -> (type, constructor, {field: reader}).  Fields are read in
-# order and passed to the constructor; each is written back from its attribute.
+# The schema: kind -> (constructor, {field: reader}).  Fields are read in
+# order and passed to the constructor.
 _PROBLEMS = {
-    "drive": (DriveProblem, make_drive_problem,
-              {"exit_payoffs": _number_list, "terminal_payoff": _number}),
-    "selection": (SelectionProblem, SelectionProblem, {"destination_payoffs": _number_list}),
+    "drive": (make_drive_problem, {"exit_payoffs": _number_list, "terminal_payoff": _number}),
+    "selection": (SelectionProblem, {"destination_payoffs": _number_list}),
 }
 _STRATEGIES = {
-    "stationary": (Stationary, Stationary, {"alpha": _number}),
-    "counting": (Counting, Counting, {}),
-    "per_step": (PerStep, PerStep, {"exit_probs": _number_list}),
-    "quantum": (Quantum, lambda terms, normalize: Quantum(build_state(terms, normalize)),
+    "stationary": (Stationary, {"alpha": _number}),
+    "counting": (Counting, {}),
+    "per_step": (PerStep, {"exit_probs": _number_list}),
+    "quantum": (lambda terms, normalize: Quantum(build_state(terms, normalize)),
                 {"terms": _terms, "normalize": _flag}),
 }
 
@@ -201,21 +200,9 @@ def _parse_kind(doc, path, table, what, *fixed):
         *others, last = map(repr, table)
         raise ScenarioError(f"unknown {what} kind {kind!r} (expected {', '.join(others)} or {last})",
                             path)
-    _, make, fields = table[kind]
+    make, fields = table[kind]
     _known_fields(doc, {"kind", *fixed, *fields}, path)
     return _wrap(path, make, *(read(doc, key, path) for key, read in fields.items()))
-
-
-def _write_kind(obj, table, **doc) -> dict:
-    """``doc`` plus the kind and fields of ``obj``, the inverse of :func:`_parse_kind`."""
-    kind = next(k for k, (cls, _, _) in table.items() if isinstance(obj, cls))
-    fields = table[kind][2]
-    if isinstance(obj, Quantum):  # its state is stored normalized
-        values = ([{"bits": bits.decode(), "re": amp.real, "im": amp.imag}
-                   for bits, amp in zip(obj.state.bits.tolist(), obj.state.values.tolist())], False)
-    else:
-        values = [getattr(obj, key) for key in fields]
-    return {**doc, "kind": kind, **dict(zip(fields, values))}
 
 
 def _parse_options(doc, path="options") -> ScenarioOptions:
@@ -259,17 +246,6 @@ def parse_scenario(text: str) -> Scenario:
     return Scenario(problem, tuple(strategies), options)
 
 
-def scenario_to_document(scenario: Scenario) -> str:
-    """Canonical JSON for a scenario; parsing it back reproduces the scenario."""
-    doc = {
-        "problem": _write_kind(scenario.problem, _PROBLEMS),
-        "strategies": [_write_kind(s.strategy, _STRATEGIES, name=s.name)
-                       for s in scenario.strategies],
-        "options": asdict(scenario.options),
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
 # The paper's worked examples, checked like any file; 0.3333333333333333 parses to 1.0 / 3.0.
 PRESETS = {
     "example1": """{"problem": {"kind": "drive", "exit_payoffs": [0, 4], "terminal_payoff": 1},
@@ -295,5 +271,4 @@ __all__ = [
     "ScenarioError",
     "ScenarioOptions",
     "parse_scenario",
-    "scenario_to_document",
 ]

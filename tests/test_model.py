@@ -152,3 +152,31 @@ class TestSummation:
                 ):
                     found.append(f"{path.name}:{node.lineno}")
         assert found == []
+
+    @pytest.mark.parametrize(
+        "module", sorted(p.name for p in Path(absentdriver.__file__).parent.glob("*.py"))
+    )
+    def test_package_imports_only_what_it_uses(self, module):
+        # a name counts as used if code reads it, __all__ lists it or a string annotation names it
+        path = Path(absentdriver.__file__).parent / module
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) != "__future__":
+                    for alias in node.names:
+                        imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used.update(ast.literal_eval(node.value))
+            annotations = [getattr(node, "returns", None), getattr(node, "annotation", None)]
+            for annotation in filter(None, annotations):
+                for part in ast.walk(annotation):
+                    if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                        used.update(n.id for n in ast.walk(ast.parse(part.value, mode="eval"))
+                                    if isinstance(n, ast.Name))
+        unused = [f"{module}:{line} {name}" for name, line in imported.items() if name not in used]
+        assert unused == []

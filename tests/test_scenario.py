@@ -15,7 +15,6 @@ from absentdriver import (
     Stationary,
     build_state,
     parse_scenario,
-    scenario_to_document,
 )
 from absentdriver.scenario import MAX_TRIALS, PRESETS, NamedStrategy, ScenarioOptions
 from oracles import dense_amplitudes
@@ -34,7 +33,7 @@ EXAMPLE1_DOC = """
 """
 
 
-# One canonical document per kind, as scenario_to_document writes it.
+# One sample document per kind, and the object it parses to.
 PROBLEM_KINDS = {
     "drive": {"kind": "drive", "exit_payoffs": [0.0, 4.0], "terminal_payoff": 1.0},
     "selection": {"kind": "selection", "destination_payoffs": [0.0, 4.0, 1.0, 1.0]},
@@ -46,6 +45,16 @@ STRATEGY_KINDS = {
     "quantum": {"kind": "quantum", "normalize": False,
                 "terms": [{"bits": "01", "re": 0.6, "im": 0.0},
                           {"bits": "10", "re": 0.0, "im": 0.8}]},
+}
+PROBLEM_OBJECTS = {
+    "drive": DriveProblem((0.0, 4.0), 1.0),
+    "selection": SelectionProblem((0.0, 4.0, 1.0, 1.0)),
+}
+STRATEGY_OBJECTS = {
+    "stationary": Stationary(0.25),
+    "counting": Counting(),
+    "per_step": PerStep((0.5, 0.25)),
+    "quantum": Quantum(build_state([("01", 0.6), ("10", 0.8j)])),
 }
 
 
@@ -87,6 +96,37 @@ class TestParseScenario:
         scenario = parse_scenario(doc)
         assert isinstance(scenario.problem, SelectionProblem)
         assert scenario.options == ScenarioOptions()
+
+    @pytest.mark.parametrize(
+        "problem_kind, strategy_kind",
+        [(kind, "stationary") for kind in _accepted_kinds("x", "counting")]
+        + [("drive", kind) for kind in _accepted_kinds("drive", "x")],
+    )
+    def test_every_kind_parses(self, problem_kind, strategy_kind):
+        doc = {
+            "problem": PROBLEM_KINDS[problem_kind],
+            "strategies": [{"name": "s", **STRATEGY_KINDS[strategy_kind]}],
+            "options": {"trials": 7, "seed": 3, "grid_step": 0.5},
+        }
+        assert parse_scenario(json.dumps(doc)) == Scenario(
+            PROBLEM_OBJECTS[problem_kind],
+            (NamedStrategy("s", STRATEGY_OBJECTS[strategy_kind]),),
+            ScenarioOptions(trials=7, seed=3, grid_step=0.5),
+        )
+
+    @pytest.mark.parametrize("m", [20, 1024])
+    def test_w_state_parses_sorted(self, m):
+        # "10...0" first: the reverse of the sorted order the state stores
+        kets = [("0" * i + "1" + "0" * (m - i - 1), complex(i + 1, -i)) for i in range(m)]
+        doc = {
+            "problem": {"kind": "drive", "exit_payoffs": list(range(m)), "terminal_payoff": 0.5},
+            "strategies": [{"name": "w", "kind": "quantum", "normalize": True,
+                            "terms": [{"bits": bits, "re": a.real, "im": a.imag}
+                                      for bits, a in kets]}],
+        }
+        state = parse_scenario(json.dumps(doc)).strategies[0].strategy.state
+        assert state == build_state(kets, normalize=True)
+        assert [bits.decode() for bits in state.bits.tolist()] == sorted(bits for bits, _ in kets)
 
     def test_invalid_json_reports_line(self):
         with pytest.raises(ScenarioError, match="line"):
@@ -399,54 +439,6 @@ class TestParseScenario:
             scenario.with_options({"seed": "--seed"}, seed=2**64)
 
 
-class TestRoundTrip:
-    def test_parse_of_emitted_document_is_equal(self):
-        original = parse_scenario(EXAMPLE1_DOC)
-        assert parse_scenario(scenario_to_document(original)) == original
-
-    @pytest.mark.parametrize("name", sorted(PRESETS))
-    def test_presets_round_trip(self, name):
-        scenario = parse_scenario(PRESETS[name])
-        assert parse_scenario(scenario_to_document(scenario)) == scenario
-
-    @pytest.mark.parametrize("m", [20, 1024])
-    def test_w_state_round_trip(self, m):
-        kets = [("0" * i + "1" + "0" * (m - i - 1), complex(i + 1, -i)) for i in range(m)]
-        scenario = Scenario(
-            DriveProblem(tuple(range(m)), 0.5),
-            (NamedStrategy("w", Quantum(build_state(kets[::-1], normalize=True))),),
-        )
-        doc = scenario_to_document(scenario)
-        assert [t["bits"] for t in json.loads(doc)["strategies"][0]["terms"]] == sorted(
-            bits for bits, _ in kets
-        )
-        assert parse_scenario(doc) == scenario
-
-    @pytest.mark.parametrize(
-        "problem_kind, strategy_kind",
-        [(kind, "stationary") for kind in _accepted_kinds("x", "counting")]
-        + [("drive", kind) for kind in _accepted_kinds("drive", "x")],
-    )
-    def test_every_kind_round_trips(self, problem_kind, strategy_kind):
-        doc = {
-            "problem": PROBLEM_KINDS[problem_kind],
-            "strategies": [{"name": "s", **STRATEGY_KINDS[strategy_kind]}],
-            "options": {"trials": 7, "seed": 3, "grid_step": 0.5},
-        }
-        scenario = parse_scenario(json.dumps(doc))
-        written = scenario_to_document(scenario)
-        assert json.loads(written) == doc
-        assert parse_scenario(written) == scenario
-
-    def test_per_step_round_trip(self):
-        scenario = Scenario(
-            DriveProblem((1.0, 2.0), 0.5),
-            (NamedStrategy("steps", PerStep((0.25, 0.75))),),
-            ScenarioOptions(trials=10, seed=3, grid_step=0.5),
-        )
-        assert parse_scenario(scenario_to_document(scenario)) == scenario
-
-
 class TestPresets:
     def test_example1(self):
         scenario = parse_scenario(PRESETS["example1"])
@@ -461,3 +453,10 @@ class TestPresets:
         scenario = parse_scenario(PRESETS["selection-example"])
         assert isinstance(scenario.problem, SelectionProblem)
         assert scenario.problem.destination_payoffs == (0.0, 4.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_json_dumps_of_preset_parses_the_same(self, name):
+        # a document is plain JSON, so json.dumps of its dict writes one
+        rewritten = json.dumps(json.loads(PRESETS[name]))
+        assert rewritten != PRESETS[name]
+        assert parse_scenario(rewritten) == parse_scenario(PRESETS[name])
