@@ -35,7 +35,7 @@ for alpha in (0.0, 0.25, 1 / 3, 0.5, 1.0):
 # coefficients are the payoffs themselves: the problem is its own polynomial.
 # In beta = 1 - alpha it reads 4b - 3b^2: each coefficient is the difference
 # of two consecutive payoffs.
-print("\npayoff at alpha = 0, 1/3, 1:", stationary_payoff(two_exits, np.array([0.0, 1 / 3, 1.0])))
+print("\npayoff at alpha = 0, 1/3, 1:", stationary_payoff(two_exits, [0.0, 1 / 3, 1.0]))
 print("polynomial coefficients in beta (b0, b1, ...):", beta_coefficients(two_exits))
 
 best = optimize_stationary(two_exits)

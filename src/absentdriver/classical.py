@@ -15,11 +15,11 @@ scored by the same two functions.
 
 For the stationary strategy (all ``p_j = alpha``) the expected payoff is a
 polynomial whose coefficients are the payoffs themselves, so the drive
-problem is its own polynomial: :func:`stationary_payoff` evaluates it and
-:func:`beta_coefficients` expands it in ``beta = 1 - alpha``.  Its basis,
-``alpha * beta**(i-1)`` per exit and ``beta**m`` for the terminal, is
-non-negative and sums to 1, so the nested evaluation never subtracts one
-payoff from another.
+problem is its own polynomial: :func:`stationary_payoff` evaluates it at a
+list of ``alpha`` and :func:`beta_coefficients` expands it in ``beta = 1 -
+alpha``.  Its basis, ``alpha * beta**(i-1)`` per exit and ``beta**m`` for the
+terminal, is non-negative and sums to 1, so the nested evaluation never
+subtracts one payoff from another.
 """
 
 from __future__ import annotations
@@ -94,8 +94,8 @@ def expected_payoff(problem: DriveProblem, strategy: Strategy) -> float:
     return destination_distribution(problem, strategy).mean(problem.destination_payoffs)
 
 
-def stationary_payoff(problem: DriveProblem, alpha):
-    """Expected payoff of ``Stationary(alpha)`` at a float or a numpy array of ``alpha``.
+def stationary_payoff(problem: DriveProblem, alphas) -> tuple[float, ...]:
+    """Expected payoff of ``Stationary(alpha)`` at each ``alpha`` of ``alphas``.
 
     With payoffs ``v_1..v_k`` (exits, then the terminal) this is ``sum_(i<k)
     v_i alpha beta**(i-1) + v_k beta**(k-1)`` with ``beta = 1 - alpha``: a
@@ -103,13 +103,14 @@ def stationary_payoff(problem: DriveProblem, alpha):
     largest of them.  It is evaluated from the terminal payoff outwards,
     ``acc = v_i alpha + beta acc``.
     """
-    a = float(alpha) if isinstance(alpha, (int, float)) else alpha
-    b = 1.0 - a
-    payoffs = problem.destination_payoffs
-    acc = payoffs[-1] + 0.0 * a  # shaped like alpha
-    for v in payoffs[-2::-1]:
-        acc = v * a + b * acc
-    return acc
+    last, *rest = problem.destination_payoffs[::-1]
+    out = []
+    for a in map(float, alphas):
+        b, acc = 1.0 - a, last + 0.0  # + 0.0: a drive paying -0.0 pays 0
+        for v in rest:
+            acc = v * a + b * acc
+        out.append(acc)
+    return tuple(out)
 
 
 def beta_coefficients(problem: DriveProblem) -> tuple[float, ...]:

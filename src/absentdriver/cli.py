@@ -107,11 +107,11 @@ def fmt_list(values) -> str:
 
 
 def emit_csv(rows) -> str:
-    """RFC-4180-style CSV: header first, 12-significant-digit numbers, LF endings."""
+    """RFC-4180-style CSV: header first, exact integers, 12-significant-digit floats, LF endings."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     for row in rows:
-        writer.writerow([v if isinstance(v, str) else fmt_num(v) for v in row])
+        writer.writerow([v if isinstance(v, (str, int)) else fmt_num(v) for v in row])
     return buf.getvalue()
 
 
@@ -268,13 +268,10 @@ def _run_simulate(scenario: Scenario) -> tuple[str, list]:
 
 
 def _run_curve(scenario: Scenario) -> tuple[str, list]:
-    import numpy as np  # the only array path: one evaluation over the whole grid
     problem = scenario.problem
     step = scenario.options.grid_step
     grid = [*takewhile(lambda alpha: alpha < 1.0 - 1e-12, (i * step for i in count())), 1.0]
-    with np.errstate(over="ignore", invalid="ignore"):  # fmt_num refuses inf and nan
-        payoffs = stationary_payoff(problem, np.array(grid)).tolist()
-    rows = [("alpha", "payoff")] + list(zip(grid, payoffs))
+    rows = [("alpha", "payoff"), *zip(grid, stationary_payoff(problem, grid))]
     return emit_csv(rows).rstrip("\n"), rows
 
 
@@ -383,7 +380,8 @@ def main(argv=None) -> int:
     if args.csv:  # before any stdout, so a failed write leaves stdout empty
         try:
             with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-                fh.write(emit_csv(rows))
+                # curve's text is its CSV: write it rather than format the grid again
+                fh.write(text + "\n" if args.command == "curve" else emit_csv(rows))
         except OSError as exc:
             print(f"runtime error: cannot write {args.csv}: {exc}", file=sys.stderr)
             return 3

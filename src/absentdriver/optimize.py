@@ -128,7 +128,7 @@ def optimize_stationary(problem: DriveProblem) -> OptimizationResult:
     else:
         interior, top, method = *_search(v), "numeric"
     xs = sorted({0.0, 1.0, *(1.0 - r for r in interior if 0.0 < r < 1.0)})
-    ys = [stationary_payoff(problem, x) for x in xs]
+    ys = stationary_payoff(problem, xs)
     best = ys.index(max(ys))  # the first maximum: the smallest alpha
     gap = max(0.0, top - math.ldexp(ys[best], -exponent))
     return OptimizationResult(xs[best], ys[best], method, math.ldexp(gap, exponent))

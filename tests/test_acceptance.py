@@ -103,7 +103,7 @@ def test_criterion_05_two_round_selection():
         mean, second = two_round_average_drive(SELECTION)
         b0, *higher = beta_coefficients(second)
         assert (b0 + mean, *higher) == pytest.approx((10 / 4, 6 / 4, -6 / 4), abs=1e-12)
-        assert_alpha_form(lambda a: mean + stationary_payoff(second, a), (10 / 4, 6 / 4, -6 / 4))
+        assert_alpha_form(lambda a: mean + np.array(stationary_payoff(second, a)), (10 / 4, 6 / 4, -6 / 4))
 
         # per first choice, 1 + 3a and 5 - a: degree 1, so two points each
         for a in (0.0, 0.5):
@@ -185,7 +185,7 @@ def test_criterion_09_optimizer_property_suite():
             m = int(rng.integers(1, 5))
             problem = make_drive_problem(rng.uniform(0.0, 10.0, size=m), rng.uniform(0.0, 10.0))
             result = optimize_stationary(problem)
-            assert result.payoff_star >= float(stationary_payoff(problem, grid).max()) - 1e-9
+            assert result.payoff_star >= max(stationary_payoff(problem, grid)) - 1e-9
 
             scaled = make_drive_problem(
                 [3.0 * p for p in problem.exit_payoffs], 3.0 * problem.terminal_payoff

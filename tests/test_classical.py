@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -197,7 +199,7 @@ class TestStationaryPayoff:
     @settings(max_examples=200)
     def test_polynomial_matches_direct_evaluation(self, alpha, payoffs, terminal):
         problem = make_drive_problem(payoffs, terminal)
-        assert float(stationary_payoff(problem, alpha)) == pytest.approx(
+        assert stationary_payoff(problem, [alpha])[0] == pytest.approx(
             expected_payoff(problem, Stationary(alpha)), abs=1e-12
         )
 
@@ -210,26 +212,26 @@ class TestStationaryPayoff:
         for problem in problems:
             direct = [expected_payoff(problem, Stationary(a)) for a in grid]
             scale = 1.0 + np.abs(problem.destination_payoffs).max()
-            assert np.abs(stationary_payoff(problem, grid) - direct).max() <= 1e-12 * scale
+            assert np.abs(np.array(stationary_payoff(problem, grid)) - direct).max() <= 1e-12 * scale
 
     def test_bounded_by_payoff_range(self):
         problem = make_drive_problem([2, 5, 3, 1], 0)
-        values = stationary_payoff(problem, np.linspace(0, 1, 501))
+        values = np.array(stationary_payoff(problem, np.linspace(0, 1, 501)))
         assert values.min() >= 0 - 1e-12 and values.max() <= 5 + 1e-12
 
 
 class TestDriveAsPolynomial:
     def test_evaluates_in_one_minus_alpha(self):
         problem = from_beta((0.0, 4.0, -3.0))
-        assert stationary_payoff(problem, 1.0) == 0.0
-        assert stationary_payoff(problem, 0.0) == 1.0
+        assert stationary_payoff(problem, [1.0]) == (0.0,)
+        assert stationary_payoff(problem, [0.0]) == (1.0,)
         assert stationary_payoff(problem, np.array([0.0, 1 / 3, 1.0])) == pytest.approx(
             [1.0, 4 / 3, 0.0], abs=1e-15
         )
 
     def test_degree_zero_derivative_is_zero(self):
         problem = from_beta((4.0,))
-        assert np.all(stationary_payoff(problem, np.linspace(0.0, 1.0, 101)) == 4.0)
+        assert np.all(np.array(stationary_payoff(problem, np.linspace(0.0, 1.0, 101))) == 4.0)
 
     def test_rejects_non_finite_coefficients(self):
         with pytest.raises(ValueError, match="invalid payoff"):
@@ -239,8 +241,14 @@ class TestDriveAsPolynomial:
         # in beta, Horner's rule at alpha = 0 reaches -1e308 - 1e308 = -inf;
         # the payoffs 1e308, 0, -1e308 never leave the float range
         problem = from_beta((1e308, -1e308, -1e308))
-        assert stationary_payoff(problem, 0.0) == -1e308
-        assert stationary_payoff(problem, 1.0) == 1e308
+        assert stationary_payoff(problem, [0.0]) == (-1e308,)
+        assert stationary_payoff(problem, [1.0]) == (1e308,)
+
+    def test_signed_zero_payoffs_evaluate_to_zero(self):
+        problem = make_drive_problem([-0.0, -0.0], -0.0)
+        values = stationary_payoff(problem, [0.0, 0.5, 1.0])
+        assert values == (0.0, 0.0, 0.0)
+        assert [math.copysign(1.0, y) for y in values] == [1.0, 1.0, 1.0]
 
     def test_stores_the_payoffs(self):
         assert EXAMPLE2.destination_payoffs == (0.0, 4.0, 1.0, 1.0)
@@ -258,12 +266,5 @@ class TestAgainstExactArithmetic:
             problem = make_drive_problem(v[:-1], v[-1])
             for alpha in (0.0, 1.0, 0.5, *rng.uniform(0.0, 1.0, size=3)):
                 scale = float(exact_payoff(np.abs(v), alpha))
-                error = stationary_payoff(problem, alpha) - exact_payoff(v, alpha)
+                error = stationary_payoff(problem, [alpha])[0] - exact_payoff(v, alpha)
                 assert abs(error) <= 1e-12 * scale
-
-    def test_array_evaluation_matches_scalar(self):
-        v = mixed_magnitude_payoffs(np.random.default_rng(5), 13)
-        problem = make_drive_problem(v[:-1], v[-1])
-        grid = np.linspace(0.0, 1.0, 11)
-        scalars = [stationary_payoff(problem, a) for a in grid]
-        assert stationary_payoff(problem, grid).tolist() == scalars

@@ -467,6 +467,19 @@ class TestSimulateCommand:
         assert out_a == out_b
         assert "seed: 11" in out_a
 
+    def test_csv_writes_the_seed_exactly(self, capsys, tmp_path):
+        # a 12-significant-digit seed column read 1.23456789012e+16
+        csv_path = tmp_path / "simulate.csv"
+        code, out, err = run_cli(
+            capsys, "simulate", "--preset", "example1", "--trials", "10",
+            "--seed", "12345678901234567", "--csv", str(csv_path),
+        )
+        assert (code, err) == (0, "")
+        assert "seed: 12345678901234567" in out
+        rows = csv_path.read_text(encoding="utf-8").splitlines()
+        assert rows[0].split(",")[1:3] == ["trials", "seed"]
+        assert {tuple(row.split(",")[1:3]) for row in rows[1:]} == {("10", "12345678901234567")}
+
 
     @pytest.mark.parametrize(
         "exits, strategy, trials",
@@ -622,6 +635,42 @@ class TestCurveCommand:
         )
         assert code == 0
         assert csv_path.read_text() == out
+
+    def test_signed_zero_payoffs_print_zero(self, capsys, scenario_file):
+        path = scenario_file(_drive_doc([-0.0, -0.0, -0.0]))
+        code, out, err = run_cli(capsys, "curve", "--scenario", path, "--grid-step", "0.5")
+        assert (code, out, err) == (0, "alpha,payoff\n0,0\n0.5,0\n1,0\n", "")
+        code, out, err = run_cli(capsys, "optimize", "--scenario", path)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "optimum: alpha* = 0, payoff = 0, method = closed_form"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--preset", "example1"),
+        ("optimize", "--preset", "example2"),
+        ("select", "--preset", "selection-example"),
+        ("simulate", "--preset", "example1", "--trials", "100"),
+        ("curve", "--preset", "example1", "--grid-step", "0.25"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_csv_formatted_only_once_and_only_when_asked(capsys, tmp_path, monkeypatch, argv):
+    # curve prints its CSV, so its --csv file takes the printed bytes; no
+    # other command formats CSV without --csv
+    import absentdriver.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "emit_csv", lambda rows: calls.append(rows) or emit_csv(rows))
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, len(calls)) == (0, argv[0] == "curve")
+    csv_path = tmp_path / "out.csv"
+    calls.clear()
+    code, with_csv, _ = run_cli(capsys, *argv, "--csv", str(csv_path))
+    assert (code, with_csv, len(calls)) == (0, out, 1)
+    if argv[0] == "curve":
+        assert csv_path.read_bytes() == out.encode()
 
 
 class TestExitCodes:
@@ -870,8 +919,8 @@ def test_cli_import_leaves_out_numpy_polynomial():
 
 
 def test_drive_and_selection_runs_leave_out_numpy(tmp_path):
-    # numpy is most of a CLI process's import time, and only quantum plans,
-    # simulate and curve need it; the first quantum plan loads it mid-process
+    # numpy is most of a CLI process's import time, and only quantum plans
+    # and simulate need it; the first quantum plan loads it mid-process
     doc = {"problem": {"kind": "drive", "exit_payoffs": [0, 4, 1], "terminal_payoff": 1},
            "strategies": [{"name": "s", "kind": "stationary", "alpha": 0.25},
                           {"name": "c", "kind": "counting"},
@@ -879,6 +928,7 @@ def test_drive_and_selection_runs_leave_out_numpy(tmp_path):
     drive = tmp_path / "drive.json"
     drive.write_text(json.dumps(doc), encoding="utf-8")
     runs = [["optimize", "--scenario", str(drive)], ["eval", "--scenario", str(drive)],
+            ["curve", "--scenario", str(drive), "--csv", str(tmp_path / "curve.csv")],
             ["select", "--preset", "selection-example", "--csv", str(tmp_path / "select.csv")]]
     probe = (
         "import contextlib, io, sys\n"
@@ -893,7 +943,7 @@ def test_drive_and_selection_runs_leave_out_numpy(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert proc.stderr == "[0, 0, 0] False\nTrue\n"
+    assert proc.stderr == "[0, 0, 0, 0] False\nTrue\n"
     fresh = subprocess.run([sys.executable, "-m", "absentdriver.cli", "eval", "--preset", "example1"],
                            env=env, capture_output=True, text=True, check=True)
     assert proc.stdout == fresh.stdout

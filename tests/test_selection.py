@@ -133,7 +133,7 @@ class TestClosedFormsAgainstResidualDrives:
         payoffs, sel, tol = self.case(n)
         mean, drive = two_round_average_drive(sel)
         for a in ALPHAS:
-            average = mean + stationary_payoff(drive, a)
+            average = mean + stationary_payoff(drive, [a])[0]
             assert abs(np.asarray(first_choice_totals(sel, a)).mean() - average) <= tol
 
     def test_counting_values_match_residual_drives(self, n):
@@ -161,7 +161,7 @@ class TestOptimizeTwoRound:
         mean, drive = two_round_average_drive(sel)
         result = optimize_two_round(sel)
         grid = np.linspace(0.0, 1.0, 100_001)
-        best = mean + float(stationary_payoff(drive, grid).max())
+        best = mean + max(stationary_payoff(drive, grid))
         assert abs(result.payoff_star - best) <= 1e-6
         assert result.payoff_star >= best - 1e-9
 
