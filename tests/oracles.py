@@ -54,5 +54,5 @@ def residual_problem(problem: DriveProblem, removed: int) -> DriveProblem:
 def dense_amplitudes(state) -> np.ndarray:
     """All ``2**m`` amplitudes of a state in basis-index order."""
     amps = np.zeros(2**state.num_qubits, dtype=complex)
-    amps[[int(b, 2) for b in state.bits.tolist()]] = state.values
+    amps[[int(b, 2) for b in state.bits]] = state.values
     return amps

@@ -919,8 +919,8 @@ def test_cli_import_leaves_out_numpy_polynomial():
 
 
 def test_drive_and_selection_runs_leave_out_numpy(tmp_path):
-    # numpy is most of a CLI process's import time, and only quantum plans
-    # and simulate need it; the first quantum plan loads it mid-process
+    # numpy is most of a CLI process's import time, and only simulate's draws
+    # need it: quantum plans are scored on Python floats too
     doc = {"problem": {"kind": "drive", "exit_payoffs": [0, 4, 1], "terminal_payoff": 1},
            "strategies": [{"name": "s", "kind": "stationary", "alpha": 0.25},
                           {"name": "c", "kind": "counting"},
@@ -929,7 +929,9 @@ def test_drive_and_selection_runs_leave_out_numpy(tmp_path):
     drive.write_text(json.dumps(doc), encoding="utf-8")
     runs = [["optimize", "--scenario", str(drive)], ["eval", "--scenario", str(drive)],
             ["curve", "--scenario", str(drive), "--csv", str(tmp_path / "curve.csv")],
-            ["select", "--preset", "selection-example", "--csv", str(tmp_path / "select.csv")]]
+            ["select", "--preset", "selection-example", "--csv", str(tmp_path / "select.csv")],
+            ["optimize", "--preset", "example2"],
+            ["curve", "--preset", "example1", "--csv", str(tmp_path / "quantum-curve.csv")]]
     probe = (
         "import contextlib, io, sys\n"
         "import absentdriver\n"
@@ -939,11 +941,14 @@ def test_drive_and_selection_runs_leave_out_numpy(tmp_path):
         "print(codes, 'numpy' in sys.modules, file=sys.stderr)\n"
         "main(['eval', '--preset', 'example1'])\n"
         "print('numpy' in sys.modules, file=sys.stderr)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['simulate', '--preset', 'example1', '--trials', '100', '--seed', '1'])\n"
+        "print('numpy' in sys.modules, file=sys.stderr)\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert proc.stderr == "[0, 0, 0, 0] False\nTrue\n"
+    assert proc.stderr == "[0, 0, 0, 0, 0, 0] False\nFalse\nTrue\n"
     fresh = subprocess.run([sys.executable, "-m", "absentdriver.cli", "eval", "--preset", "example1"],
                            env=env, capture_output=True, text=True, check=True)
     assert proc.stdout == fresh.stdout

@@ -126,7 +126,7 @@ class TestParseScenario:
         }
         state = parse_scenario(json.dumps(doc)).strategies[0].strategy.state
         assert state == build_state(kets, normalize=True)
-        assert [bits.decode() for bits in state.bits.tolist()] == sorted(bits for bits, _ in kets)
+        assert list(state.bits) == sorted(bits for bits, _ in kets)
 
     def test_invalid_json_reports_line(self):
         with pytest.raises(ScenarioError, match="line"):
