@@ -61,7 +61,8 @@ class StateVector:
     """Unit-norm state stored as its basis strings ``bits`` and amplitudes ``values``.
 
     ``bits`` is a tuple of equal-width ``0``/``1`` strings, the first
-    intersection's qubit leftmost; ``bytes`` strings are decoded.  Terms are
+    intersection's qubit leftmost; ``bytes`` strings are decoded, and labels of
+    any other type are rejected.  Terms are
     stored sorted by their strings, which for equal widths is basis-index
     order, exact zeros dropped.  A norm within ``INPUT_NORM_TOL`` of 1 is
     divided out (beyond ``_RESCALE_SKIP``), and any other is rejected.
@@ -71,6 +72,8 @@ class StateVector:
     values: tuple[complex, ...]
 
     def __post_init__(self) -> None:
+        if not all(isinstance(b, (str, bytes)) for b in self.bits):
+            raise ValueError("bad basis strings: each must be a str or bytes")
         bits = [b.decode("latin-1") if isinstance(b, bytes) else str(b) for b in self.bits]
         values = list(map(complex, self.values))
         if len(bits) != len(values):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 
 from absentdriver import DriveProblem
+from absentdriver.classical import step_exit_probabilities
 
 
 def from_beta(coeffs) -> DriveProblem:
@@ -56,3 +57,19 @@ def dense_amplitudes(state) -> np.ndarray:
     amps = np.zeros(2**state.num_qubits, dtype=complex)
     amps[[int(b, 2) for b in state.bits]] = state.values
     return amps
+
+
+def numpy_counts(problem: DriveProblem, strategy, trials: int, seed: int) -> list[int]:
+    """Destination counts of a seeded run drawn by numpy itself: the binomial
+    chain of :func:`absentdriver.estimate_payoff` on ``default_rng(seed)``."""
+    steps = step_exit_probabilities(problem, strategy)
+    rng = np.random.default_rng(seed)
+    counts = [0] * (len(steps) + 1)
+    left = trials
+    for j, p in enumerate(steps):
+        counts[j] = out = int(rng.binomial(left, p))
+        left -= out
+        if left == 0:
+            break
+    counts[-1] = left
+    return counts

@@ -187,7 +187,8 @@ class TestStateVector:
 
     @pytest.mark.parametrize(
         "bits",
-        [["2"], ["0x"], ["01", "1"], [b"0\x001"], [""], [0.5, 2.7], [False, True], [1, 6]],
+        [["2"], ["0x"], ["01", "1"], [b"0\x001"], [""], [0.5, 2.7], [False, True], [1, 6],
+         [0, 1], [10, 11], ["0", 1]],
     )
     def test_rejects_bad_strings(self, bits):
         with pytest.raises(ValueError, match="bad basis strings"):
@@ -211,9 +212,10 @@ class TestStateVector:
         with pytest.raises(dataclasses.FrozenInstanceError):
             state.values = (0.0,)
 
-    @pytest.mark.parametrize("bits", [[b"01", b"10"], [b"10", b"01"]])
+    @pytest.mark.parametrize("bits", [[b"01", b"10"], [b"10", b"01"], ["10", "01"]])
     def test_keeps_its_own_copy(self, bits):
-        # input already in order skips the sort, but is never shared either
+        # input already in order skips the sort, but is never shared either;
+        # numpy's bytes_ and str_ labels are bytes and str
         bits, values = np.array(bits), np.full(2, INV_SQRT2, dtype=complex)
         state = StateVector(bits, values)
         bits[0], values[0] = b"11", 0.0

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import tracemalloc
 
@@ -18,6 +19,8 @@ from absentdriver import (
     make_drive_problem,
 )
 from absentdriver.scenario import MAX_TRIALS
+from absentdriver.simulate import _Binomials
+from oracles import numpy_counts
 
 # Runs of up to 2**16 trials reproduce the reports of earlier releases, which
 # split longer runs into blocks of this size: tests run on both sides of it.
@@ -154,6 +157,51 @@ class TestSimulateDrive:
         assert first_zero_distribution(state).probs == pytest.approx(expected, rel=1e-12, abs=0)
 
 
+# the ends of the 32- and 64-bit seed words, which SeedSequence splits and pads
+EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
+
+
+class TestBinomialStream:
+    """The pure-Python generator against ``numpy.random.default_rng(seed).binomial``."""
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_fixed_draws_match_numpy(self, seed):
+        # n * min(p, 1 - p) <= 30 takes numpy's inversion, more its BTPE, and
+        # n >= 10**6 its Step 52 squeeze; p > 0.5 is reflected, p = 0 draws nothing
+        ours, ref = _Binomials(seed), np.random.default_rng(seed)
+        for _ in range(4):
+            for n in (1, 2, 30, 61, 1000, 10**6, MAX_TRIALS):
+                for p in (0.0, 1e-12, 1e-7, 0.01, 0.3, 0.5, 0.6, 0.97, 1 - 1e-9, 1.0):
+                    assert ours.binomial(n, p) == ref.binomial(n, p), (n, p)
+        assert ours.double() == ref.random()  # both consumed the same uniforms
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS + (20260810, 7 << 40))
+    def test_seeded_chains_match_numpy(self, seed):
+        # chains like a run's: each draw takes the cars the last one left
+        pick = random.Random(seed)
+        ours, ref = _Binomials(seed), np.random.default_rng(seed)
+        for _ in range(40):
+            left = pick.choice((1, 45, 10**4, 10**6, pick.randrange(1, MAX_TRIALS + 1), MAX_TRIALS))
+            while left:
+                p = pick.choice((pick.random(), pick.random() ** 8, 1.0 - pick.random() ** 8, 1.0))
+                out = ours.binomial(left, p)
+                assert out == ref.binomial(left, p), (left, p)
+                left -= out
+        assert ours.double() == ref.random()
+
+    @pytest.mark.parametrize("seed", (0, 11, 2**64 - 1))
+    @pytest.mark.parametrize("trials", (1, 1000, 2**20 + 3, MAX_TRIALS))
+    def test_reports_match_numpy_draws(self, seed, trials):
+        problem = ramp_problem(20)
+        strategies = (Stationary(0.1), Stationary(0.9), Counting(),
+                      PerStep(tuple(1e-7 * 10 ** (i % 8) for i in range(20))), Quantum(PLANS_20["w"]),
+                      Quantum(PLANS_20["counting_state"]))
+        for strategy in strategies:
+            report = estimate_payoff(problem, strategy, trials, seed)
+            counts = numpy_counts(problem, strategy, trials, seed)
+            assert report.empirical_distribution.probs == tuple(c / trials for c in counts)
+
+
 class TestEstimatePayoff:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError, match="no trials"):
@@ -274,7 +322,7 @@ class TestEstimatePayoff:
         # a (2**17, m) matrix of uniforms would take 1 GiB.
         problem = make_drive_problem([1.0] * 1024, 0.0)
         strategy = PerStep((0.001,) * 1024)
-        estimate_payoff(problem, strategy, 10, 5)  # numpy's first-call setup is not counted
+        estimate_payoff(problem, strategy, 10, 5)  # a warm-up call; only the next one is counted
         tracemalloc.start()
         try:
             estimate_payoff(problem, strategy, 2 * TWO_16, 5)
@@ -289,7 +337,7 @@ class TestEstimatePayoff:
         # draws need O(m) memory (about 90 bytes a step), not a uniform and a
         # destination per trial (1 MiB each as float64).
         problem, strategy = ramp_problem(m), Quantum(plans(m)["counting_state"])
-        estimate_payoff(problem, strategy, 10, 5)  # numpy's first-call setup is not counted
+        estimate_payoff(problem, strategy, 10, 5)  # a warm-up call; only the next one is counted
         tracemalloc.start()
         try:
             estimate_payoff(problem, strategy, 2 * TWO_16, 5)
