@@ -46,7 +46,6 @@ from .selection import (
     first_choice_totals,
     optimize_two_round,
     two_round_average_drive,
-    two_round_counting_total,
 )
 from .simulate import SimulationReport, estimate_payoff
 
@@ -84,5 +83,4 @@ __all__ = [
     "stationary_payoff",
     "step_exit_probabilities",
     "two_round_average_drive",
-    "two_round_counting_total",
 ]

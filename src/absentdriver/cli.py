@@ -33,7 +33,6 @@ from .selection import (
     first_choice_totals,
     optimize_two_round,
     two_round_average_drive,
-    two_round_counting_total,
 )
 from .simulate import estimate_payoff
 
@@ -188,7 +187,7 @@ def _run_select(scenario: Scenario) -> tuple[str, list]:
     b0, *higher = beta_coefficients(second_round)  # the first pick's mean joins b0 only
     best = optimize_two_round(sel)
     totals = first_choice_totals(sel, best.alpha_star)
-    counting_total = two_round_counting_total(sel)
+    counting_total = 2 * mean  # each destination is the first pick or the second w.p. 1/n
     improvement = counting_total - best.payoff_star
 
     table_rows = []

@@ -122,9 +122,6 @@ def _parse_int(digits: str):
         return float(digits)
 
 
-_DECODER = json.JSONDecoder(parse_int=_parse_int)
-
-
 def _floats(values, where):
     """JSON numbers as floats; ``where(j)`` is the path of entry ``j`` in errors.
 
@@ -215,7 +212,7 @@ def _parse_options(doc, path="options") -> ScenarioOptions:
 def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario document."""
     try:
-        doc = _DECODER.decode(text)
+        doc = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     except RecursionError:

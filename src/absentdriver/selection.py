@@ -5,7 +5,9 @@ always averaged uniformly, weight ``1/n`` per destination, no matter which
 strategy is being scored.  Only the second round is driven with the strategy
 under study (stationary ``alpha`` or counting).  The second round is an
 ordinary drive problem over the ``n - 1`` survivors, whose last entry plays
-the terminal role.  Means and counting totals come from ``model._scaled_sum``.
+the terminal role.  Means and counting rounds come from ``model._scaled_sum``.
+Under counting every destination is the first pick or the second with
+probability ``1/n`` each, so the counting total is ``2 * mean(v)``.
 """
 
 from __future__ import annotations
@@ -70,13 +72,3 @@ def counting_round_values(sel: SelectionProblem) -> tuple[tuple[float, float], .
     n = len(payoffs)
     total, scale = _scaled_sum(payoffs)
     return tuple((v, (total - v / scale) / (n - 1) * scale) for v in payoffs)
-
-
-def two_round_counting_total(sel: SelectionProblem) -> float:
-    """Uniform average over first choices of first payoff plus counting round.
-
-    Every destination is the first pick or the second with probability
-    ``1/n`` each, so this is ``2 * mean(v)``.
-    """
-    total, scale = _scaled_sum(sel.destination_payoffs)
-    return 2.0 * (total / sel.num_destinations * scale)
