@@ -18,7 +18,8 @@ Comput. Stat. Data Anal. 16(2), 1993): the counts have the distribution of
 the draws never use the product form they check.  A quantum plan's steps are
 its exit hazards, ``d_j / (d_j + ... + d_(m+1))`` over the first-zero
 distribution ``d``: simulating a plan checks the sampler and the hazards,
-not the first-zero map.  Mean and variance sum with ``math.fsum``, not BLAS.
+not the first-zero map.  Mean and variance sum with ``math.fsum``, the variance
+as a corrected two-pass sum over deviations from the mean.
 """
 
 from __future__ import annotations
@@ -212,8 +213,13 @@ def estimate_payoff(
     shift = _exponent(problem.destination_payoffs)
     payoffs = [math.ldexp(v, -shift) for v in problem.destination_payoffs]
     mean = math.fsum(c * v for c, v in zip(counts, payoffs)) / trials
-    squares = math.fsum(c * (v * v) for c, v in zip(counts, payoffs))
-    variance = max(squares - trials * mean * mean, 0.0) / max(trials - 1, 1)
+    # corrected two-pass sum (Chan, Golub & LeVeque, Am. Stat. 37(3), 1983): the
+    # deviations keep the spread of payoffs near one large value, and the second
+    # sum takes out the error of the rounded mean
+    deviations = [v - mean for v in payoffs]
+    squares = math.fsum(c * (d * d) for c, d in zip(counts, deviations))
+    correction = math.fsum(c * d for c, d in zip(counts, deviations))
+    variance = max(squares - correction * correction / trials, 0.0) / max(trials - 1, 1)
     # each scaled |payoff| <= 1 - 2**-53, so mean and std error are too: ldexp stays finite
     return SimulationReport(
         trials=trials,

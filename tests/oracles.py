@@ -32,6 +32,24 @@ def exact_payoff(payoffs, alpha) -> Fraction:
     return Fraction(acc, scale * power)
 
 
+def std_error_squared(payoffs, counts) -> Fraction:
+    """The square of :func:`absentdriver.estimate_payoff`'s standard error,
+    ``s**2 / trials`` with the sample variance ``s**2``, exactly.
+
+    A float is ``N / D`` with ``D`` a power of two, so over the largest ``D``
+    every payoff is an integer ``N`` and
+    ``s**2 = (trials * sum c N**2 - (sum c N)**2) / (trials * (trials - 1) * D**2)``
+    in integers.  One trial has no spread: 0.
+    """
+    ratios = [float(v).as_integer_ratio() for v in payoffs]
+    scale = max(d for _, d in ratios)
+    nums = [n * (scale // d) for n, d in ratios]
+    trials = sum(counts)
+    first = sum(c * n for c, n in zip(counts, nums, strict=True))
+    second = sum(c * n * n for c, n in zip(counts, nums, strict=True))
+    return Fraction(trials * second - first * first, trials**2 * max(trials - 1, 1) * scale**2)
+
+
 def mixed_magnitude_payoffs(rng, k) -> np.ndarray:
     """``k`` payoffs ``+-10**U(-3, 16)``: neighbours often differ by 1e19 in size."""
     return rng.choice([-1.0, 1.0], size=k) * 10.0 ** rng.uniform(-3.0, 16.0, size=k)

@@ -480,6 +480,17 @@ class TestSimulateCommand:
         assert rows[0].split(",")[1:3] == ["trials", "seed"]
         assert {tuple(row.split(",")[1:3]) for row in rows[1:]} == {("10", "12345678901234567")}
 
+    @pytest.mark.parametrize("offset", [1.0, 1e8, 1e12, 1e15])
+    def test_std_error_holds_at_large_payoff_offsets(self, capsys, scenario_file, offset):
+        # the same counts over payoffs B, B + 1, B: a one-pass variance printed
+        # 0 at 1e8 and 1e15, and 11.8632891347 at 1e12
+        doc = {"problem": {"kind": "drive", "exit_payoffs": [offset, offset + 1.0],
+                           "terminal_payoff": offset},
+               "strategies": [{"name": "c", "kind": "counting"}]}
+        code, out, err = run_cli(capsys, "simulate", "--scenario", scenario_file(doc),
+                                 "--trials", "1000000", "--seed", "1")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1].split()[3] == "0.000471214790551"
 
     @pytest.mark.parametrize(
         "exits, strategy, trials",

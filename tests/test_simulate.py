@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from absentdriver import (
 )
 from absentdriver.scenario import MAX_TRIALS
 from absentdriver.simulate import _Binomials
-from oracles import numpy_counts
+from oracles import numpy_counts, std_error_squared
 
 # Runs of up to 2**16 trials reproduce the reports of earlier releases, which
 # split longer runs into blocks of this size: tests run on both sides of it.
@@ -200,6 +201,50 @@ class TestBinomialStream:
             report = estimate_payoff(problem, strategy, trials, seed)
             counts = numpy_counts(problem, strategy, trials, seed)
             assert report.empirical_distribution.probs == tuple(c / trials for c in counts)
+
+
+def assert_std_error_exact(problem, strategy, trials, seed):
+    """``estimate_payoff``'s standard error within a relative 1e-14 of the exact one
+    over the same counts, plus one subnormal step for a result below the normal
+    range; where the exact one is 0, at most 1e-15 of the largest payoff."""
+    report = estimate_payoff(problem, strategy, trials, seed)
+    counts = [round(p * trials) for p in report.empirical_distribution.probs]
+    assert sum(counts) == trials
+    exact = std_error_squared(problem.destination_payoffs, counts)
+    if exact == 0:
+        assert report.std_error <= 1e-15 * max(map(abs, problem.destination_payoffs))
+    else:
+        root = Fraction(math.isqrt(exact.numerator * 4**1200 // exact.denominator), 2**1200)
+        assert abs(Fraction(report.std_error) - root) <= root / 10**14 + Fraction(5e-324)
+
+
+class TestStdErrorAgainstExactOracle:
+    @pytest.mark.parametrize("offset", [1.0, 1e8, 1e12, 1e15, 1e300, -1e300, 1e-300])
+    def test_same_spread_at_any_offset(self, offset):
+        # a one-pass sum of squares lost the spread of 1 at 1e8 and above
+        problem = make_drive_problem([offset, offset + 1.0], offset)
+        assert_std_error_exact(problem, Counting(), 1_000_000, 1)
+
+    def test_seeded_offsets_spreads_and_counts(self):
+        rng = random.Random(20261020)
+        for case in range(300):
+            m = rng.randint(1, 8)
+            if case % 4:  # payoffs within a relative 1e-14 to 1 of one offset +-10**(+-300)
+                offset = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0)
+                spread = 10.0 ** rng.uniform(-14.0, 0.0)
+                payoffs = [offset * (1.0 + spread * rng.random()) for _ in range(m + 1)]
+            else:  # mixed magnitudes
+                payoffs = [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 16.0) for _ in range(m + 1)]
+            strategy = rng.choice((Counting(), Stationary(rng.random()),
+                                   PerStep(tuple(rng.random() for _ in range(m)))))
+            trials = int(10.0 ** rng.uniform(0.0, 7.0))
+            assert_std_error_exact(make_drive_problem(payoffs[:-1], payoffs[-1]), strategy, trials,
+                                   rng.getrandbits(64))
+
+    @pytest.mark.parametrize("exits,terminal", [([MAX, -MAX], MAX), ([MAX, MAX * 0.5], -MAX)])
+    def test_at_the_largest_float(self, exits, terminal):
+        for trials in (2, 3, 1000, MAX_TRIALS):
+            assert_std_error_exact(make_drive_problem(exits, terminal), Counting(), trials, 7)
 
 
 class TestEstimatePayoff:
