@@ -6,8 +6,6 @@
 # This script walks through the basic machinery: distributions, expected
 # payoffs, the payoff polynomial in the exit probability, and its optimum.
 
-import numpy as np
-
 from absentdriver import (
     Counting,
     Stationary,
@@ -27,7 +25,7 @@ print("destinations:", two_exits.destination_payoffs)
 for alpha in (0.0, 0.25, 1 / 3, 0.5, 1.0):
     dist = destination_distribution(two_exits, Stationary(alpha))
     print(
-        f"alpha={alpha:.4f}  dist={np.round(dist.probs, 4)}  "
+        f"alpha={alpha:.4f}  dist={tuple(round(p, 4) for p in dist.probs)}  "
         f"payoff={expected_payoff(two_exits, Stationary(alpha)):.6f}"
     )
 
@@ -52,7 +50,7 @@ print("larger problem optimum:", optimize_stationary(three_exits))
 # k destinations -- no payoff knowledge needed.
 for problem, label in ((two_exits, "two exits"), (three_exits, "three exits")):
     dist = destination_distribution(problem, Counting())
-    print(f"\ncounting on {label}: dist={np.round(dist.probs, 4)}")
+    print(f"\ncounting on {label}: dist={tuple(round(p, 4) for p in dist.probs)}")
     print(f"counting payoff: {expected_payoff(problem, Counting()):.6f}")
 
 # On both examples the uniform counting strategy beats the best memoryless

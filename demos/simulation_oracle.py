@@ -6,8 +6,6 @@
 # default_rng(seed), one binomial per intersection, so the same
 # (seed, trials) always yields bit-identical results.
 
-import numpy as np
-
 from absentdriver import (
     Counting,
     Quantum,
@@ -40,15 +38,15 @@ for label, strategy, analytic in cases:
 # Empirical destination frequencies line up with the product form too.
 report = estimate_payoff(problem, Counting(), TRIALS, SEED)
 analytic = destination_distribution(problem, Counting())
-print("\ncounting analytic dist: ", np.round(analytic.probs, 6))
-print("counting empirical dist:", np.round(report.empirical_distribution.probs, 6))
-tv = 0.5 * np.abs(np.subtract(report.empirical_distribution.probs, analytic.probs)).sum()
+print("\ncounting analytic dist: ", tuple(round(p, 6) for p in analytic.probs))
+print("counting empirical dist:", tuple(round(p, 6) for p in report.empirical_distribution.probs))
+tv = 0.5 * sum(abs(e - a) for e, a in zip(report.empirical_distribution.probs, analytic.probs))
 print(f"total variation distance: {tv:.6f}")
 
 # The entangled pair never reaches the terminal, simulated or not.
 report = estimate_payoff(problem, Quantum(bell), TRIALS, SEED)
-print("\nentangled empirical dist:", np.array(report.empirical_distribution.probs),
-      " analytic:", np.array(first_zero_distribution(bell).probs))
+print("\nentangled empirical dist:", report.empirical_distribution.probs,
+      " analytic:", first_zero_distribution(bell).probs)
 
 # Same seed, same report, bit for bit.
 again = estimate_payoff(problem, Quantum(bell), TRIALS, SEED)

@@ -853,8 +853,8 @@ class TestDemoScenarios:
 
 
 # sha256 of json.dumps([exit code, stdout, stderr]) for every preset run.  The
-# bytes must not change with a refactor, nor with the CPU's BLAS kernel (CI
-# runs these again under OPENBLAS_CORETYPE=Prescott).
+# bytes must not change with a refactor; no command runs numpy or BLAS, so no
+# CPU kernel can reach them either.
 PRESET_RUN_SHA256 = {
     ("example1", "eval"): "e5438f3ab9c39067c45294bd73a07b1748f09366784a3c12c978f719156d23e8",
     ("example1", "optimize"): "238ef29c2c4cf9ac511e36f06b5b0facb2908ba9c9afe03dfcebf8dd2e53897d",
