@@ -219,7 +219,7 @@ def assert_std_error_exact(problem, strategy, trials, seed):
 
 
 class TestStdErrorAgainstExactOracle:
-    @pytest.mark.parametrize("offset", [1.0, 1e8, 1e12, 1e15, 1e300, -1e300, 1e-300])
+    @pytest.mark.parametrize("offset", [1.0, 1e8, 1e12, 1e15])
     def test_same_spread_at_any_offset(self, offset):
         # a one-pass sum of squares lost the spread of 1 at 1e8 and above
         problem = make_drive_problem([offset, offset + 1.0], offset)
@@ -241,8 +241,10 @@ class TestStdErrorAgainstExactOracle:
             assert_std_error_exact(make_drive_problem(payoffs[:-1], payoffs[-1]), strategy, trials,
                                    rng.getrandbits(64))
 
-    @pytest.mark.parametrize("exits,terminal", [([MAX, -MAX], MAX), ([MAX, MAX * 0.5], -MAX)])
+    @pytest.mark.parametrize("exits,terminal",
+                             [([MAX, -MAX], MAX), ([MAX, MAX * 0.5], -MAX), ([MAX, MAX], MAX)])
     def test_at_the_largest_float(self, exits, terminal):
+        # equal payoffs have no spread: a one-pass variance printed 8.6e298 for them
         for trials in (2, 3, 1000, MAX_TRIALS):
             assert_std_error_exact(make_drive_problem(exits, terminal), Counting(), trials, 7)
 
