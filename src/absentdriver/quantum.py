@@ -63,8 +63,9 @@ class StateVector:
     ``bits`` is a tuple of equal-width ``0``/``1`` strings, the first
     intersection's qubit leftmost; labels of any other type are rejected.
     Terms are stored sorted by their strings, which for equal widths is
-    basis-index order, exact zeros dropped.  A norm within ``INPUT_NORM_TOL`` of 1 is
-    divided out (beyond ``_RESCALE_SKIP``), and any other is rejected.
+    basis-index order, exact zeros dropped.  A norm within
+    ``INPUT_NORM_TOL`` of 1 is divided out (beyond ``_RESCALE_SKIP``), and
+    any other is rejected.
     """
 
     bits: tuple[str, ...]
