@@ -28,12 +28,7 @@ from .model import (
     make_drive_problem,
 )
 from .optimize import OptimizationResult, optimize_stationary
-from .quantum import (
-    StateVector,
-    build_state,
-    first_zero_distribution,
-    product_state,
-)
+from .quantum import StateVector, build_state, first_zero_distribution
 from .scenario import (
     NamedStrategy,
     Scenario,
@@ -79,7 +74,6 @@ __all__ = [
     "optimize_stationary",
     "optimize_two_round",
     "parse_scenario",
-    "product_state",
     "stationary_payoff",
     "step_exit_probabilities",
     "two_round_average_drive",

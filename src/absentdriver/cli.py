@@ -376,7 +376,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - boundary: report and set exit status
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
-    if args.csv:  # before any stdout, so a failed write leaves stdout empty
+    if args.csv is not None:  # before any stdout, so a failed write leaves stdout empty
         try:
             with open(args.csv, "w", encoding="utf-8", newline="") as fh:
                 # curve's text is its CSV: write it rather than format the grid again

@@ -6,7 +6,10 @@ first intersection.  At intersection ``i`` the driver measures qubit ``i``
 and exits on outcome 0, otherwise keeps driving.
 
 A state stores only the kets it lists, keyed by their bit strings, so its
-cost grows with those kets and not with ``2**m``.  Destination ``i`` collects
+cost grows with those kets and not with ``2**m``.  Nothing here builds all
+``2**m`` kets: a product state, listed as every one of its kets, reproduces
+the classical stationary strategy, while an entangled plan such as
+``|01> + |10>`` lists only the kets it needs.  Destination ``i`` collects
 ``|amplitude|**2`` over every basis string whose first 0 sits at position
 ``i``, and the all-ones string feeds the terminal; this equals the
 sequential collapse computation because the measurements are all in the
@@ -22,13 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, product, repeat
+from itertools import compress, repeat
 from operator import lt, mul
 
-from .model import DestinationDistribution, Stationary, _exponent
-
-# Caps only product_state, which holds all 2**m strings.
-MAX_QUBITS = 20
+from .model import DestinationDistribution, _exponent
 
 # A state's amplitudes are accepted up to this deviation of their norm from 1.
 INPUT_NORM_TOL = 1e-6
@@ -113,7 +113,8 @@ def build_state(terms, normalize: bool = False) -> StateVector:
     pairs = list(terms)
     if not pairs:
         raise ValueError("empty state: at least one basis term is required")
-    bits, amplitudes = zip(*pairs)
+    # not zip(*pairs): its iterator per pair sets off the garbage collector on long plans
+    bits, amplitudes = [b for b, _ in pairs], [a for _, a in pairs]
     if len(set(map(len, bits))) > 1:
         raise ValueError("ragged terms: basis strings have mixed lengths")
     if not bits[0]:
@@ -126,22 +127,6 @@ def build_state(terms, normalize: bool = False) -> StateVector:
         amplitudes = [complex(math.ldexp(v.real, -shift), math.ldexp(v.imag, -shift)) / scaled_norm
                       for v in values]
     return StateVector(bits, amplitudes)
-
-
-def product_state(alpha: float, num_qubits: int) -> StateVector:
-    """Tensor power of ``sqrt(alpha)|0> + sqrt(1 - alpha)|1>``.
-
-    Under the first-zero rule this reproduces the classical stationary
-    strategy with exit probability ``alpha`` exactly.
-    """
-    a = Stationary(alpha).alpha
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {num_qubits}")
-    zero, one, amps = math.sqrt(a), math.sqrt(1.0 - a), [1.0]
-    for _ in range(num_qubits):  # one more qubit, in front: its 0 half, then its 1 half
-        amps = [zero * x for x in amps] + [one * x for x in amps]
-    # the strings in lexicographic order, which is basis-index order
-    return StateVector(list(map("".join, product("01", repeat=num_qubits))), amps)
 
 
 def first_zero_distribution(state: StateVector) -> DestinationDistribution:

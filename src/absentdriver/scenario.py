@@ -86,6 +86,7 @@ def _checked_options(options: ScenarioOptions, values: dict, names=None,
     ``names`` maps an option to what errors call it (such as a CLI flag); by
     default they quote its JSON key.
     """
+    _known_fields(values, _OPTION_RULES, path, "option(s)")
     for key, value in values.items():
         types, low, high, requirement = _OPTION_RULES[key]
         if not isinstance(value, types) or isinstance(value, bool) or not low <= value <= high:
@@ -205,7 +206,6 @@ def _parse_kind(doc, path, table, what, *fixed):
 def _parse_options(doc, path="options") -> ScenarioOptions:
     if not isinstance(doc, dict):
         raise ScenarioError("expected an object", path)
-    _known_fields(doc, _OPTION_RULES, path, "option(s)")
     return _checked_options(ScenarioOptions(), doc, path=path)
 
 

@@ -193,6 +193,8 @@ def estimate_payoff(
     problem: DriveProblem, strategy: Strategy, trials: int, seed: int
 ) -> SimulationReport:
     """Mean payoff, standard error, and empirical distribution over ``trials`` runs."""
+    if not all(isinstance(n, int) and not isinstance(n, bool) for n in (trials, seed)):
+        raise ValueError(f"trials and seed must be integers, got {trials!r} and {seed!r}")
     if trials < 1:
         raise ValueError(f"no trials: trials must be >= 1, got {trials}")
     if not 0 <= seed < _MAX_SEED:

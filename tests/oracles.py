@@ -1,10 +1,12 @@
 """Reference helpers shared by the test modules; none is part of the package."""
 
+import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
-from absentdriver import DriveProblem
+from absentdriver import DriveProblem, build_state
 from absentdriver.classical import step_exit_probabilities
 
 
@@ -75,6 +77,19 @@ def dense_amplitudes(state) -> np.ndarray:
     amps = np.zeros(2**state.num_qubits, dtype=complex)
     amps[[int(b, 2) for b in state.bits]] = state.values
     return amps
+
+
+def product_state(alpha, m):
+    """The tensor power of ``sqrt(alpha)|0> + sqrt(1 - alpha)|1>`` on ``m`` qubits,
+    listed as all its ``2**m`` kets and built by :func:`absentdriver.build_state`.
+
+    Under the first-zero rule it reproduces the stationary strategy ``alpha``.
+    """
+    zero, one, amps = math.sqrt(alpha), math.sqrt(1.0 - alpha), [1.0]
+    for _ in range(m):  # one more qubit, in front: its 0 half, then its 1 half
+        amps = [zero * x for x in amps] + [one * x for x in amps]
+    # product lists the strings in lexicographic order, the order of amps
+    return build_state(zip(map("".join, product("01", repeat=m)), amps))
 
 
 def numpy_counts(problem: DriveProblem, strategy, trials: int, seed: int) -> list[int]:

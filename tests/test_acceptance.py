@@ -27,11 +27,11 @@ from absentdriver import (
     make_drive_problem,
     optimize_stationary,
     optimize_two_round,
-    product_state,
     stationary_payoff,
     two_round_average_drive,
 )
 from absentdriver.cli import main
+from oracles import product_state
 
 TOL = 1e-9
 EXAMPLE1 = make_drive_problem([0, 4], 1)

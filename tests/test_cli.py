@@ -153,6 +153,13 @@ class TestEvalCommand:
         assert out == ""
         assert err.startswith("runtime error: cannot write")
 
+    def test_empty_csv_path_is_a_write_failure(self, capsys):
+        # an empty path is a path that cannot be opened, as --scenario "" is one that cannot be read
+        code, out, err = run_cli(capsys, "eval", "--preset", "example1", "--csv", "")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("runtime error: cannot write : ")
+
     def test_scenario_file(self, capsys, scenario_file):
         path = scenario_file(
             {

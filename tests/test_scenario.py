@@ -438,6 +438,12 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match=r"^--seed must be an unsigned 64-bit integer"):
             scenario.with_options({"seed": "--seed"}, seed=2**64)
 
+    def test_overrides_reject_unknown_options(self):
+        # the rule a document's options follow: a misspelt name is named, not a KeyError
+        scenario = parse_scenario(PRESETS["example1"])
+        with pytest.raises(ScenarioError, match=r"^unknown option\(s\): \['trails'\]$"):
+            scenario.with_options(trails=5)
+
 
 class TestPresets:
     def test_example1(self):

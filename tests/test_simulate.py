@@ -21,7 +21,7 @@ from absentdriver import (
 )
 from absentdriver.scenario import MAX_TRIALS
 from absentdriver.simulate import _Binomials
-from oracles import numpy_counts, std_error_squared
+from oracles import numpy_counts, product_state, std_error_squared
 
 # Runs of up to 2**16 trials reproduce the reports of earlier releases, which
 # split longer runs into blocks of this size: tests run on both sides of it.
@@ -258,6 +258,11 @@ class TestEstimatePayoff:
         with pytest.raises(ValueError, match="seed"):
             estimate_payoff(EXAMPLE1, Counting(), 10, -1)
 
+    @pytest.mark.parametrize("trials,seed", [(2.5, 1), (10.0, 1), (True, 1), (10, 1.5), (10, 1.0)])
+    def test_rejects_non_integer_trials_or_seed(self, trials, seed):
+        with pytest.raises(ValueError, match=r"^trials and seed must be integers, got "):
+            estimate_payoff(EXAMPLE1, Counting(), trials, seed)
+
     def test_report_shape(self):
         report = estimate_payoff(EXAMPLE1, Stationary(0.5), 1000, 7)
         assert report.trials == 1000
@@ -426,8 +431,6 @@ class TestEstimatePayoff:
         assert report.empirical_distribution.probs[2] == 0.0  # terminal never sampled
 
     def test_product_state_sampling_matches_quantum_payoff(self):
-        from absentdriver import product_state
-
         state = product_state(0.4, 3)
         analytic = expected_payoff(EXAMPLE2, Quantum(state))
         report = estimate_payoff(EXAMPLE2, Quantum(state), 200_000, 77)
