@@ -9,7 +9,6 @@ import math
 
 from absentdriver import (
     PerStep,
-    Quantum,
     Stationary,
     build_state,
     destination_distribution,
@@ -39,13 +38,13 @@ for alpha in (0.2, 1 / 3, 0.8):
 # unreachable, and the average payoff jumps from 4/3 to 2.
 bell = build_state([("01", 1), ("10", 1)], normalize=True)
 print("\nentangled pair dist:", first_zero_distribution(bell).probs)
-print("entangled pair payoff:", expected_payoff(problem, Quantum(bell)))
+print("entangled pair payoff:", expected_payoff(problem, bell))
 
 # The plan is fully described by its exit hazard at each intersection: the
 # chance of exiting there given the car got that far.  A classical driver
 # who follows those hazards with a counter earns the same 2.0, so the
 # entangled pair beats only the memoryless driver.
-hazards = step_exit_probabilities(problem, Quantum(bell))
+hazards = step_exit_probabilities(problem, bell)
 print("entangled pair hazards:", hazards)
 print("hazards as a per-step plan:", expected_payoff(problem, PerStep(hazards)))
 
@@ -55,7 +54,7 @@ lopsided = make_drive_problem([7, 99, 3], 0)
 skip_two = build_state([("001", 1), ("110", 1)], normalize=True)
 print("\nskip-two dist:", first_zero_distribution(skip_two).probs)
 print("skip-two payoff (average of exits 1 and 3):",
-      expected_payoff(lopsided, Quantum(skip_two)))
+      expected_payoff(lopsided, skip_two))
 
 # Writing the exit number into the state makes the trip deterministic,
 # but that is just a counter in quantum clothing -- a classical car
@@ -63,7 +62,7 @@ print("skip-two payoff (average of exits 1 and 3):",
 third = build_state([("110", 1)])
 print("\n|110> dist:", first_zero_distribution(third).probs)
 print("|110> payoff on the three-exit problem:",
-      expected_payoff(make_drive_problem([0, 4, 1], 1), Quantum(third)))
+      expected_payoff(make_drive_problem([0, 4, 1], 1), third))
 
 # Phases do not matter: only |amplitude|^2 enters the exit rule.
 rotated = build_state([("01", 1j), ("10", -1j)], normalize=True)

@@ -8,7 +8,6 @@
 
 from absentdriver import (
     Counting,
-    Quantum,
     Stationary,
     build_state,
     destination_distribution,
@@ -26,7 +25,7 @@ SEED = 20260810
 cases = [
     ("stationary 1/3", Stationary(1 / 3), expected_payoff(problem, Stationary(1 / 3))),
     ("counting", Counting(), expected_payoff(problem, Counting())),
-    ("entangled pair", Quantum(bell), expected_payoff(problem, Quantum(bell))),
+    ("entangled pair", bell, expected_payoff(problem, bell)),
 ]
 
 for label, strategy, analytic in cases:
@@ -44,10 +43,10 @@ tv = 0.5 * sum(abs(e - a) for e, a in zip(report.empirical_distribution.probs, a
 print(f"total variation distance: {tv:.6f}")
 
 # The entangled pair never reaches the terminal, simulated or not.
-report = estimate_payoff(problem, Quantum(bell), TRIALS, SEED)
+report = estimate_payoff(problem, bell, TRIALS, SEED)
 print("\nentangled empirical dist:", report.empirical_distribution.probs,
       " analytic:", first_zero_distribution(bell).probs)
 
 # Same seed, same report, bit for bit.
-again = estimate_payoff(problem, Quantum(bell), TRIALS, SEED)
+again = estimate_payoff(problem, bell, TRIALS, SEED)
 print("replay is bit-identical:", report == again)

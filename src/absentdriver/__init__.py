@@ -10,6 +10,7 @@ Carlo simulator.
 """
 
 from .classical import (
+    Strategy,
     beta_coefficients,
     destination_distribution,
     expected_payoff,
@@ -21,10 +22,8 @@ from .model import (
     DestinationDistribution,
     DriveProblem,
     PerStep,
-    Quantum,
     SelectionProblem,
     Stationary,
-    Strategy,
     make_drive_problem,
 )
 from .optimize import OptimizationResult, optimize_stationary
@@ -53,7 +52,6 @@ __all__ = [
     "NamedStrategy",
     "OptimizationResult",
     "PerStep",
-    "Quantum",
     "Scenario",
     "ScenarioError",
     "ScenarioOptions",

@@ -26,9 +26,12 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .model import (Counting, DestinationDistribution, DriveProblem, PerStep, Quantum,
-                    SelectionProblem, Stationary, Strategy)
-from .quantum import first_zero_distribution
+from .model import (Counting, DestinationDistribution, DriveProblem, PerStep, SelectionProblem,
+                    Stationary)
+from .quantum import StateVector, first_zero_distribution
+
+# A quantum plan is the state it measures, one qubit per intersection; 0 exits.
+Strategy = Stationary | Counting | PerStep | StateVector
 
 
 def check_fit(problem: DriveProblem | SelectionProblem, strategy: Strategy) -> None:
@@ -38,15 +41,15 @@ def check_fit(problem: DriveProblem | SelectionProblem, strategy: Strategy) -> N
     per-step or quantum plan needs one step or qubit per intersection.
     """
     if isinstance(problem, SelectionProblem):
-        if isinstance(strategy, (PerStep, Quantum)):
+        if isinstance(strategy, (PerStep, StateVector)):
             raise ValueError("strategy/problem mismatch: selection problems only take "
                              "stationary or counting strategies")
         return
     m = problem.num_intersections
     if isinstance(strategy, PerStep) and len(strategy.exit_probs) != m:
         plan = f"{len(strategy.exit_probs)} step probabilities"
-    elif isinstance(strategy, Quantum) and strategy.state.num_qubits != m:
-        plan = f"{strategy.state.num_qubits} qubits"
+    elif isinstance(strategy, StateVector) and strategy.num_qubits != m:
+        plan = f"{strategy.num_qubits} qubits"
     else:
         return
     raise ValueError(f"strategy/problem mismatch: {plan} for {m} intersections")
@@ -69,8 +72,8 @@ def step_exit_probabilities(problem: DriveProblem, strategy: Strategy) -> tuple[
         return tuple(1.0 / n for n in range(m + 1, 1, -1))
     if isinstance(strategy, PerStep):
         return strategy.exit_probs
-    if isinstance(strategy, Quantum):
-        d = first_zero_distribution(strategy.state).probs
+    if isinstance(strategy, StateVector):
+        d = first_zero_distribution(strategy).probs
         tail = list(accumulate(reversed(d)))[:0:-1]  # d_j + ... + d_(m+1) >= d_j in floats
         # a one-term tail gives exactly 1; no car reaches a step of tail 0
         return tuple(dj / t if t > 0.0 else 1.0 for dj, t in zip(d, tail))
@@ -79,9 +82,9 @@ def step_exit_probabilities(problem: DriveProblem, strategy: Strategy) -> tuple[
 
 def destination_distribution(problem: DriveProblem, strategy: Strategy) -> DestinationDistribution:
     """Exact distribution over destinations for any strategy."""
-    if isinstance(strategy, Quantum):
+    if isinstance(strategy, StateVector):
         check_fit(problem, strategy)
-        return first_zero_distribution(strategy.state)
+        return first_zero_distribution(strategy)
     probs, keep = [], 1.0  # keep: probability of still driving
     for p in step_exit_probabilities(problem, strategy):
         probs.append(keep * p)

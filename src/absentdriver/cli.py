@@ -129,7 +129,7 @@ def _strategy_label(strategy) -> str:
         return "counting"
     if isinstance(strategy, PerStep):
         return f"per_step({fmt_list(strategy.exit_probs)})"
-    return f"quantum({strategy.state.num_qubits} qubits)"
+    return f"quantum({strategy.num_qubits} qubits)"
 
 
 def _problem_line(problem) -> str:

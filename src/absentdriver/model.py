@@ -8,17 +8,15 @@ probability of exiting at the intersection currently in front of them (plus,
 for the counting strategy, a counter kept by the car rather than the driver).
 
 All types here are immutable after construction and safe to share across
-threads.  Every printed payoff sum is a :func:`_scaled_sum`; nothing uses numpy.
+threads.  A distribution's mean and the selection means are :func:`_scaled_sum`
+sums; the stationary payoff nests, the first-choice totals run prefix and suffix
+sums, and the simulator sums counted payoffs with ``math.fsum``.  Nothing uses numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
-
-if TYPE_CHECKING:
-    from .quantum import StateVector
 
 
 def _as_finite_floats(values, what: str) -> tuple[float, ...]:
@@ -186,14 +184,3 @@ class PerStep:
             _check_probability(p, f"exit_probs[{j}]") for j, p in enumerate(self.exit_probs)
         )
         object.__setattr__(self, "exit_probs", probs)
-
-
-@dataclass(frozen=True)
-class Quantum:
-    """Measure one qubit of ``state`` per intersection; outcome 0 exits."""
-
-    state: "StateVector"
-
-
-Strategy = Union[Stationary, Counting, PerStep, Quantum]
-

@@ -20,15 +20,13 @@ import json
 import sys
 from dataclasses import dataclass, replace
 
-from .classical import check_fit
+from .classical import Strategy, check_fit
 from .model import (
     Counting,
     DriveProblem,
     PerStep,
-    Quantum,
     SelectionProblem,
     Stationary,
-    Strategy,
     make_drive_problem,
 )
 from .quantum import build_state
@@ -186,8 +184,7 @@ _STRATEGIES = {
     "stationary": (Stationary, {"alpha": _number}),
     "counting": (Counting, {}),
     "per_step": (PerStep, {"exit_probs": _number_list}),
-    "quantum": (lambda terms, normalize: Quantum(build_state(terms, normalize)),
-                {"terms": _terms, "normalize": _flag}),
+    "quantum": (build_state, {"terms": _terms, "normalize": _flag}),
 }
 
 

@@ -18,17 +18,19 @@ Comput. Stat. Data Anal. 16(2), 1993): the counts have the distribution of
 the draws never use the product form they check.  A quantum plan's steps are
 its exit hazards, ``d_j / (d_j + ... + d_(m+1))`` over the first-zero
 distribution ``d``: simulating a plan checks the sampler and the hazards,
-not the first-zero map.  Mean and variance sum with ``math.fsum``, the variance
-as a corrected two-pass sum over deviations from the mean.
+not the first-zero map.  Mean and variance sum with ``math.fsum`` over the
+destinations that cars reached, the variance as a corrected two-pass sum over
+deviations from the mean.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
-from .classical import step_exit_probabilities
-from .model import DestinationDistribution, DriveProblem, Strategy, _exponent
+from .classical import Strategy, step_exit_probabilities
+from .model import DestinationDistribution, DriveProblem, _exponent
 
 _MAX_SEED = 2**64
 _MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
@@ -211,16 +213,19 @@ def estimate_payoff(
             break
     counts[-1] = left
 
-    # payoffs scaled exactly, by a power of two, below 1: no sum of squares overflows
-    shift = _exponent(problem.destination_payoffs)
-    payoffs = [math.ldexp(v, -shift) for v in problem.destination_payoffs]
-    mean = math.fsum(c * v for c, v in zip(counts, payoffs)) / trials
+    # only the payoffs that cars reached, scaled by a power of two to below 1 so that no
+    # sum of squares overflows: exactly, for each within a factor 2**1021 of the largest
+    kept = list(compress(counts, counts))
+    reached = list(compress(problem.destination_payoffs, counts))
+    shift = _exponent(reached)
+    payoffs = [math.ldexp(v, -shift) for v in reached]
+    mean = math.fsum(c * v for c, v in zip(kept, payoffs)) / trials
     # corrected two-pass sum (Chan, Golub & LeVeque, Am. Stat. 37(3), 1983): the
     # deviations keep the spread of payoffs near one large value, and the second
     # sum takes out the error of the rounded mean
     deviations = [v - mean for v in payoffs]
-    squares = math.fsum(c * (d * d) for c, d in zip(counts, deviations))
-    correction = math.fsum(c * d for c, d in zip(counts, deviations))
+    squares = math.fsum(c * (d * d) for c, d in zip(kept, deviations))
+    correction = math.fsum(c * d for c, d in zip(kept, deviations))
     variance = max(squares - correction * correction / trials, 0.0) / max(trials - 1, 1)
     # each scaled |payoff| <= 1 - 2**-53, so mean and std error are too: ldexp stays finite
     return SimulationReport(

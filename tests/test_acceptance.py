@@ -13,7 +13,6 @@ import pytest
 
 from absentdriver import (
     Counting,
-    Quantum,
     SelectionProblem,
     Stationary,
     beta_coefficients,
@@ -130,10 +129,10 @@ def test_criterion_05_two_round_selection():
 def test_criterion_06_quantum_states():
     with criterion(6, "quantum: bell pays 2; |110> exits third; skip-two pays (7+3)/2"):
         assert first_zero_distribution(BELL).probs == pytest.approx([0.5, 0.5, 0.0], abs=TOL)
-        assert expected_payoff(EXAMPLE1, Quantum(BELL)) == pytest.approx(2.0, abs=TOL)
+        assert expected_payoff(EXAMPLE1, BELL) == pytest.approx(2.0, abs=TOL)
         assert first_zero_distribution(THIRD_EXIT).probs == pytest.approx([0, 0, 1, 0], abs=TOL)
         lopsided = make_drive_problem([7, 99, 3], 0)
-        assert expected_payoff(lopsided, Quantum(SKIP_TWO)) == pytest.approx(5.0, abs=TOL)
+        assert expected_payoff(lopsided, SKIP_TWO) == pytest.approx(5.0, abs=TOL)
 
 
 def test_criterion_07_product_state_equals_stationary():
@@ -154,12 +153,12 @@ def test_criterion_08_monte_carlo_oracle():
          destination_distribution(EXAMPLE1, Counting())),
         (EXAMPLE2, Counting(), expected_payoff(EXAMPLE2, Counting()),
          destination_distribution(EXAMPLE2, Counting())),
-        (EXAMPLE1, Quantum(BELL), expected_payoff(EXAMPLE1, Quantum(BELL)),
+        (EXAMPLE1, BELL, expected_payoff(EXAMPLE1, BELL),
          first_zero_distribution(BELL)),
-        (EXAMPLE2, Quantum(THIRD_EXIT), expected_payoff(EXAMPLE2, Quantum(THIRD_EXIT)),
+        (EXAMPLE2, THIRD_EXIT, expected_payoff(EXAMPLE2, THIRD_EXIT),
          first_zero_distribution(THIRD_EXIT)),
-        (make_drive_problem([7, 99, 3], 0), Quantum(SKIP_TWO),
-         expected_payoff(make_drive_problem([7, 99, 3], 0), Quantum(SKIP_TWO)),
+        (make_drive_problem([7, 99, 3], 0), SKIP_TWO,
+         expected_payoff(make_drive_problem([7, 99, 3], 0), SKIP_TWO),
          first_zero_distribution(SKIP_TWO)),
     ]
     with criterion(8, "Monte Carlo at 1e6 trials: 4-sigma means, TV <= 0.005, bit-identical"):

@@ -8,7 +8,6 @@ from absentdriver import (
     Counting,
     DestinationDistribution,
     PerStep,
-    Quantum,
     Stationary,
     beta_coefficients,
     build_state,
@@ -59,7 +58,7 @@ class TestDestinationDistribution:
         assert dist.probs == pytest.approx(enumerate_distribution(steps), abs=1e-14)
 
     def test_quantum_strategy_is_its_first_zero_distribution(self):
-        bell = Quantum(build_state([("01", 1), ("10", 1)], normalize=True))
+        bell = build_state([("01", 1), ("10", 1)], normalize=True)
         assert destination_distribution(EXAMPLE1, bell).probs == pytest.approx(
             [0.5, 0.5, 0.0], abs=1e-15
         )
@@ -174,7 +173,7 @@ class TestQuantumHazards:
     def test_hazards_as_per_step_reproduce_first_zero(self, m):
         problem = make_drive_problem([0.0] * m, 0.0)
         for state in quantum_plans(np.random.default_rng(m), m):
-            hazards = step_exit_probabilities(problem, Quantum(state))
+            hazards = step_exit_probabilities(problem, state)
             classical = destination_distribution(problem, PerStep(tuple(hazards)))
             target = first_zero_distribution(state).probs
             assert np.abs(np.asarray(classical.probs) - target).max() <= 1e-12

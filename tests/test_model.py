@@ -11,10 +11,12 @@ from absentdriver import (
     Counting,
     DestinationDistribution,
     PerStep,
-    Quantum,
     SelectionProblem,
     Stationary,
     build_state,
+    destination_distribution,
+    estimate_payoff,
+    expected_payoff,
     make_drive_problem,
     step_exit_probabilities,
 )
@@ -97,13 +99,17 @@ class TestExitProbability:
         with pytest.raises(ValueError, match="strategy/problem mismatch"):
             steps(PerStep((0.1, 0.2)), 4)
 
-    def test_unknown_strategy_type(self):
+    @pytest.mark.parametrize("entry", [step_exit_probabilities, destination_distribution,
+                                       expected_payoff, lambda p, s: estimate_payoff(p, s, 10, 1)],
+                             ids=["step_exit_probabilities", "destination_distribution",
+                                  "expected_payoff", "estimate_payoff"])
+    def test_unknown_strategy_type(self, entry):
         with pytest.raises(TypeError, match=r"^unknown strategy type: str$"):
-            step_exit_probabilities(make_drive_problem([0, 4], 1), "stationary")
+            entry(make_drive_problem([0, 4], 1), "stationary")
 
     def test_quantum_steps_are_exit_hazards(self):
         # the Bell pair exits at 1 or 2, each half the time: exit 2 is certain once reached
-        strategy = Quantum(build_state([("01", 1), ("10", 1)], normalize=True))
+        strategy = build_state([("01", 1), ("10", 1)], normalize=True)
         assert steps(strategy, 3) == pytest.approx([0.5, 1.0], abs=1e-15)
 
     @pytest.mark.parametrize("k", [2, 3, 7, 40])

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from absentdriver import (
     Counting,
-    Quantum,
     Stationary,
     StateVector,
     build_state,
@@ -354,19 +353,19 @@ class TestFirstZeroDistribution:
 class TestQuantumExpectedPayoff:
     def test_bell_doubles_example1(self):
         problem = make_drive_problem([0, 4], 1)
-        assert expected_payoff(problem, Quantum(build_state(BELL_01_10))) == pytest.approx(2.0)
+        assert expected_payoff(problem, build_state(BELL_01_10)) == pytest.approx(2.0)
 
     def test_skip_two_averages_first_and_third(self):
         problem = make_drive_problem([7, 99, 3], 0)
-        payoff = expected_payoff(problem, Quantum(build_state(SKIP_TWO)))
+        payoff = expected_payoff(problem, build_state(SKIP_TWO))
         assert payoff == pytest.approx((7 + 3) / 2, abs=1e-12)
 
     def test_product_state_equals_stationary_payoff(self):
         problem = make_drive_problem([0, 4], 1)
-        payoff = expected_payoff(problem, Quantum(product_state(1 / 3, 2)))
+        payoff = expected_payoff(problem, product_state(1 / 3, 2))
         assert payoff == pytest.approx(4 / 3, abs=1e-12)
 
     def test_dimension_mismatch(self):
         problem = make_drive_problem([0, 4], 1)
         with pytest.raises(ValueError, match="strategy/problem mismatch"):
-            expected_payoff(problem, Quantum(build_state(THIRD_EXIT)))
+            expected_payoff(problem, build_state(THIRD_EXIT))

@@ -8,11 +8,11 @@ from absentdriver import (
     Counting,
     DriveProblem,
     PerStep,
-    Quantum,
     Scenario,
     ScenarioError,
     SelectionProblem,
     Stationary,
+    StateVector,
     build_state,
     parse_scenario,
 )
@@ -54,7 +54,7 @@ STRATEGY_OBJECTS = {
     "stationary": Stationary(0.25),
     "counting": Counting(),
     "per_step": PerStep((0.5, 0.25)),
-    "quantum": Quantum(build_state([("01", 0.6), ("10", 0.8j)])),
+    "quantum": build_state([("01", 0.6), ("10", 0.8j)]),
 }
 
 
@@ -81,8 +81,8 @@ class TestParseScenario:
         assert scenario.strategies[0].strategy == Stationary(1 / 3)
         assert isinstance(scenario.strategies[1].strategy, Counting)
         bell = scenario.strategies[2].strategy
-        assert isinstance(bell, Quantum)
-        assert dense_amplitudes(bell.state)[1] == pytest.approx(1 / math.sqrt(2))
+        assert isinstance(bell, StateVector)
+        assert dense_amplitudes(bell)[1] == pytest.approx(1 / math.sqrt(2))
         assert scenario.options.trials == 5000
         assert scenario.options.seed == 99
 
@@ -124,7 +124,7 @@ class TestParseScenario:
                             "terms": [{"bits": bits, "re": a.real, "im": a.imag}
                                       for bits, a in kets]}],
         }
-        state = parse_scenario(json.dumps(doc)).strategies[0].strategy.state
+        state = parse_scenario(json.dumps(doc)).strategies[0].strategy
         assert state == build_state(kets, normalize=True)
         assert list(state.bits) == sorted(bits for bits, _ in kets)
 
@@ -172,7 +172,7 @@ class TestParseScenario:
                  "strategies": [plan]}
             )
             if error is None:
-                assert parse_scenario(doc).strategies[0].strategy.state.num_qubits == 2
+                assert parse_scenario(doc).strategies[0].strategy.num_qubits == 2
             else:
                 with pytest.raises(ScenarioError, match=rf"^strategies\[0\]: strategy/problem mismatch: {error}$"):
                     parse_scenario(doc)
@@ -358,7 +358,7 @@ class TestParseScenario:
                 ],
             }
         )
-        state = parse_scenario(doc).strategies[0].strategy.state
+        state = parse_scenario(doc).strategies[0].strategy
         assert list(dense_amplitudes(state)) == [0, 1]
 
     def test_duplicate_names(self):

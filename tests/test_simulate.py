@@ -10,7 +10,6 @@ import pytest
 from absentdriver import (
     Counting,
     PerStep,
-    Quantum,
     Stationary,
     build_state,
     destination_distribution,
@@ -74,14 +73,14 @@ class TestSimulateDrive:
         assert landed(EXAMPLE1, Stationary(0.0), 50, 0) == {3}
 
     def test_bell_never_reaches_terminal(self):
-        assert landed(EXAMPLE1, Quantum(BELL), 400, 1234) == {1, 2}
+        assert landed(EXAMPLE1, BELL, 400, 1234) == {1, 2}
 
     def test_counting_covers_every_destination(self):
         assert landed(EXAMPLE2, Counting(), 500, 99) == {1, 2, 3, 4}
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="strategy/problem mismatch"):
-            estimate_payoff(EXAMPLE2, Quantum(BELL), 10, 0)
+            estimate_payoff(EXAMPLE2, BELL, 10, 0)
         with pytest.raises(ValueError, match="strategy/problem mismatch"):
             estimate_payoff(EXAMPLE1, PerStep((0.5,)), 10, 0)
 
@@ -96,12 +95,12 @@ class TestSimulateDrive:
     def test_plan_never_lands_past_its_last_weighted_destination(self, problem, plan, reached):
         # As for Bell, the last destination with weight has step probability
         # d_j / d_j, exactly 1, so no car drives on to the zero-weight rest.
-        assert landed(problem, Quantum(plan), 2 * TWO_16, 17) == reached
+        assert landed(problem, plan, 2 * TWO_16, 17) == reached
 
     def test_quantum_sample_stream_pinned(self):
         # A change to the per-step binomial draws of a measurement plan that
         # moves a single car changes these counts.
-        report = estimate_payoff(EXAMPLE1, Quantum(BELL), 20_000, 11)
+        report = estimate_payoff(EXAMPLE1, BELL, 20_000, 11)
         counts = np.rint(np.asarray(report.empirical_distribution.probs) * 20_000).astype(int)
         assert counts.tolist() == [9950, 10050, 0]
 
@@ -118,7 +117,7 @@ class TestSimulateDrive:
         # These counts pin the per-step binomial draws at 20 qubits: a change
         # to the step probabilities taken from the first-zero distribution, or
         # to the draws, that moves a single car changes them.
-        report = estimate_payoff(PROBLEM_20, Quantum(PLANS_20[plan]), 20_000, 11)
+        report = estimate_payoff(PROBLEM_20, PLANS_20[plan], 20_000, 11)
         counts = np.rint(np.asarray(report.empirical_distribution.probs) * 20_000).astype(int)
         assert counts.tolist() == expected
 
@@ -195,8 +194,8 @@ class TestBinomialStream:
     def test_reports_match_numpy_draws(self, seed, trials):
         problem = ramp_problem(20)
         strategies = (Stationary(0.1), Stationary(0.9), Counting(),
-                      PerStep(tuple(1e-7 * 10 ** (i % 8) for i in range(20))), Quantum(PLANS_20["w"]),
-                      Quantum(PLANS_20["counting_state"]))
+                      PerStep(tuple(1e-7 * 10 ** (i % 8) for i in range(20))),
+                      PLANS_20["w"], PLANS_20["counting_state"])
         for strategy in strategies:
             report = estimate_payoff(problem, strategy, trials, seed)
             counts = numpy_counts(problem, strategy, trials, seed)
@@ -247,6 +246,20 @@ class TestStdErrorAgainstExactOracle:
         # equal payoffs have no spread: a one-pass variance printed 8.6e298 for them
         for trials in (2, 3, 1000, MAX_TRIALS):
             assert_std_error_exact(make_drive_problem(exits, terminal), Counting(), trials, 7)
+
+    @pytest.mark.parametrize("exits,steps", [
+        ([1e308, 1.23456789012345e-6, 2.5e-6], (0.0, 0.5, 1.0)),
+        ([1e308, 1e-320], (0.0, 1.0)),
+    ])
+    def test_unreached_payoff_sets_no_scale(self, exits, steps):
+        # scaled by the exponent of 1e308, which no car reaches, the reached payoffs
+        # fell toward 0: the first run printed std error 0, the second mean 0
+        problem, strategy = make_drive_problem(exits, 0.0), PerStep(steps)
+        assert_std_error_exact(problem, strategy, 1_000_000, 1)
+        report = estimate_payoff(problem, strategy, 1_000_000, 1)
+        counts = [round(p * 1_000_000) for p in report.empirical_distribution.probs]
+        exact = sum(c * Fraction(v) for c, v in zip(counts, problem.destination_payoffs)) / 1_000_000
+        assert abs(Fraction(report.mean_payoff) - exact) <= exact / 10**15
 
 
 class TestEstimatePayoff:
@@ -388,7 +401,7 @@ class TestEstimatePayoff:
         # 2**17 trials of a plan with one ket per destination: the per-step
         # draws need O(m) memory (about 90 bytes a step), not a uniform and a
         # destination per trial (1 MiB each as float64).
-        problem, strategy = ramp_problem(m), Quantum(plans(m)["counting_state"])
+        problem, strategy = ramp_problem(m), plans(m)["counting_state"]
         estimate_payoff(problem, strategy, 10, 5)  # a warm-up call; only the next one is counted
         tracemalloc.start()
         try:
@@ -409,12 +422,12 @@ class TestEstimatePayoff:
     @pytest.mark.parametrize("plan", sorted(PLANS_20))
     def test_quantum_oracle_agreement_at_20_qubits(self, plan):
         state = PLANS_20[plan]
-        report = estimate_payoff(PROBLEM_20, Quantum(state), 1_000_000, 20260810)
-        analytic = expected_payoff(PROBLEM_20, Quantum(state))
+        report = estimate_payoff(PROBLEM_20, state, 1_000_000, 20260810)
+        analytic = expected_payoff(PROBLEM_20, state)
         assert abs(report.mean_payoff - analytic) <= SIGMAS * report.std_error
 
     def test_quantum_oracle_agreement(self):
-        report = estimate_payoff(EXAMPLE1, Quantum(BELL), 200_000, 20260810)
+        report = estimate_payoff(EXAMPLE1, BELL, 200_000, 20260810)
         assert abs(report.mean_payoff - 2.0) <= SIGMAS * max(report.std_error, 1e-12)
 
     def test_empirical_distribution_close_to_analytic(self):
@@ -424,7 +437,7 @@ class TestEstimatePayoff:
         assert tv <= 0.005
 
     def test_quantum_empirical_distribution(self):
-        report = estimate_payoff(EXAMPLE1, Quantum(BELL), 1_000_000, 8)
+        report = estimate_payoff(EXAMPLE1, BELL, 1_000_000, 8)
         analytic = first_zero_distribution(BELL)
         tv = 0.5 * np.abs(np.asarray(report.empirical_distribution.probs) - analytic.probs).sum()
         assert tv <= 0.005
@@ -432,6 +445,6 @@ class TestEstimatePayoff:
 
     def test_product_state_sampling_matches_quantum_payoff(self):
         state = product_state(0.4, 3)
-        analytic = expected_payoff(EXAMPLE2, Quantum(state))
-        report = estimate_payoff(EXAMPLE2, Quantum(state), 200_000, 77)
+        analytic = expected_payoff(EXAMPLE2, state)
+        report = estimate_payoff(EXAMPLE2, state, 200_000, 77)
         assert abs(report.mean_payoff - analytic) <= SIGMAS * report.std_error
