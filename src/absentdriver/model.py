@@ -8,15 +8,17 @@ probability of exiting at the intersection currently in front of them (plus,
 for the counting strategy, a counter kept by the car rather than the driver).
 
 All types here are immutable after construction and safe to share across
-threads.  A distribution's mean and the selection means are :func:`_scaled_sum`
-sums; the stationary payoff nests, the first-choice totals run prefix and suffix
-sums, and the simulator sums counted payoffs with ``math.fsum``.  Nothing uses numpy.
+threads.  Each is a :class:`_Frozen` record: its ``__init__`` validates the
+arguments and stores them with ``object.__setattr__``, and any later assignment
+or deletion of an attribute raises ``FrozenInstanceError``.  A distribution's
+mean and the selection means are :func:`_scaled_sum` sums; the stationary payoff
+nests, the first-choice totals run prefix and suffix sums, and the simulator
+sums counted payoffs with ``math.fsum``.  Nothing uses numpy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 def _as_finite_floats(values, what: str) -> tuple[float, ...]:
@@ -41,8 +43,33 @@ def _scaled_sum(payoffs) -> tuple[float, float]:
     return math.fsum(v / scale for v in payoffs), scale
 
 
-@dataclass(frozen=True)
-class DriveProblem:
+class _Frozen:
+    """Immutable value: its fields are the instance ``__dict__``, in the order
+    ``__init__`` sets them, and they alone decide ``==``, ``hash`` and ``repr``.
+    No ``__slots__``, so ``pickle`` and ``copy`` restore the ``__dict__`` as they are."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError  # on the error path only: slow to import
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class DriveProblem(_Frozen):
     """Ordered exit payoffs plus the payoff for driving past every exit.
 
     Its stationary payoff is a polynomial in ``alpha`` with the
@@ -57,9 +84,9 @@ class DriveProblem:
     exit_payoffs: tuple[float, ...]
     terminal_payoff: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exit_payoffs", _as_finite_floats(self.exit_payoffs, "exit_payoffs"))
-        (terminal,) = _as_finite_floats((self.terminal_payoff,), "terminal_payoff")
+    def __init__(self, exit_payoffs, terminal_payoff) -> None:
+        object.__setattr__(self, "exit_payoffs", _as_finite_floats(exit_payoffs, "exit_payoffs"))
+        (terminal,) = _as_finite_floats((terminal_payoff,), "terminal_payoff")
         object.__setattr__(self, "terminal_payoff", terminal)
 
     @property
@@ -88,15 +115,14 @@ def make_drive_problem(exit_payoffs, terminal_payoff) -> DriveProblem:
 _ROUNDING = 1e-15
 
 
-@dataclass(frozen=True)
-class DestinationDistribution:
+class DestinationDistribution(_Frozen):
     """Probabilities over destinations ``1..k`` (exits in order, then terminal)."""
 
     probs: tuple[float, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, probs) -> None:
         try:
-            probs = tuple(map(float, self.probs))
+            probs = tuple(map(float, probs))
         except TypeError:  # a nested sequence
             probs = ()
         if not probs:
@@ -119,8 +145,7 @@ class DestinationDistribution:
         return total * scale
 
 
-@dataclass(frozen=True)
-class SelectionProblem:
+class SelectionProblem(_Frozen):
     """Pick two of ``n`` destinations in successive rounds.
 
     The first pick is struck from the list before the second round is driven.
@@ -128,11 +153,11 @@ class SelectionProblem:
 
     destination_payoffs: tuple[float, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, destination_payoffs) -> None:
         object.__setattr__(
             self,
             "destination_payoffs",
-            _as_finite_floats(self.destination_payoffs, "destination_payoffs"),
+            _as_finite_floats(destination_payoffs, "destination_payoffs"),
         )
         if len(self.destination_payoffs) < 2:
             raise ValueError("degenerate problem: selection needs at least two destinations")
@@ -149,8 +174,7 @@ def _check_probability(p: float, what: str) -> float:
     return x
 
 
-@dataclass(frozen=True)
-class Stationary:
+class Stationary(_Frozen):
     """Exit with the same probability ``alpha`` at every intersection.
 
     The only strategy available to a driver with zero memory and full
@@ -159,12 +183,11 @@ class Stationary:
 
     alpha: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", _check_probability(self.alpha, "alpha"))
+    def __init__(self, alpha) -> None:
+        object.__setattr__(self, "alpha", _check_probability(alpha, "alpha"))
 
 
-@dataclass(frozen=True)
-class Counting:
+class Counting(_Frozen):
     """Exit with probability ``1/(k - i + 1)`` at intersection ``i``.
 
     Needs one item of memory (the intersection count, which the car can
@@ -173,14 +196,13 @@ class Counting:
     """
 
 
-@dataclass(frozen=True)
-class PerStep:
+class PerStep(_Frozen):
     """An explicit exit probability for each intersection."""
 
     exit_probs: tuple[float, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, exit_probs) -> None:
         probs = tuple(
-            _check_probability(p, f"exit_probs[{j}]") for j, p in enumerate(self.exit_probs)
+            _check_probability(p, f"exit_probs[{j}]") for j, p in enumerate(exit_probs)
         )
         object.__setattr__(self, "exit_probs", probs)

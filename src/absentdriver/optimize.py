@@ -14,22 +14,18 @@ smallest maximizing ``alpha``, so results are deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .classical import beta_coefficients, stationary_payoff
-from .model import DriveProblem, _exponent
+from .model import DriveProblem, _Frozen, _exponent
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
-    """Maximizer, maximum, which route produced them, and ``gap``: how far the
-    largest bound of a closed segment lies above ``payoff_star`` (0 for the
-    closed form), leaving out the rounding error of each evaluation."""
+class OptimizationResult(_Frozen):
+    """Maximizer, maximum, ``method`` (``"closed_form"`` or ``"numeric"``) and ``gap``: how
+    far the largest bound of a closed segment lies above ``payoff_star`` (0 for the closed
+    form), leaving out the rounding error of each evaluation."""
 
-    alpha_star: float
-    payoff_star: float
-    method: str  # "closed_form" or "numeric"
-    gap: float
+    def __init__(self, alpha_star: float, payoff_star: float, method: str, gap: float) -> None:
+        self.__dict__.update(alpha_star=alpha_star, payoff_star=payoff_star, method=method, gap=gap)
 
 
 def _quadratic_roots(a: float, b: float, c: float) -> tuple[float, ...]:

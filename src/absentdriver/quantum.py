@@ -24,11 +24,10 @@ are ``math.fsum`` sums, so neither depends on the order the terms are listed in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import lt, mul
 
-from .model import DestinationDistribution, _exponent
+from .model import DestinationDistribution, _Frozen, _exponent
 
 # A state's amplitudes are accepted up to this deviation of their norm from 1.
 INPUT_NORM_TOL = 1e-6
@@ -56,8 +55,7 @@ def _scaled(values: list[complex]) -> tuple[int, float, float]:
         return shift, scaled_norm, math.inf
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(_Frozen):
     """Unit-norm state stored as its basis strings ``bits`` and amplitudes ``values``.
 
     ``bits`` is a tuple of equal-width ``0``/``1`` strings, the first
@@ -71,11 +69,11 @@ class StateVector:
     bits: tuple[str, ...]
     values: tuple[complex, ...]
 
-    def __post_init__(self) -> None:
-        if not all(isinstance(b, str) for b in self.bits):
+    def __init__(self, bits, values) -> None:
+        if not all(isinstance(b, str) for b in bits):
             raise ValueError("bad basis strings: each must be a str")
-        bits = list(map(str, self.bits))
-        values = list(map(complex, self.values))
+        bits = list(map(str, bits))
+        values = list(map(complex, values))
         if len(bits) != len(values):
             raise ValueError(f"bits ({len(bits)}) and values ({len(values)}) must match in length")
         norm = _scaled(values)[2]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, replace
 
 from .classical import Strategy, check_fit
 from .model import (
@@ -27,6 +26,7 @@ from .model import (
     PerStep,
     SelectionProblem,
     Stationary,
+    _Frozen,
     make_drive_problem,
 )
 from .quantum import build_state
@@ -45,28 +45,26 @@ class ScenarioError(ValueError):
         super().__init__(f"{path}: {message}" if path else message)
 
 
-@dataclass(frozen=True)
-class NamedStrategy:
-    name: str
-    strategy: Strategy
+class NamedStrategy(_Frozen):
+    def __init__(self, name: str, strategy: Strategy) -> None:
+        self.__dict__.update(name=name, strategy=strategy)
 
 
-@dataclass(frozen=True)
-class ScenarioOptions:
-    trials: int = 100_000
-    seed: int = 12345
-    grid_step: float = 0.05
+class ScenarioOptions(_Frozen):
+    def __init__(self, trials: int = 100_000, seed: int = 12345, grid_step: float = 0.05) -> None:
+        self.__dict__.update(trials=trials, seed=seed, grid_step=grid_step)
 
 
-@dataclass(frozen=True)
-class Scenario:
-    problem: DriveProblem | SelectionProblem
-    strategies: tuple[NamedStrategy, ...]
-    options: ScenarioOptions = ScenarioOptions()
+class Scenario(_Frozen):
+    def __init__(self, problem: DriveProblem | SelectionProblem,
+                 strategies: tuple[NamedStrategy, ...],
+                 options: ScenarioOptions = ScenarioOptions()) -> None:
+        self.__dict__.update(problem=problem, strategies=strategies, options=options)
 
     def with_options(self, names=None, **overrides) -> "Scenario":
         """This scenario with its options overridden, checked as in a document."""
-        return replace(self, options=_checked_options(self.options, overrides, names, path=""))
+        options = _checked_options(self.options, overrides, names, path="")
+        return Scenario(self.problem, self.strategies, options)
 
 
 # option -> (types, low, high, requirement); errors read "<option> must be <requirement>"
@@ -92,7 +90,7 @@ def _checked_options(options: ScenarioOptions, values: dict, names=None,
             raise ScenarioError(f"{name} must be {requirement}", path)
     if "grid_step" in values:
         values = {**values, "grid_step": float(values["grid_step"])}
-    return replace(options, **values)
+    return ScenarioOptions(**{**vars(options), **values})
 
 
 def _require(mapping, key, path, kind, type_name):

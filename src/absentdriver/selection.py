@@ -12,7 +12,6 @@ probability ``1/n`` each, so the counting total is ``2 * mean(v)``.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import accumulate
 
 from .classical import destination_distribution
@@ -58,8 +57,8 @@ def two_round_average_drive(sel: SelectionProblem) -> tuple[float, DriveProblem]
 def optimize_two_round(sel: SelectionProblem) -> OptimizationResult:
     """Best stationary ``alpha`` for the averaged two-round payoff."""
     mean, drive = two_round_average_drive(sel)
-    result = optimize_stationary(drive)
-    return replace(result, payoff_star=mean + result.payoff_star)
+    best = optimize_stationary(drive)
+    return OptimizationResult(best.alpha_star, mean + best.payoff_star, best.method, best.gap)
 
 
 def counting_round_values(sel: SelectionProblem) -> tuple[tuple[float, float], ...]:

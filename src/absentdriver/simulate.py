@@ -26,11 +26,10 @@ deviations from the mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress
 
 from .classical import Strategy, step_exit_probabilities
-from .model import DestinationDistribution, DriveProblem, _exponent
+from .model import DestinationDistribution, DriveProblem, _Frozen, _exponent
 
 _MAX_SEED = 2**64
 _MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
@@ -180,15 +179,13 @@ class _Binomials:
                 return y
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(_Frozen):
     """Summary of one batch of trials."""
 
-    trials: int
-    mean_payoff: float
-    std_error: float
-    empirical_distribution: DestinationDistribution
-    seed: int
+    def __init__(self, trials: int, mean_payoff: float, std_error: float,
+                 empirical_distribution: DestinationDistribution, seed: int) -> None:
+        self.__dict__.update(trials=trials, mean_payoff=mean_payoff, std_error=std_error,
+                             empirical_distribution=empirical_distribution, seed=seed)
 
 
 def estimate_payoff(

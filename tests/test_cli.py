@@ -936,20 +936,25 @@ def test_cli_import_leaves_out_numpy_polynomial():
     assert proc.stdout == "[]\n"
 
 
-def test_drive_and_selection_runs_leave_out_numpy(tmp_path):
-    # numpy is most of a CLI process's import time, and no command needs it:
-    # quantum plans are scored, and simulate's binomials drawn, on Python numbers
+def _drive_and_selection_runs(tmp_path):
+    """argv lists of every command but simulate, on a drive document, presets and a selection."""
     doc = {"problem": {"kind": "drive", "exit_payoffs": [0, 4, 1], "terminal_payoff": 1},
            "strategies": [{"name": "s", "kind": "stationary", "alpha": 0.25},
                           {"name": "c", "kind": "counting"},
                           {"name": "p", "kind": "per_step", "exit_probs": [0.5, 0.25, 1]}]}
     drive = tmp_path / "drive.json"
     drive.write_text(json.dumps(doc), encoding="utf-8")
-    runs = [["optimize", "--scenario", str(drive)], ["eval", "--scenario", str(drive)],
+    return [["optimize", "--scenario", str(drive)], ["eval", "--scenario", str(drive)],
             ["curve", "--scenario", str(drive), "--csv", str(tmp_path / "curve.csv")],
             ["select", "--preset", "selection-example", "--csv", str(tmp_path / "select.csv")],
             ["optimize", "--preset", "example2"],
             ["curve", "--preset", "example1", "--csv", str(tmp_path / "quantum-curve.csv")]]
+
+
+def test_drive_and_selection_runs_leave_out_numpy(tmp_path):
+    # numpy is most of a CLI process's import time, and no command needs it:
+    # quantum plans are scored, and simulate's binomials drawn, on Python numbers
+    runs = _drive_and_selection_runs(tmp_path)
     probe = (
         "import contextlib, io, sys\n"
         "import absentdriver\n"
@@ -971,3 +976,24 @@ def test_drive_and_selection_runs_leave_out_numpy(tmp_path):
                            env=env, capture_output=True, text=True, check=True)
     assert proc.stdout == fresh.stdout
     assert "quantum(2 qubits)" in proc.stdout
+
+
+def test_package_and_commands_load_neither_dataclasses_nor_inspect(tmp_path):
+    # together they were a quarter of `import absentdriver`; argparse, json and csv load
+    # neither, so only the package could
+    runs = [*_drive_and_selection_runs(tmp_path), ["eval", "--preset", "example1"],
+            ["simulate", "--preset", "example1", "--trials", "100", "--seed", "1"]]
+    probe = (
+        "import sys\n"
+        "startup = set(sys.modules)\n"
+        "import contextlib, io\n"
+        "import absentdriver\n"
+        "from absentdriver.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {runs!r}]\n"
+        "print(codes, sorted({'dataclasses', 'inspect'} & set(sys.modules) - startup))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "[0, 0, 0, 0, 0, 0, 0, 0] []\n"

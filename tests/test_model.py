@@ -1,5 +1,8 @@
 import ast
+import copy
+import dataclasses
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +13,13 @@ import absentdriver
 from absentdriver import (
     Counting,
     DestinationDistribution,
+    NamedStrategy,
+    OptimizationResult,
     PerStep,
+    Scenario,
+    ScenarioOptions,
     SelectionProblem,
+    SimulationReport,
     Stationary,
     build_state,
     destination_distribution,
@@ -71,6 +79,62 @@ class TestStrategyValidation:
     def test_per_step_entries_checked(self):
         with pytest.raises(ValueError, match="probability"):
             PerStep((0.5, 1.5))
+
+
+def _scenario(alpha):
+    return Scenario(make_drive_problem([0, 4], 1), (NamedStrategy("s", Stationary(alpha)),))
+
+
+# (build one, build a record that differs in one field or None, its repr)
+RECORDS = [
+    (lambda: make_drive_problem([0, 4], 1), lambda: make_drive_problem([0, 4], 2),
+     "DriveProblem(exit_payoffs=(0.0, 4.0), terminal_payoff=1.0)"),
+    (lambda: DestinationDistribution((0.25, 0.25, 0.5)), lambda: DestinationDistribution((0.5, 0.5)),
+     "DestinationDistribution(probs=(0.25, 0.25, 0.5))"),
+    (lambda: SelectionProblem((1, 2, 3)), lambda: SelectionProblem((1, 2)),
+     "SelectionProblem(destination_payoffs=(1.0, 2.0, 3.0))"),
+    (lambda: Stationary(0.3), lambda: Stationary(0.4), "Stationary(alpha=0.3)"),
+    (Counting, None, "Counting()"),
+    (lambda: PerStep((0.5, 1)), lambda: PerStep((0.5, 0.5)), "PerStep(exit_probs=(0.5, 1.0))"),
+    (lambda: build_state([("01", 0.6), ("10", 0.8)]), lambda: build_state([("01", 0.8), ("10", 0.6)]),
+     "StateVector(bits=('01', '10'), values=((0.6+0j), (0.8+0j)))"),
+    (lambda: OptimizationResult(0.1, 0.2, "numeric", 0.0),
+     lambda: OptimizationResult(0.1, 0.2, "closed_form", 0.0),
+     "OptimizationResult(alpha_star=0.1, payoff_star=0.2, method='numeric', gap=0.0)"),
+    (lambda: NamedStrategy("s", Stationary(0.3)), lambda: NamedStrategy("t", Stationary(0.3)),
+     "NamedStrategy(name='s', strategy=Stationary(alpha=0.3))"),
+    (ScenarioOptions, lambda: ScenarioOptions(seed=1),
+     "ScenarioOptions(trials=100000, seed=12345, grid_step=0.05)"),
+    (lambda: _scenario(0.3), lambda: _scenario(0.4),
+     "Scenario(problem=DriveProblem(exit_payoffs=(0.0, 4.0), terminal_payoff=1.0), "
+     "strategies=(NamedStrategy(name='s', strategy=Stationary(alpha=0.3)),), "
+     "options=ScenarioOptions(trials=100000, seed=12345, grid_step=0.05))"),
+    (lambda: SimulationReport(10, 1.5, 0.25, DestinationDistribution((0.5, 0.5)), 7),
+     lambda: SimulationReport(10, 1.5, 0.25, DestinationDistribution((0.5, 0.5)), 8),
+     "SimulationReport(trials=10, mean_payoff=1.5, std_error=0.25, "
+     "empirical_distribution=DestinationDistribution(probs=(0.5, 0.5)), seed=7)"),
+]
+
+
+@pytest.mark.parametrize("make,make_other,text", RECORDS,
+                         ids=[text.split("(")[0] for *_, text in RECORDS])
+def test_records_are_frozen_values(make, make_other, text):
+    record = make()
+    assert record == make() and record is not make()
+    assert hash(record) == hash(make())
+    assert record.__eq__(object()) is NotImplemented
+    if make_other is not None:
+        assert record != make_other()
+    assert repr(record) == text
+    for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), copy.copy(record)):
+        assert type(twin) is type(record) and twin == record and repr(twin) == text
+    fields = dict(vars(record))
+    for name in [*fields, "extra"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, name)
+    assert vars(record) == fields
 
 
 def steps(strategy, num_destinations: int) -> list[float]:
