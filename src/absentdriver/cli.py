@@ -17,7 +17,6 @@ Exit codes: 0 success, 1 usage error, 2 scenario validation error,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import math
 import os
@@ -107,6 +106,8 @@ def fmt_list(values) -> str:
 
 def emit_csv(rows) -> str:
     """RFC-4180-style CSV: header first, exact integers, 12-significant-digit floats, LF endings."""
+    import csv  # here, so only the commands that write CSV load it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     for row in rows:

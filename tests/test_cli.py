@@ -997,3 +997,21 @@ def test_package_and_commands_load_neither_dataclasses_nor_inspect(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout == "[0, 0, 0, 0, 0, 0, 0, 0] []\n"
+
+
+def test_commands_without_csv_leave_out_the_csv_module():
+    # only emit_csv imports csv, so a run that writes no CSV does not pay for it
+    runs = [["eval", "--preset", "example1"], ["optimize", "--preset", "example2"],
+            ["select", "--preset", "selection-example"],
+            ["simulate", "--preset", "example1", "--trials", "100", "--seed", "1"]]
+    probe = (
+        "import contextlib, io, sys\n"
+        "from absentdriver.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {runs!r}]\n"
+        "print(codes, 'csv' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "[0, 0, 0, 0] False\n"
